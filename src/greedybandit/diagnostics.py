@@ -19,6 +19,9 @@ from .contexts import DistributionSpec, _sample_matrix, resolve_dim
 from .env import Trajectory
 
 _N_BATCHES = 20
+# Context sets per draw in the margin estimator: its 1e5-set pool is only
+# needed for one gap per set, so it is drawn and reduced in pieces.
+_MARGIN_CHUNK = 10**4
 
 
 def _sample_pool(spec: DistributionSpec, d: int, K: int, n_mc: int,
@@ -137,7 +140,8 @@ def estimate_margin_constant(spec: DistributionSpec, theta_star, d: int, K: int,
     line through the origin is fitted; its slope is the margin constant.  A
     free (affine) fit provides the intercept, whose distance from zero is a
     sanity check for continuous densities.  Standard errors come from batch
-    means over the Monte-Carlo pool.
+    means over the Monte-Carlo pool, which is drawn in chunks of
+    _MARGIN_CHUNK context sets so that only the (n_mc,) gaps are held.
     """
     if n_mc < 10**5:
         raise ValueError("n_mc must be >= 1e5")
@@ -153,10 +157,12 @@ def estimate_margin_constant(spec: DistributionSpec, theta_star, d: int, K: int,
     if K < 2:
         raise ValueError("gap needs K >= 2")
 
-    pool = _sample_pool(spec, d, K, n_mc, rng)
-    scores = pool @ theta_star
-    part = np.partition(scores, (K - 2, K - 1), axis=1)
-    gaps = part[:, K - 1] - part[:, K - 2]
+    gaps = np.empty(int(n_mc))
+    for start in range(0, gaps.size, _MARGIN_CHUNK):
+        m = min(_MARGIN_CHUNK, gaps.size - start)
+        scores = _sample_pool(spec, d, K, m, rng) @ theta_star
+        part = np.partition(scores, (K - 2, K - 1), axis=1)
+        gaps[start:start + m] = part[:, K - 1] - part[:, K - 2]
 
     indic = gaps[:, None] <= eps[None, :]          # (n, n_eps)
     probs = indic.mean(axis=0)
@@ -278,12 +284,9 @@ def estimate_concentration_params(spec: DistributionSpec, d: int, K: int,
 # Trajectory checks
 
 
-def consistency_curve(trajectory: Trajectory, theta_star=None) -> list[tuple[int, float]]:
-    """(t, sqrt(t) * ||theta_hat_t - theta_star||) for rounds with an estimate.
-
-    The per-round error is read from the trajectory records; theta_star is
-    accepted for interface symmetry with the estimators.
-    """
+def consistency_curve(trajectory: Trajectory) -> list[tuple[int, float]]:
+    """(t, sqrt(t) * ||theta_hat_t - theta_star||) for rounds with an estimate,
+    read from the trajectory records."""
     return [(r.t, math.sqrt(r.t) * r.est_error_l2)
             for r in trajectory.records if r.est_error_l2 is not None]
 

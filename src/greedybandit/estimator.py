@@ -5,14 +5,20 @@ regularization.  Until Sigma is invertible the estimate is undefined; once
 the minimal eigenvalue clears a small numerical floor the state keeps both a
 Sherman-Morrison running inverse (cheap per-round reads) and a fresh
 Cholesky solve (authoritative for theta_hat).
+
+Every factorization and eigensolve goes straight to scipy's LAPACK drivers
+(dpotrf/dpotrs, dsyevd).  numpy links its own BLAS with its own thread
+pool, and alternating the two libraries every round makes their pools fight
+over the cores; keep numpy.linalg's LAPACK routines out of the episode loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import inv, lapack
 
 EPS_INV = 1e-9
 
@@ -48,8 +54,30 @@ def init(d: int) -> GramState:
     return GramState(sigma=np.zeros((d, d)), b=np.zeros(d))
 
 
+@lru_cache(maxsize=None)
+def _eig_workspace(d: int) -> tuple[int, int]:
+    """Optimal dsyevd workspace for eigenvalues only.  With it the blocked
+    tridiagonal reduction runs, as in numpy.linalg.eigvalsh, and the
+    eigenvalues agree with numpy's bit for bit; the minimal default
+    workspace takes the unblocked path and differs in the last bits."""
+    lwork, liwork, info = lapack.dsyevd_lwork(d, compute_v=0, lower=1)
+    if info != 0:
+        raise ValueError(f"dsyevd workspace query failed (info {info})")
+    return int(lwork), int(liwork)
+
+
+def _eigvalsh(sigma: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a symmetric matrix (lower triangle read)."""
+    lwork, liwork = _eig_workspace(sigma.shape[0])
+    w, _, info = lapack.dsyevd(sigma, compute_v=0, lower=1,
+                               lwork=lwork, liwork=liwork)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsyevd failed to converge (info {info})")
+    return w
+
+
 def _is_invertible(sigma: np.ndarray) -> bool:
-    eigs = np.linalg.eigvalsh(sigma)
+    eigs = _eigvalsh(sigma)
     return bool(eigs[0] > EPS_INV * max(1.0, eigs[-1]))
 
 
@@ -73,7 +101,7 @@ def update(state: GramState, x, y: float) -> GramState:
 
     if state.invertible_since is None and _is_invertible(state.sigma):
         state.invertible_since = state.t
-        state.sigma_inv = np.linalg.inv(state.sigma)
+        state.sigma_inv = inv(state.sigma, check_finite=False)
     if state.invertible_since is not None:
         state.theta_hat = solve(state)
     return state
@@ -84,11 +112,12 @@ def solve(state: GramState) -> np.ndarray:
     if state.invertible_since is None and not _is_invertible(state.sigma):
         raise NotIdentifiedError("Gram matrix is singular after "
                                  f"{state.t} updates")
-    try:
-        factor = cho_factor(state.sigma, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise NotIdentifiedError(str(exc)) from exc
-    return cho_solve(factor, state.b, check_finite=False)
+    L, info = lapack.dpotrf(state.sigma, lower=1, clean=0)
+    if info != 0:
+        raise NotIdentifiedError(f"Cholesky factorization failed at leading "
+                                 f"minor {info} after {state.t} updates")
+    theta, _ = lapack.dpotrs(L, state.b, lower=1)
+    return theta
 
 
 def incremental_estimate(state: GramState) -> np.ndarray:
@@ -103,7 +132,7 @@ def min_eigenvalue(state: GramState) -> float:
     asym = np.abs(sigma - sigma.T).max()
     if asym > 1e-8 * max(1.0, np.abs(sigma).max()):
         raise ValueError(f"Gram matrix asymmetric by {asym:.3e}")
-    return float(np.linalg.eigvalsh(sigma)[0])
+    return float(_eigvalsh(sigma)[0])
 
 
 def weighted_norm(state: GramState, v) -> float:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import configparser
+import contextlib
 import csv
 import math
 import os
@@ -134,10 +135,6 @@ def _episode_seeds(config: ExperimentConfig):
     return children[0], children[1], children[2:]
 
 
-def _run_one(instance: BanditInstance, policy: PolicyConfig, T: int, seed):
-    return run_episode(instance, policy, T, seed)
-
-
 def run_experiment(config: ExperimentConfig) -> ResultsTable:
     """Run reps episodes per policy; deterministic in the config alone."""
     config.validate()
@@ -159,13 +156,13 @@ def run_experiment(config: ExperimentConfig) -> ResultsTable:
     trajectories: dict[tuple[str, int], Trajectory] = {}
     if config.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            futures = {pool.submit(_run_one, inst, pol, config.T, seed): key
+            futures = {pool.submit(run_episode, inst, pol, config.T, seed): key
                        for key, inst, pol, seed in tasks}
             for fut in concurrent.futures.as_completed(futures):
                 trajectories[futures[fut]] = fut.result()
     else:
         for key, inst, pol, seed in tasks:
-            trajectories[key] = _run_one(inst, pol, config.T, seed)
+            trajectories[key] = run_episode(inst, pol, config.T, seed)
     return ResultsTable(config=config, theta_star=theta_star, theta0=theta0,
                         trajectories=trajectories)
 
@@ -184,29 +181,43 @@ def _csv_cell(v) -> str:
     return repr(float(v))
 
 
+def _write_rows(path: str, columns, rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(columns)
+        for row in rows:
+            w.writerow([_csv_cell(v) for v in row])
+
+
 def write_csv(table: ResultsTable, path, aggregate_path=None) -> str:
     """Write the raw per-round CSV to `path` and the aggregate CSV next to it.
 
     Floats are written with repr so a parse-back reproduces the exact
-    values; missing estimates are empty cells.
+    values; missing estimates are empty cells.  Each file is written to a
+    temporary `<target>.tmp` beside its target, and both are moved into
+    place only after both are complete: a failure leaves no new raw CSV
+    without its aggregate, and no temporary file.
     """
     path = os.fspath(path)
     if aggregate_path is None:
         stem, ext = os.path.splitext(path)
         aggregate_path = f"{stem}_aggregate{ext or '.csv'}"
+    aggregate_path = os.fspath(aggregate_path)
+    outputs = ((path, RAW_COLUMNS, table.raw_rows()),
+               (aggregate_path, AGGREGATE_COLUMNS, table.aggregate_rows()))
+    started = []
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(RAW_COLUMNS)
-            for row in table.raw_rows():
-                w.writerow([_csv_cell(v) for v in row])
-        with open(aggregate_path, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(AGGREGATE_COLUMNS)
-            for row in table.aggregate_rows():
-                w.writerow([_csv_cell(v) for v in row])
+        for target, columns, rows in outputs:
+            started.append(target)
+            _write_rows(target + ".tmp", columns, rows)
+        for target in started:
+            os.replace(target + ".tmp", target)
     except OSError as exc:
-        raise OSError(f"failed writing CSV to {exc.filename or path}: {exc}") from exc
+        raise OSError(f"failed writing CSV to {target}: {exc}") from exc
+    finally:
+        for target in started:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(target + ".tmp")
     return aggregate_path
 
 

@@ -3,7 +3,10 @@
 The greedy rule scores arms with the raw least squares estimate and never
 adds an exploration term; before the Gram matrix is invertible it falls
 back to a fixed warm-start vector theta0.  The two baselines regularize
-with lambda_reg and need a generator only in the Thompson case.
+with lambda_reg and need a generator only in the Thompson case.  They
+factor the ridge matrix once per round with scipy's LAPACK dpotrf, and the
+one factor L serves the ridge estimate, LinUCB's log-determinant and
+widths, and LinTS's posterior draw.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass, replace
 import math
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
+from scipy.linalg import lapack
 
 from . import estimator
 from .contexts import ContextSet
@@ -69,41 +72,50 @@ def greedy_select(theta, contexts: ContextSet) -> int:
 
 
 def _ridge(state: GramState, lambda_reg: float):
+    """Lower Cholesky factor L of Sigma + lambda I and the ridge estimate."""
     sigma_bar = state.sigma + lambda_reg * np.eye(state.dim)
-    factor = cho_factor(sigma_bar, lower=True, check_finite=False)
-    theta_tilde = cho_solve(factor, state.b, check_finite=False)
-    return sigma_bar, factor, theta_tilde
+    L, info = lapack.dpotrf(sigma_bar, lower=1, clean=0)
+    if info != 0:
+        raise ValueError("ridge Gram matrix must be positive definite")
+    theta_tilde, _ = lapack.dpotrs(L, state.b, lower=1)
+    return L, theta_tilde
+
+
+def _radius(L: np.ndarray, config: PolicyConfig) -> float:
+    """LinUCB bonus multiplier, with logdet(Sigma + lambda I) = 2 sum log diag L."""
+    if config.delta is None:
+        raise ValueError("delta unresolved; call with_delta_for_horizon first")
+    lam = config.lambda_reg
+    logdet = 2.0 * float(np.log(np.diagonal(L)).sum())
+    width = logdet - L.shape[0] * math.log(lam) + 2.0 * math.log(1.0 / config.delta)
+    return config.sigma_assumed * math.sqrt(max(width, 0.0)) + math.sqrt(lam)
 
 
 def confidence_radius(state: GramState, config: PolicyConfig, t: int) -> float:
     """LinUCB bonus multiplier from the determinant of the ridge Gram matrix."""
-    if config.delta is None:
-        raise ValueError("delta unresolved; call with_delta_for_horizon first")
-    lam = config.lambda_reg
-    sigma_bar = state.sigma + lam * np.eye(state.dim)
-    sign, logdet = np.linalg.slogdet(sigma_bar)
-    if sign <= 0:
-        raise ValueError("ridge Gram matrix must be positive definite")
-    width = logdet - state.dim * math.log(lam) + 2.0 * math.log(1.0 / config.delta)
-    return config.sigma_assumed * math.sqrt(max(width, 0.0)) + math.sqrt(lam)
+    return _radius(_ridge(state, config.lambda_reg)[0], config)
 
 
-def linucb_select(state: GramState, config: PolicyConfig,
-                  contexts: ContextSet, beta: float) -> int:
+def _linucb_choice(L: np.ndarray, theta_tilde: np.ndarray,
+                   contexts: ContextSet, beta: float) -> int:
     X = contexts.vectors
-    _, factor, theta_tilde = _ridge(state, config.lambda_reg)
-    V = cho_solve(factor, X.T, check_finite=False)
+    V, _ = lapack.dpotrs(L, X.T, lower=1)
     widths = np.sqrt(np.maximum(np.einsum("ij,ji->i", X, V), 0.0))
     return int(np.argmax(X @ theta_tilde + beta * widths))
 
 
+def linucb_select(state: GramState, config: PolicyConfig,
+                  contexts: ContextSet, beta: float) -> int:
+    L, theta_tilde = _ridge(state, config.lambda_reg)
+    return _linucb_choice(L, theta_tilde, contexts, beta)
+
+
 def lints_select(state: GramState, config: PolicyConfig, contexts: ContextSet,
                  rng: np.random.Generator) -> int:
-    sigma_bar, _, theta_tilde = _ridge(state, config.lambda_reg)
-    L = cholesky(sigma_bar, lower=True, check_finite=False)
+    L, theta_tilde = _ridge(state, config.lambda_reg)
     z = rng.standard_normal(state.dim)
     # L^-T z has covariance sigma_bar^-1.
-    perturb = solve_triangular(L, z, lower=True, trans="T", check_finite=False)
+    perturb, _ = lapack.dtrtrs(L, z, lower=1, trans=1)
     theta_sample = theta_tilde + config.v_scale * perturb
     return greedy_select(theta_sample, contexts)
 
@@ -121,8 +133,8 @@ def policy_step(state: GramState, config: PolicyConfig, contexts: ContextSet,
                              "is invertible")
         return greedy_select(config.theta0, contexts)
     if config.kind == "linucb":
-        beta = confidence_radius(state, config, t)
-        return linucb_select(state, config, contexts, beta)
+        L, theta_tilde = _ridge(state, config.lambda_reg)
+        return _linucb_choice(L, theta_tilde, contexts, _radius(L, config))
     if rng is None:
         raise ValueError("lints needs a random generator")
     return lints_select(state, config, contexts, rng)

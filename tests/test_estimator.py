@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import cho_factor, cho_solve
 
 from greedybandit import estimator as est
 from greedybandit.estimator import GramState, NotIdentifiedError
@@ -79,6 +80,45 @@ class TestMinEigenvalue:
     def test_known_eigenvalue(self):
         s = GramState(sigma=np.diag([5.0, 0.25]), b=np.zeros(2))
         assert est.min_eigenvalue(s) == pytest.approx(0.25, rel=1e-8)
+
+
+def random_grams(d, n, rng):
+    """n Gram matrices of random designs with between d and 3d + 4 rows."""
+    return [X.T @ X for X in (rng.standard_normal((d + i % (2 * d + 5), d))
+                              for i in range(n))]
+
+
+class TestLapackDrivers:
+    # The estimator calls scipy's LAPACK drivers directly; they must give the
+    # very numbers of the numpy and scipy wrappers they replaced.
+    @pytest.mark.parametrize("d", [1, 3, 20, 100])
+    def test_min_eigenvalue_matches_numpy_exactly(self, d, rng):
+        for S in random_grams(d, 30, rng):
+            s = GramState(sigma=S, b=np.zeros(d))
+            assert est.min_eigenvalue(s) == np.linalg.eigvalsh(S)[0]
+
+    @pytest.mark.parametrize("d", [1, 3, 20, 100])
+    def test_solve_matches_cho_solve_exactly(self, d, rng):
+        for S in random_grams(d, 30, rng):
+            b = rng.standard_normal(d)
+            s = GramState(sigma=S, b=b)
+            ref = cho_solve(cho_factor(S, lower=True, check_finite=False), b,
+                            check_finite=False)
+            np.testing.assert_array_equal(est.solve(s), ref)
+
+    @pytest.mark.parametrize("d", [2, 5, 20])
+    def test_psd_singular_not_identified(self, d, rng):
+        X = rng.standard_normal((d - 1, d))
+        s = GramState(sigma=X.T @ X, b=X.T @ rng.standard_normal(d - 1))
+        with pytest.raises(NotIdentifiedError):
+            est.solve(s)
+
+    def test_failed_factorization_not_identified(self):
+        # Past the eigenvalue gate (invertible_since set) an exactly singular
+        # Gram matrix still raises instead of returning a solve.
+        s = GramState(sigma=np.ones((2, 2)), b=np.ones(2), invertible_since=1)
+        with pytest.raises(NotIdentifiedError):
+            est.solve(s)
 
 
 class TestWeightedNorm:

@@ -143,6 +143,30 @@ class TestCsv:
         with pytest.raises(OSError, match="no/such"):
             write_csv(table, tmp_path / "no" / "such" / "raw.csv")
 
+    def test_failed_aggregate_leaves_no_new_raw(self, tmp_path, monkeypatch):
+        table = run_experiment(tiny_config(tmp_path, T=3, reps=1))
+        out = tmp_path / "csv"
+        out.mkdir()
+        (out / "raw.csv").write_text("old\n", encoding="utf-8")
+
+        def failing_rows():
+            yield ("greedy", 1, 0.0, 0.0)
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(table, "aggregate_rows", failing_rows)
+        with pytest.raises(OSError, match="aggregate.csv"):
+            write_csv(table, out / "raw.csv", out / "aggregate.csv")
+        assert sorted(p.name for p in out.iterdir()) == ["raw.csv"]
+        assert (out / "raw.csv").read_text(encoding="utf-8") == "old\n"
+
+    def test_unwritable_aggregate_leaves_nothing(self, tmp_path):
+        table = run_experiment(tiny_config(tmp_path, T=3, reps=1))
+        out = tmp_path / "csv"
+        out.mkdir()
+        with pytest.raises(OSError, match="missing"):
+            write_csv(table, out / "raw.csv", tmp_path / "missing" / "agg.csv")
+        assert list(out.iterdir()) == []
+
 
 class TestSvg:
     def test_structure_three_policies(self, tmp_path):

@@ -193,6 +193,30 @@ class TestConfidenceRadius:
                                 + 2 * math.log(1 / delta)) + math.sqrt(lam)
         assert confidence_radius(s, cfg, t=n + 1) <= bound + 1e-12
 
+    @pytest.mark.parametrize("d,lam", [(1, 1.0), (3, 0.5), (20, 1.0), (100, 2.0)])
+    def test_factor_logdet_matches_slogdet(self, d, lam, rng):
+        s = est.init(d)
+        for _ in range(3 * d):
+            est.update(s, rng.standard_normal(d), rng.standard_normal())
+        cfg = PolicyConfig("linucb", lambda_reg=lam, delta=0.01, sigma_assumed=0.5)
+        sign, logdet = np.linalg.slogdet(s.sigma + lam * np.eye(d))
+        width = logdet - d * math.log(lam) + 2 * math.log(1 / 0.01)
+        expected = 0.5 * math.sqrt(width) + math.sqrt(lam)
+        assert sign > 0
+        assert confidence_radius(s, cfg, t=3 * d + 1) == pytest.approx(expected, rel=1e-12)
+
+    def test_policy_step_uses_public_radius(self, rng):
+        # policy_step shares one factor between the radius and the widths;
+        # it must choose what the two public calls choose.
+        s = est.init(4)
+        cfg = PolicyConfig("linucb", delta=0.05)
+        for t in range(1, 40):
+            cs = ContextSet(rng.standard_normal((6, 4)))
+            beta = confidence_radius(s, cfg, t)
+            arm = policy_step(s, cfg, cs, t)
+            assert arm == linucb_select(s, cfg, cs, beta)
+            est.update(s, cs.vectors[arm], rng.standard_normal())
+
     def test_unresolved_delta_rejected(self):
         with pytest.raises(ValueError):
             confidence_radius(est.init(2), PolicyConfig("linucb"), t=1)
