@@ -12,7 +12,7 @@ from .diagnostics import (ConcentrationEstimate, ConsistencyReport,
                           estimate_concentration_params,
                           estimate_diversity_constant, estimate_margin_constant,
                           gram_growth_check, run_diagnostics)
-from .env import (BanditInstance, RoundRecord, Trajectory, instantaneous_regret,
+from .env import (BanditInstance, Trajectory, instantaneous_regret,
                   make_instance, reward, run_episode)
 from .estimator import GramState, NotIdentifiedError
 from .harness import (ConfigError, ExperimentConfig, ResultsTable,
@@ -27,7 +27,7 @@ __all__ = [
     "ConsistencyReport", "ContextSet", "DiagnosticsReport", "DistributionSpec",
     "DiversityEstimate", "ExperimentConfig", "GramState", "GrowthReport",
     "LacCheckReport", "LacFunction", "MarginEstimate", "NotIdentifiedError",
-    "PolicyConfig", "Region", "ResultsTable", "RoundRecord", "Trajectory",
+    "PolicyConfig", "Region", "ResultsTable", "Trajectory",
     "ball", "box", "cauchy_spec", "config_from_ini", "confidence_radius",
     "consistency_curve", "decay_rate_check", "estimate_concentration_params",
     "estimate_diversity_constant", "estimate_margin_constant",

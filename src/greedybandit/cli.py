@@ -12,9 +12,9 @@ import argparse
 import dataclasses
 import sys
 
-from .harness import (ConfigError, PRESET_DISTS, PRESET_SHAPES, config_from_ini,
-                      default_policies, preset_config, run_experiment,
-                      write_outputs, _preset_spec)
+from .harness import (PRESET_DISTS, PRESET_SHAPES, config_from_ini,
+                      default_policies, preset_config, preset_spec,
+                      run_experiment, write_outputs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,9 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args) -> "ExperimentConfig":
     if args.config is not None:
         config = config_from_ini(args.config)
-        if args.dist is not None:
-            config = dataclasses.replace(
-                config, spec=_preset_spec(args.dist, args.d or config.d))
     else:
         config = preset_config(args.preset, args.dist or "gaussian")
     overrides = {}
@@ -87,10 +84,10 @@ def _config_from_args(args) -> "ExperimentConfig":
             else tuple(p.kind for p in config.policies)
         config = dataclasses.replace(
             config, policies=default_policies(config.sigma, algos))
-    # Shape overrides can move d away from a preset spec built for another d.
-    if args.config is None and args.d is not None:
+    # Preset specs can depend on d, so they are built for the final d.
+    if args.config is None or args.dist is not None:
         config = dataclasses.replace(
-            config, spec=_preset_spec(args.dist or "gaussian", config.d))
+            config, spec=preset_spec(args.dist or "gaussian", config.d))
     return config
 
 
@@ -108,7 +105,7 @@ def main(argv=None) -> int:
     try:
         config = _config_from_args(args)
         config.validate()
-    except ConfigError as exc:
+    except ValueError as exc:  # ConfigError, or a spec rejecting its parameters
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return 1
     try:

@@ -21,7 +21,6 @@ from functools import lru_cache
 import numpy as np
 
 KINDS = ("gaussian", "laplace", "uniform_ball", "exponential", "student_t", "cauchy")
-ARM_COUPLINGS = ("independent_arms", "shared_gaussian_covariance")
 
 # Kinds whose coordinates are independent, enabling exact per-coordinate
 # rejection under box truncation.
@@ -161,15 +160,10 @@ class DistributionSpec:
     rate: float | np.ndarray = 1.0      # exponential
     df: float = 1.0                     # student_t
     truncation: Region | None = None
-    arm_coupling: str = "independent_arms"
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown distribution kind {self.kind!r}")
-        if self.arm_coupling not in ARM_COUPLINGS:
-            raise ValueError(f"unknown arm coupling {self.arm_coupling!r}")
-        if self.arm_coupling == "shared_gaussian_covariance" and self.kind != "gaussian":
-            raise ValueError("shared_gaussian_covariance applies to gaussian specs only")
         for name in ("mean", "cov", "loc", "scale", "rate"):
             v = getattr(self, name)
             if np.ndim(v) > 0:
@@ -216,10 +210,9 @@ class DistributionSpec:
                 raise ValueError("gaussian covariance must be positive definite")
 
 
-def gaussian_spec(mean=0.0, cov=1.0, rho=0.0, truncation=None,
-                  arm_coupling="independent_arms") -> DistributionSpec:
+def gaussian_spec(mean=0.0, cov=1.0, rho=0.0, truncation=None) -> DistributionSpec:
     return DistributionSpec("gaussian", mean=mean, cov=cov, rho=rho,
-                            truncation=truncation, arm_coupling=arm_coupling)
+                            truncation=truncation)
 
 
 def laplace_spec(loc=0.0, scale=1.0, truncation=None) -> DistributionSpec:
@@ -460,8 +453,8 @@ def sample_context_set(spec: DistributionSpec, d: int, K: int,
                        rng: np.random.Generator) -> ContextSet:
     """Draw the K per-arm context vectors for one round.
 
-    Arms are always drawn independently; shared_gaussian_covariance means
-    the correlation sits across coordinates within each arm's vector.
+    Arms are always drawn independently; a gaussian spec's rho correlates
+    coordinates within each arm's vector.
     """
     d = resolve_dim(spec, d)
     if K < 1:
@@ -842,8 +835,6 @@ def spec_to_config(spec: DistributionSpec) -> dict[str, str]:
         block["df"] = repr(float(spec.df))
     if spec.truncation is not None:
         block["truncation"] = _fmt_region(spec.truncation)
-    if spec.arm_coupling != "independent_arms":
-        block["arm_coupling"] = spec.arm_coupling
     return block
 
 
@@ -856,7 +847,9 @@ def spec_from_config(block) -> DistributionSpec:
         raise ValueError("spec block needs a 'kind' key") from None
     trunc = block.pop("truncation", None)
     region = _parse_region(trunc) if trunc is not None else None
-    coupling = block.pop("arm_coupling", "independent_arms")
+    # Arms are always drawn independently; arm_coupling, a former key that
+    # never changed the draws, is ignored so older files still parse.
+    block.pop("arm_coupling", None)
     kwargs = {}
     if kind == "gaussian":
         kwargs["mean"] = _parse_param(block.pop("mean", "0.0"))
@@ -881,4 +874,4 @@ def spec_from_config(block) -> DistributionSpec:
         raise ValueError(f"unknown distribution kind {kind!r}")
     if block:
         raise ValueError(f"unknown spec keys: {sorted(block)}")
-    return DistributionSpec(kind, truncation=region, arm_coupling=coupling, **kwargs)
+    return DistributionSpec(kind, truncation=region, **kwargs)

@@ -285,10 +285,10 @@ def estimate_concentration_params(spec: DistributionSpec, d: int, K: int,
 
 
 def consistency_curve(trajectory: Trajectory) -> list[tuple[int, float]]:
-    """(t, sqrt(t) * ||theta_hat_t - theta_star||) for rounds with an estimate,
-    read from the trajectory records."""
-    return [(r.t, math.sqrt(r.t) * r.est_error_l2)
-            for r in trajectory.records if r.est_error_l2 is not None]
+    """(t, sqrt(t) * ||theta_hat_t - theta_star||) for rounds with an estimate."""
+    scaled = np.sqrt(trajectory.t) * trajectory.est_error_l2
+    known = ~np.isnan(scaled)
+    return list(zip(trajectory.t[known].tolist(), scaled[known].tolist()))
 
 
 @dataclass
@@ -303,10 +303,11 @@ class ConsistencyReport:
 
 def consistency_check(trajectory: Trajectory, t_min: int = 100,
                       t_max: int = 1000, max_ratio: float = 5.0) -> ConsistencyReport:
-    curve = [v for t, v in consistency_curve(trajectory) if t_min <= t <= t_max]
-    if not curve:
+    t = trajectory.t
+    arr = np.sqrt(t) * trajectory.est_error_l2
+    arr = arr[(t >= t_min) & (t <= t_max) & ~np.isnan(arr)]
+    if not arr.size:
         return ConsistencyReport(False, math.inf, (t_min, t_max), 0)
-    arr = np.asarray(curve)
     med = float(np.median(arr))
     if arr.max() <= 1e-9:
         ratio = 1.0  # exact recovery: the whole curve is roundoff noise
@@ -317,7 +318,7 @@ def consistency_check(trajectory: Trajectory, t_min: int = 100,
     return ConsistencyReport(passed=bool(ratio <= max_ratio),
                              max_over_median=ratio,
                              window=(t_min, t_max),
-                             n_points=len(curve))
+                             n_points=int(arr.size))
 
 
 @dataclass
@@ -348,19 +349,20 @@ def gram_growth_check(trajectory: Trajectory, lambda_star_hat: float,
     """Fraction of rounds t >= t0 with lambda_min(Sigma(t)) >= (lambda/4) t."""
     lam = float(lambda_star_hat)
     slope = lam / 4.0
-    checked = [(r.t, r.gram_min_eig >= slope * r.t)
-               for r in trajectory.records if r.t >= t0]
-    if not checked:
+    t = trajectory.t
+    window = t >= t0
+    if not window.any():
         return GrowthReport(False, 0.0, slope, t0, 0, None)
-    oks = np.array([ok for _, ok in checked])
-    violations = [t for (t, ok) in checked if not ok]
-    frac = float(oks.mean())
+    t = t[window]
+    ok = trajectory.gram_min_eig[window] >= slope * t
+    violations = t[~ok]
+    frac = float(ok.mean())
     return GrowthReport(passed=bool(frac >= min_fraction),
                         fraction=frac,
                         threshold_slope=slope,
                         t0=t0,
-                        n_checked=len(checked),
-                        last_violation=max(violations) if violations else None)
+                        n_checked=int(t.size),
+                        last_violation=int(violations[-1]) if violations.size else None)
 
 
 def empirical_x_max(spec: DistributionSpec, d: int, K: int, n_mc: int,
@@ -433,7 +435,8 @@ def run_diagnostics(spec: DistributionSpec, d: int, K: int, theta_star,
         p_star_hat=p_star,
         x_max_hat=x_max,
         consistency_series=consistency_curve(trajectory),
-        growth_series=[(r.t, r.gram_min_eig / r.t) for r in trajectory.records],
+        growth_series=list(zip(trajectory.t.tolist(),
+                               (trajectory.gram_min_eig / trajectory.t).tolist())),
         growth=growth,
         consistency=cons,
         notes=notes,

@@ -1,13 +1,14 @@
 """Bandit environment and the single-episode simulation loop.
 
 An episode interleaves context sampling, arm selection, gaussian reward
-noise, and the OLS update, recording per-round diagnostics.  Regret is
-measured against the noise-free best arm of the realized context set.
+noise, and the OLS update, recording per-round diagnostics as T-length
+columns.  Regret is measured against the noise-free best arm of the
+realized context set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,40 +44,35 @@ class BanditInstance:
 
 
 @dataclass
-class RoundRecord:
-    """Diagnostics for one round (t is 1-based).
+class Trajectory:
+    """One episode as T-length columns; entry i belongs to round t = i + 1.
 
-    est_error_l2 is None until the OLS estimate exists; gram_min_eig is the
+    est_error_l2 is NaN until the OLS estimate exists; gram_min_eig is the
     post-update minimal eigenvalue and max_ctx_norm the largest arm norm of
     the round's context set.
     """
 
-    t: int
-    arm: int
-    optimal_arm: int
-    reward: float
-    inst_regret: float
-    est_error_l2: float | None
-    gram_min_eig: float
-    max_ctx_norm: float
+    arm: np.ndarray
+    optimal_arm: np.ndarray
+    reward: np.ndarray
+    inst_regret: np.ndarray
+    est_error_l2: np.ndarray
+    gram_min_eig: np.ndarray
+    max_ctx_norm: np.ndarray
 
+    @property
+    def t(self) -> np.ndarray:
+        return np.arange(1, len(self) + 1)
 
-@dataclass
-class Trajectory:
-    """One episode's records plus the cumulative regret curve."""
-
-    records: list[RoundRecord]
-    cum_regret: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        inst = np.array([r.inst_regret for r in self.records])
-        self.cum_regret = np.cumsum(inst)
+    @property
+    def cum_regret(self) -> np.ndarray:
+        return np.cumsum(self.inst_regret)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.inst_regret)
 
     def final_regret(self) -> float:
-        return float(self.cum_regret[-1]) if len(self.records) else 0.0
+        return float(self.cum_regret[-1]) if len(self) else 0.0
 
 
 def reward(instance: BanditInstance, x, rng: np.random.Generator) -> float:
@@ -124,25 +120,20 @@ def run_episode(instance: BanditInstance, config: PolicyConfig, T: int,
         raise ValueError(f"theta0 must have shape ({instance.d},)")
     rng = np.random.default_rng(seed)
     state = estimator.init(instance.d)
-    records = []
-    for t in range(1, T + 1):
+    arms, best_arms = np.empty((2, T), dtype=np.intp)
+    rewards, regrets, errors, eigs, norms = np.full((5, T), np.nan)
+    for i in range(T):
         contexts = sample_context_set(instance.spec, instance.d, instance.K, rng)
-        arm = policies.policy_step(state, config, contexts, t, rng)
+        arm = policies.policy_step(state, config, contexts, i + 1, rng)
         x = contexts.vectors[arm]
         y = reward(instance, x, rng)
-        regret, best = instantaneous_regret(instance, contexts, arm)
+        regrets[i], best_arms[i] = instantaneous_regret(instance, contexts, arm)
         estimator.update(state, x, y)
-        err = None
         if state.theta_hat is not None:
-            err = float(np.linalg.norm(state.theta_hat - instance.theta_star))
-        records.append(RoundRecord(
-            t=t,
-            arm=arm,
-            optimal_arm=best,
-            reward=y,
-            inst_regret=regret,
-            est_error_l2=err,
-            gram_min_eig=estimator.min_eigenvalue(state),
-            max_ctx_norm=float(np.max(np.linalg.norm(contexts.vectors, axis=1))),
-        ))
-    return Trajectory(records=records)
+            errors[i] = np.linalg.norm(state.theta_hat - instance.theta_star)
+        arms[i], rewards[i] = arm, y
+        eigs[i] = estimator.min_eigenvalue(state)
+        norms[i] = np.max(np.linalg.norm(contexts.vectors, axis=1))
+    return Trajectory(arm=arms, optimal_arm=best_arms, reward=rewards,
+                      inst_regret=regrets, est_error_l2=errors,
+                      gram_min_eig=eigs, max_ctx_norm=norms)

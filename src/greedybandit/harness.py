@@ -17,6 +17,7 @@ import csv
 import math
 import os
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -101,27 +102,36 @@ class ResultsTable:
         return [p.name for p in self.config.policies]
 
     def raw_rows(self):
-        """Per-round rows in canonical (policy, rep, t) order."""
+        """Per-round rows in canonical (policy, rep, t) order; a missing
+        estimate (NaN) becomes None."""
         for name in self.policy_names:
             for rep in range(self.config.reps):
                 traj = self.trajectories[(name, rep)]
-                for rec, cum in zip(traj.records, traj.cum_regret):
-                    yield (name, rep, rec.t, rec.inst_regret, float(cum),
-                           rec.est_error_l2, rec.gram_min_eig)
+                errs = [None if math.isnan(e) else e
+                        for e in traj.est_error_l2.tolist()]
+                yield from zip(repeat(name), repeat(rep), traj.t.tolist(),
+                               traj.inst_regret.tolist(),
+                               traj.cum_regret.tolist(), errs,
+                               traj.gram_min_eig.tolist())
 
     def cum_regret_matrix(self, name: str) -> np.ndarray:
         """(reps, T) cumulative regret for one policy."""
         return np.vstack([self.trajectories[(name, rep)].cum_regret
                           for rep in range(self.config.reps)])
 
+    def cum_regret_stats(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """Per-round mean and sample std (zero for one rep) of cumulative
+        regret for one policy."""
+        M = self.cum_regret_matrix(name)
+        std = M.std(axis=0, ddof=1) if M.shape[0] > 1 else np.zeros(M.shape[1])
+        return M.mean(axis=0), std
+
     def aggregate_rows(self):
         """Mean and sample std of cumulative regret per (policy, t)."""
         for name in self.policy_names:
-            M = self.cum_regret_matrix(name)
-            mean = M.mean(axis=0)
-            std = M.std(axis=0, ddof=1) if self.config.reps > 1 else np.zeros(M.shape[1])
-            for t in range(M.shape[1]):
-                yield (name, t + 1, float(mean[t]), float(std[t]))
+            mean, std = self.cum_regret_stats(name)
+            yield from zip(repeat(name), range(1, mean.size + 1),
+                           mean.tolist(), std.tolist())
 
     def final_mean_regret(self, name: str) -> float:
         return float(self.cum_regret_matrix(name)[:, -1].mean())
@@ -257,10 +267,7 @@ def render_svg(table: ResultsTable, path) -> None:
     series = {}
     y_hi = 0.0
     for name in names:
-        M = table.cum_regret_matrix(name)
-        mean = M.mean(axis=0)
-        std = M.std(axis=0, ddof=1) if table.config.reps > 1 else np.zeros_like(mean)
-        series[name] = (mean, std)
+        mean, std = series[name] = table.cum_regret_stats(name)
         if mean.size:
             y_hi = max(y_hi, float((mean + std).max()))
     T = table.config.T
@@ -383,10 +390,10 @@ PRESET_SHAPES = {
 }
 
 
-def _preset_spec(dist: str, d: int) -> DistributionSpec:
+def preset_spec(dist: str, d: int) -> DistributionSpec:
+    """Context distribution of a named preset at dimension d."""
     if dist == "gaussian":
-        return gaussian_spec(cov=1.0, rho=0.7,
-                             arm_coupling="shared_gaussian_covariance")
+        return gaussian_spec(cov=1.0, rho=0.7)
     if dist == "uniform-ball":
         return uniform_ball_spec(radius=math.sqrt(d))
     if dist == "laplace":
@@ -428,7 +435,7 @@ def preset_config(shape: str, dist: str, T: int = 1000, reps: int = 10,
                           f"(choose from {sorted(PRESET_SHAPES)})")
     d, K = PRESET_SHAPES[shape]
     return ExperimentConfig(d=d, K=K, T=T, reps=reps, seed=seed, sigma=sigma,
-                            spec=_preset_spec(dist, d),
+                            spec=preset_spec(dist, d),
                             policies=default_policies(sigma, algos),
                             output_dir=output_dir, emit_svg=emit_svg,
                             diagnostics=diagnostics, jobs=jobs)

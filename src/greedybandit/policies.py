@@ -30,7 +30,8 @@ class PolicyConfig:
     """Hyperparameters shared by the three selection rules.
 
     theta0 applies to greedy only (score vector while unidentified).  delta
-    left as None resolves to 1/T when the episode length is known.
+    left as None resolves to 1/T when the episode length is known (1/2 at
+    T = 1, which 1/T would put outside (0, 1)).
     sigma_assumed is the noise scale the baselines plug into their bonus
     and posterior; it need not match the environment.
     """
@@ -62,7 +63,7 @@ class PolicyConfig:
     def with_delta_for_horizon(self, T: int) -> "PolicyConfig":
         if self.delta is not None:
             return self
-        return replace(self, delta=1.0 / float(T))
+        return replace(self, delta=1.0 / float(max(T, 2)))
 
 
 def greedy_select(theta, contexts: ContextSet) -> int:

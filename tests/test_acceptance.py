@@ -272,15 +272,11 @@ def test_criterion_10_per_round_inequality(preset_tables, growth_tables):
     violations = 0
     checked = 0
     for label, traj in _greedy_trajectories(preset_tables, growth_tables):
-        recs = traj.records
-        for i in range(1, len(recs)):
-            prev_err = recs[i - 1].est_error_l2
-            if prev_err is None:
-                continue
-            checked += 1
-            bound = 2.0 * recs[i].max_ctx_norm * prev_err
-            if recs[i].inst_regret > bound + 1e-9:
-                violations += 1
+        prev_err = traj.est_error_l2[:-1]
+        scored = ~np.isnan(prev_err)
+        checked += int(scored.sum())
+        bound = 2.0 * traj.max_ctx_norm[1:][scored] * prev_err[scored]
+        violations += int(np.sum(traj.inst_regret[1:][scored] > bound + 1e-9))
     ok = violations == 0 and checked > 0
     _report(10, "per-round regret bound 2 * max||X|| * error(t-1) holds on "
                 "every greedy trajectory",

@@ -81,10 +81,6 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             uniform_ball_spec(radius=0.0)
 
-    def test_coupling_restricted_to_gaussian(self):
-        with pytest.raises(ValueError):
-            laplace_spec().__class__("laplace", arm_coupling="shared_gaussian_covariance")
-
     def test_inconsistent_param_dims(self):
         with pytest.raises(ValueError):
             DistributionSpec("laplace", loc=np.zeros(2), scale=np.ones(3))
@@ -513,7 +509,7 @@ def test_truncation_closure(kind, bound, seed):
 
 @pytest.mark.parametrize("spec", [
     gaussian_spec(),
-    gaussian_spec(cov=1.0, rho=0.7, arm_coupling="shared_gaussian_covariance"),
+    gaussian_spec(cov=1.0, rho=0.7),
     gaussian_spec(mean=np.array([1.0, -1.0]), cov=np.array([[2.0, 0.3], [0.3, 1.0]])),
     gaussian_spec(cov=np.array([1.0, 4.0])),
     laplace_spec(loc=0.5, scale=2.0),
@@ -525,7 +521,6 @@ def test_truncation_closure(kind, bound, seed):
 def test_spec_config_round_trip(spec):
     back = spec_from_config(spec_to_config(spec))
     assert back.kind == spec.kind
-    assert back.arm_coupling == spec.arm_coupling
     assert back.truncation == spec.truncation
     for name in ("mean", "cov", "loc", "scale", "rate"):
         np.testing.assert_array_equal(np.asarray(getattr(back, name)),

@@ -13,17 +13,19 @@ from greedybandit.diagnostics import (UnboundedSupportError, consistency_check,
                                       estimate_margin_constant, empirical_x_max,
                                       format_report, gram_growth_check,
                                       growth_burn_in, run_diagnostics)
-from greedybandit.env import RoundRecord, Trajectory, make_instance, run_episode
+from greedybandit.env import Trajectory, make_instance, run_episode
 from greedybandit.policies import PolicyConfig
 
 
 def synthetic_trajectory(eigs, errs=None):
-    errs = errs if errs is not None else [None] * len(eigs)
-    recs = [RoundRecord(t=i + 1, arm=0, optimal_arm=0, reward=0.0,
-                        inst_regret=0.0, est_error_l2=errs[i],
-                        gram_min_eig=float(eigs[i]), max_ctx_norm=1.0)
-            for i in range(len(eigs))]
-    return Trajectory(records=recs)
+    n = len(eigs)
+    errs = errs if errs is not None else [None] * n
+    zeros = np.zeros(n)
+    return Trajectory(arm=np.zeros(n, dtype=int), optimal_arm=np.zeros(n, dtype=int),
+                      reward=zeros, inst_regret=zeros,
+                      est_error_l2=np.array(errs, dtype=float),
+                      gram_min_eig=np.asarray(eigs, dtype=float),
+                      max_ctx_norm=np.ones(n))
 
 
 def mp_edge_eigs(lam, d, T):

@@ -90,28 +90,28 @@ class TestRunEpisode:
         inst = make_instance(gaussian_spec(), 3, 4, 0.5, rng)
         traj = run_episode(inst, PolicyConfig("greedy", theta0=np.zeros(3)), 25, 7)
         assert len(traj) == 25
-        assert [r.t for r in traj.records] == list(range(1, 26))
-        for r in traj.records:
-            assert 0 <= r.arm < 4 and 0 <= r.optimal_arm < 4
-            assert r.inst_regret >= 0.0
-            assert r.max_ctx_norm > 0.0
+        assert traj.t.tolist() == list(range(1, 26))
+        assert np.all((0 <= traj.arm) & (traj.arm < 4))
+        assert np.all((0 <= traj.optimal_arm) & (traj.optimal_arm < 4))
+        assert np.all(traj.inst_regret >= 0.0)
+        assert np.all(traj.max_ctx_norm > 0.0)
 
     def test_est_error_appears_once_identified(self, rng):
         inst = make_instance(gaussian_spec(), 3, 4, 0.5, rng)
         traj = run_episode(inst, PolicyConfig("greedy", theta0=np.zeros(3)), 25, 7)
-        errs = [r.est_error_l2 for r in traj.records]
-        first = next(i for i, e in enumerate(errs) if e is not None)
+        missing = np.isnan(traj.est_error_l2)
+        first = int(np.argmin(missing))
         assert first >= 2  # needs at least d observations
-        assert all(e is None for e in errs[:first])
-        assert all(e is not None for e in errs[first:])
+        assert np.all(missing[:first])
+        assert not np.any(missing[first:])
 
     def test_deterministic_per_seed(self, rng):
         inst = make_instance(gaussian_spec(), 3, 4, 0.5, rng)
         cfg = PolicyConfig("lints")
         a = run_episode(inst, cfg, 30, 42)
         b = run_episode(inst, cfg, 30, 42)
-        assert [r.arm for r in a.records] == [r.arm for r in b.records]
-        assert [r.reward for r in a.records] == [r.reward for r in b.records]
+        np.testing.assert_array_equal(a.arm, b.arm)
+        np.testing.assert_array_equal(a.reward, b.reward)
         np.testing.assert_array_equal(a.cum_regret, b.cum_regret)
 
     def test_noiseless_1d_immediate_recovery(self, rng):
@@ -120,15 +120,15 @@ class TestRunEpisode:
         inst = BanditInstance(theta_star=np.array([1.0]), sigma=0.0,
                               spec=gaussian_spec(), d=1, K=2)
         traj = run_episode(inst, PolicyConfig("greedy", theta0=np.array([1.0])), 10, 3)
-        assert all(r.inst_regret == 0.0 for r in traj.records[1:])
+        assert np.all(traj.inst_regret[1:] == 0.0)
 
     def test_noiseless_regret_bounded_after_identification(self, rng):
         # sigma=0: exact recovery makes cumulative regret flat afterwards.
         inst = make_instance(uniform_ball_spec(radius=math.sqrt(4)), 4, 5, 0.0, rng)
         traj = run_episode(inst, PolicyConfig("greedy",
                                               theta0=sphere_vector(4, rng)), 200, 11)
-        errs = [r.est_error_l2 for r in traj.records]
-        first = next(i for i, e in enumerate(errs) if e is not None)
+        errs = traj.est_error_l2
+        first = int(np.argmin(np.isnan(errs)))
         assert errs[first] < 1e-8
         assert traj.cum_regret[-1] == pytest.approx(traj.cum_regret[first])
 
@@ -143,13 +143,10 @@ class TestRunEpisode:
         inst = make_instance(gaussian_spec(), 4, 6, 0.5, rng)
         traj = run_episode(inst, PolicyConfig("greedy", theta0=sphere_vector(4, rng)),
                            300, 19)
-        recs = traj.records
-        for i in range(1, len(recs)):
-            prev_err = recs[i - 1].est_error_l2
-            if prev_err is None:
-                continue
-            bound = 2.0 * recs[i].max_ctx_norm * prev_err
-            assert recs[i].inst_regret <= bound + 1e-9
+        prev_err = traj.est_error_l2[:-1]
+        scored = ~np.isnan(prev_err)
+        bound = 2.0 * traj.max_ctx_norm[1:][scored] * prev_err[scored]
+        assert np.all(traj.inst_regret[1:][scored] <= bound + 1e-9)
 
     def test_parameter_validation(self, rng):
         inst = make_instance(gaussian_spec(), 3, 4, 0.5, rng)
@@ -161,12 +158,11 @@ class TestRunEpisode:
             run_episode(inst, PolicyConfig("greedy", theta0=np.zeros(2)), 10, 1)
 
     def test_trajectory_cum_regret_is_cumsum(self):
-        from greedybandit.env import RoundRecord
-        recs = [RoundRecord(t=i + 1, arm=0, optimal_arm=0, reward=0.0,
-                            inst_regret=float(i), est_error_l2=None,
-                            gram_min_eig=0.0, max_ctx_norm=1.0)
-                for i in range(4)]
-        traj = Trajectory(records=recs)
+        zeros = np.zeros(4)
+        traj = Trajectory(arm=np.zeros(4, dtype=int), optimal_arm=np.zeros(4, dtype=int),
+                          reward=zeros, inst_regret=np.arange(4.0),
+                          est_error_l2=np.full(4, np.nan), gram_min_eig=zeros,
+                          max_ctx_norm=np.ones(4))
         np.testing.assert_array_equal(traj.cum_regret, [0.0, 1.0, 3.0, 6.0])
         assert traj.final_regret() == 6.0
 
@@ -197,4 +193,4 @@ def test_episode_uses_no_numpy_lapack(kind, monkeypatch):
         monkeypatch.setattr(np.linalg, name, forbidden(name))
     traj = run_episode(inst, cfg, 30, 11)
     assert len(traj) == 30
-    assert traj.records[-1].est_error_l2 is not None
+    assert not np.isnan(traj.est_error_l2[-1])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from greedybandit import cli
-from greedybandit.contexts import gaussian_spec, laplace_spec
+from greedybandit.contexts import gaussian_spec, laplace_spec, sample_context_set
 from greedybandit.harness import (AGGREGATE_COLUMNS, ConfigError,
                                   ExperimentConfig, RAW_COLUMNS, ResultsTable,
                                   config_from_ini, config_to_ini,
@@ -76,6 +76,15 @@ class TestRunExperiment:
         serial = run_experiment(tiny_config(tmp_path, jobs=1))
         parallel = run_experiment(tiny_config(tmp_path, jobs=3))
         assert list(serial.raw_rows()) == list(parallel.raw_rows())
+
+    @pytest.mark.parametrize("kind", ["greedy", "linucb", "lints"])
+    def test_single_round_experiment(self, tmp_path, kind):
+        # delta resolves to 1/max(T, 2): 1/T = 1.0 is outside (0, 1).
+        cfg = tiny_config(tmp_path, T=1, reps=2,
+                          policies=default_policies(0.5, (kind,)))
+        table = run_experiment(cfg)
+        assert len(list(table.raw_rows())) == 2
+        assert table.cum_regret_matrix(kind).shape == (2, 1)
 
     def test_derived_seeds_pairwise_distinct(self, tmp_path):
         cfg = tiny_config(tmp_path, reps=4)
@@ -236,7 +245,6 @@ class TestPresets:
     def test_gaussian_preset_correlated(self):
         cfg = preset_config("d20-k20", "gaussian")
         assert cfg.spec.rho == 0.7
-        assert cfg.spec.arm_coupling == "shared_gaussian_covariance"
 
     def test_unknown_names_rejected(self):
         with pytest.raises(ConfigError):
@@ -286,6 +294,19 @@ class TestIniConfig:
         with pytest.raises(ConfigError, match="not found"):
             config_from_ini(tmp_path / "nope.ini")
 
+    def test_arm_coupling_key_ignored(self, tmp_path):
+        # Files written with the former arm_coupling key still parse, and the
+        # key changes no draw.
+        block = ("[experiment]\nd = 3\nk = 4\n[spec]\nkind = gaussian\n"
+                 "var = 1.0\nrho = 0.7\n")
+        plain, coupled = tmp_path / "plain.ini", tmp_path / "coupled.ini"
+        plain.write_text(block)
+        coupled.write_text(block + "arm_coupling = shared_gaussian_covariance\n")
+        a, b = config_from_ini(plain).spec, config_from_ini(coupled).spec
+        draws = [sample_context_set(spec, 3, 4, np.random.default_rng(3)).vectors
+                 for spec in (a, b)]
+        np.testing.assert_array_equal(draws[0], draws[1])
+
 
 class TestCli:
     def test_successful_run(self, tmp_path, capsys):
@@ -298,6 +319,11 @@ class TestCli:
         captured = capsys.readouterr().out
         assert "final mean cumulative regret" in captured
 
+    def test_single_round_run(self, tmp_path):
+        out = tmp_path / "o"
+        assert cli.main(["--T", "1", "--reps", "1", "--out", str(out)]) == 0
+        assert len(load_raw_csv(out / "raw.csv")) == 3
+
     def test_list_presets(self, capsys):
         assert cli.main(["--list-presets"]) == 0
         out = capsys.readouterr().out
@@ -306,6 +332,22 @@ class TestCli:
     def test_invalid_config_exit_1(self, capsys):
         assert cli.main(["--T", "0"]) == 1
         assert "invalid config" in capsys.readouterr().err
+
+    def test_invalid_spec_parameter_exit_1(self, capsys):
+        # d = 0 gives the uniform-ball preset radius 0, which the spec rejects.
+        assert cli.main(["--dist", "uniform-ball", "--d", "0"]) == 1
+        assert "invalid config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("d_flag, d", [([], 20), (["--d", "5"], 5)])
+    def test_file_with_dist_builds_spec_for_final_d(self, tmp_path, d_flag, d):
+        ini = tmp_path / "exp.ini"
+        config_to_ini(preset_config("d20-k20", "laplace"), ini)
+        args = cli.build_parser().parse_args([str(ini), "--dist", "uniform-ball",
+                                              *d_flag])
+        config = cli._config_from_args(args)
+        assert config.d == d
+        assert config.spec.kind == "uniform_ball"
+        assert config.spec.radius == pytest.approx(math.sqrt(d))
 
     def test_flags_override_file(self, tmp_path):
         cfg = preset_config("d20-k20", "laplace", T=40, reps=2,
