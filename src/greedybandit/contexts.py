@@ -2,9 +2,11 @@
 
 Six base families are supported: gaussian, laplace, uniform_ball,
 exponential, student_t, cauchy.  Any of them can be truncated to an l2 ball
-or a per-coordinate box; truncated specs sample by rejection.  Every family
-carries a local anti-concentration (LAC) envelope, a non-decreasing function
-L(r) = a1 + a2 * r**alpha with
+or a per-coordinate box.  A box truncation of a family with independent
+coordinates is drawn exactly by inverse CDF, one uniform per coordinate;
+ball truncations and boxes around correlated gaussians are drawn by
+whole-vector rejection.  Every family carries a local anti-concentration
+(LAC) envelope, a non-decreasing function L(r) = a1 + a2 * r**alpha with
 
     ||grad log f(x)||_inf <= L(||x||_inf)    on the support,
 
@@ -15,15 +17,15 @@ into a two-sided density decay bound on bounded regions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from dataclasses import dataclass, replace
+from functools import lru_cache, partial
 
 import numpy as np
 
 KINDS = ("gaussian", "laplace", "uniform_ball", "exponential", "student_t", "cauchy")
 
-# Kinds whose coordinates are independent, enabling exact per-coordinate
-# rejection under box truncation.
+# Kinds whose coordinates can be independent, so that a box truncation
+# factorizes and each coordinate is drawn exactly by its inverse CDF.
 _COORDWISE_KINDS = ("laplace", "exponential", "student_t", "cauchy", "gaussian")
 
 MAX_REJECTION_ATTEMPTS = 10**6
@@ -356,18 +358,46 @@ def _coordwise_box(spec: DistributionSpec, d: int) -> bool:
     return True
 
 
-def _draw_coord(spec: DistributionSpec, d: int, j: int, m: int,
-                rng: np.random.Generator) -> np.ndarray:
-    if spec.kind == "gaussian":
-        mean, C, _, _, _ = _gauss_resolved(spec, d)
-        return mean[j] + math.sqrt(C[j, j]) * rng.standard_normal(m)
-    if spec.kind == "laplace":
-        return rng.laplace(_vec(spec.loc, d)[j], _vec(spec.scale, d)[j], size=m)
-    if spec.kind == "exponential":
-        return rng.exponential(1.0 / _vec(spec.rate, d)[j], size=m)
+# Standard CDF G and its inverse for the closed-form families, drawn as
+# X = loc + scale * Z with Z ~ G.
+_STANDARD_CDFS = {
+    "cauchy": (lambda z: 0.5 + np.arctan(z) / math.pi,
+               lambda u: np.tan(math.pi * (u - 0.5))),
+    "laplace": (lambda z: 0.5 - 0.5 * np.sign(z) * np.expm1(-np.abs(z)),
+                lambda u: -np.sign(u - 0.5) * np.log1p(-2.0 * np.abs(u - 0.5))),
+    "exponential": (lambda z: -np.expm1(-np.maximum(z, 0.0)),
+                    lambda u: -np.log1p(-u)),
+}
+
+
+@lru_cache(maxsize=512)
+def _box_inverse_cdf(spec: DistributionSpec, d: int):
+    """(lo, hi, loc, scale, a, w, G^-1) for a factorizing box truncation.
+
+    A coordinate truncated to [lo, hi] is loc + scale * G^-1(a + w U), with
+    a = G(zlo), w = G(zhi) - G(zlo) for the standardized bounds and U
+    uniform on [0, 1): an exact draw (Devroye 1986, section 2.1).  The
+    exponential starts at max(lo, 0), which memorylessness allows.
+    scipy.special is imported only by the families that need it, keeping it
+    out of every other process.
+    """
+    lo, hi = spec.truncation._bounds(d)
     if spec.kind == "student_t":
-        return rng.standard_t(spec.df, size=m)
-    return _vec(spec.loc, d)[j] + _vec(spec.scale, d)[j] * rng.standard_cauchy(m)
+        from scipy.special import stdtr, stdtrit
+        cdf, icdf = partial(stdtr, spec.df), partial(stdtrit, spec.df)
+        loc, scale = 0.0, 1.0
+    elif spec.kind == "gaussian":
+        from scipy.special import ndtr as cdf, ndtri as icdf
+        loc, C, _, _, _ = _gauss_resolved(spec, d)
+        scale = np.sqrt(np.diagonal(C))
+    elif spec.kind == "exponential":
+        cdf, icdf = _STANDARD_CDFS["exponential"]
+        loc, scale = np.maximum(lo, 0.0), 1.0 / _vec(spec.rate, d)
+    else:
+        cdf, icdf = _STANDARD_CDFS[spec.kind]
+        loc, scale = _vec(spec.loc, d), _vec(spec.scale, d)
+    a = cdf((lo - loc) / scale)
+    return lo, hi, loc, scale, a, cdf((hi - loc) / scale) - a, icdf
 
 
 @lru_cache(maxsize=512)
@@ -376,8 +406,9 @@ def _check_feasible(spec: DistributionSpec, d: int) -> None:
 
     Uses a fixed private generator so caller streams are untouched and
     results do not depend on whether the (cached) check already ran.
-    The probe mirrors the rejection unit: per-coordinate acceptance for
-    factorizing box truncations, per-vector acceptance otherwise.
+    The probe checks the mass that sampling relies on: each coordinate's
+    interval for factorizing box truncations (drawn by inverse CDF), the
+    whole region otherwise (drawn by rejection).
     """
     region = spec.truncation
     if region is None:
@@ -399,22 +430,11 @@ def _check_feasible(spec: DistributionSpec, d: int) -> None:
 
 
 def _sample_box_coordwise(spec: DistributionSpec, d: int, n: int,
-                          rng: np.random.Generator,
-                          max_attempts: int = MAX_REJECTION_ATTEMPTS) -> np.ndarray:
-    lo, hi = spec.truncation._bounds(d)
-    X = _sample_raw(spec, d, n, rng)
-    for j in range(d):
-        bad = np.flatnonzero((X[:, j] < lo[j]) | (X[:, j] > hi[j]))
-        attempts = 1
-        while bad.size:
-            attempts += 1
-            if attempts > max_attempts:
-                raise InfeasibleTruncationError(
-                    f"rejection cap {max_attempts} exceeded on coordinate {j}")
-            draw = _draw_coord(spec, d, j, bad.size, rng)
-            X[bad, j] = draw
-            bad = bad[(draw < lo[j]) | (draw > hi[j])]
-    return X
+                          rng: np.random.Generator) -> np.ndarray:
+    # Clipping keeps a round-off past the box edge (tan(arctan(5)) can land
+    # one ulp outside) inside the support.
+    lo, hi, loc, scale, a, w, icdf = _box_inverse_cdf(spec, d)
+    return np.clip(loc + scale * icdf(a + w * rng.random((n, d))), lo, hi)
 
 
 def _sample_reject_vectors(spec: DistributionSpec, d: int, n: int,
@@ -440,7 +460,7 @@ def _sample_reject_vectors(spec: DistributionSpec, d: int, n: int,
 
 def _sample_matrix(spec: DistributionSpec, d: int, n: int,
                    rng: np.random.Generator) -> np.ndarray:
-    """n vectors from the spec (rejection-corrected when truncated)."""
+    """n vectors from the spec, restricted to its truncation region if any."""
     if spec.truncation is None:
         return _sample_raw(spec, d, n, rng)
     _check_feasible(spec, d)
@@ -869,6 +889,8 @@ def spec_from_config(block) -> DistributionSpec:
     elif kind == "exponential":
         kwargs["rate"] = _parse_param(block.pop("rate", "1.0"))
     elif kind == "student_t":
+        if "df" not in block:
+            raise ValueError("student_t spec needs a 'df' key")
         kwargs["df"] = float(block.pop("df"))
     else:
         raise ValueError(f"unknown distribution kind {kind!r}")

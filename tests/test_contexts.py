@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from greedybandit import contexts as ctx
 from greedybandit.contexts import (DegenerateInputError, DistributionSpec,
@@ -180,6 +181,54 @@ class TestSampling:
         q1, q2, q3 = np.quantile(X[:, 0], [0.25, 0.5, 0.75])
         assert abs(q2 - 1.0) < 0.02
         assert abs((q3 - q1) / 2 - 0.5) < 0.02
+
+
+# Factorizing box truncations, drawn by inverse CDF: (spec, d, box, base
+# distribution of each coordinate as a list of frozen scipy.stats laws).
+BOX_CASES = {
+    "cauchy": (cauchy_spec(truncation=box(-5.0, 5.0)), 1, (-5.0, 5.0),
+               [stats.cauchy()]),
+    "student-t-df2": (student_t_spec(df=2.0, truncation=box(-5.0, 5.0)), 1,
+                      (-5.0, 5.0), [stats.t(2.0)]),
+    "gaussian-diag": (gaussian_spec(mean=np.array([0.5, 0.0]),
+                                    cov=np.array([2.0, 0.25]),
+                                    truncation=box(-3.0, 3.0)),
+                      2, (-3.0, 3.0),
+                      [stats.norm(0.5, math.sqrt(2.0)), stats.norm(0.0, 0.5)]),
+    "gaussian-one-sided": (gaussian_spec(cov=2.0, truncation=box(2.0, 4.0)), 1,
+                           (2.0, 4.0), [stats.norm(0.0, math.sqrt(2.0))]),
+    "laplace": (laplace_spec(loc=0.5, scale=2.0, truncation=box(-1.0, 6.0)), 1,
+                (-1.0, 6.0), [stats.laplace(0.5, 2.0)]),
+    "exponential-lo-negative": (exponential_spec(rate=1.5, truncation=box(-1.0, 3.0)),
+                                1, (-1.0, 3.0), [stats.expon(scale=1.0 / 1.5)]),
+}
+
+
+class TestBoxInverseCdf:
+    @pytest.mark.parametrize("name", sorted(BOX_CASES))
+    def test_matches_truncated_cdf(self, name):
+        # One-sample KS test of each coordinate against the analytic
+        # truncated CDF (F(x) - F(lo)) / (F(hi) - F(lo)) at a fixed seed.
+        spec, d, (lo, hi), laws = BOX_CASES[name]
+        X = ctx._sample_matrix(spec, d, 20000, np.random.default_rng(11))
+        assert np.all((X >= lo) & (X <= hi))
+        for j, law in enumerate(laws):
+            f_lo, f_hi = law.cdf(lo), law.cdf(hi)
+            p = stats.kstest(X[:, j], lambda x: (law.cdf(x) - f_lo) / (f_hi - f_lo)).pvalue
+            assert p > 1e-3, f"{name} coordinate {j}: KS p = {p:.2e}"
+
+    @pytest.mark.parametrize("spec", [
+        cauchy_spec(truncation=box(-5.0, 5.0)),
+        student_t_spec(df=2.0, truncation=box(-5.0, 5.0)),
+        exponential_spec(rate=2.0, truncation=box(0.5, 3.0)),
+    ], ids=["cauchy", "student-t", "exponential"])
+    def test_draws_do_not_depend_on_chunking(self, spec):
+        # Exactly n * d uniforms per call, so drawing in chunks (as the
+        # margin estimator does) gives the same rows as one draw.
+        whole = ctx._sample_matrix(spec, 3, 70, np.random.default_rng(4))
+        rng = np.random.default_rng(4)
+        parts = [ctx._sample_matrix(spec, 3, n, rng) for n in (30, 40)]
+        np.testing.assert_array_equal(whole, np.vstack(parts))
 
 
 # ---------------------------------------------------------------------------

@@ -290,6 +290,12 @@ class TestIniConfig:
         with pytest.raises(ConfigError, match="experiment.d"):
             config_from_ini(ini)
 
+    def test_student_t_without_df_names_key(self, tmp_path):
+        ini = tmp_path / "bad.ini"
+        ini.write_text("[experiment]\nd = 2\nk = 2\n[spec]\nkind = student_t\n")
+        with pytest.raises(ConfigError, match="spec: .*'df'"):
+            config_from_ini(ini)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             config_from_ini(tmp_path / "nope.ini")
