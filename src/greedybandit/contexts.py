@@ -187,7 +187,8 @@ class DistributionSpec:
             self._validate_gaussian()
         if self.truncation is not None and not isinstance(self.truncation, Region):
             raise ValueError("truncation must be a Region")
-        pinned_dim(self)  # raises on inconsistent parameter dimensions
+        # Raises on inconsistent parameter dimensions; resolve_dim reads it.
+        self._pinned_dim = pinned_dim(self)
 
     def _validate_gaussian(self):
         cov = self.cov
@@ -258,7 +259,7 @@ def pinned_dim(spec: DistributionSpec) -> int | None:
 
 
 def resolve_dim(spec: DistributionSpec, d: int | None) -> int:
-    pin = pinned_dim(spec)
+    pin = spec._pinned_dim
     if d is None:
         if pin is None:
             raise ValueError("spec does not pin a dimension; pass d explicitly")

@@ -16,7 +16,7 @@ import contextlib
 import csv
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import repeat
 from xml.sax.saxutils import escape
 
@@ -39,16 +39,23 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the key path."""
 
 
-@dataclass
+@dataclass(kw_only=True)
 class ExperimentConfig:
-    """Everything needed to reproduce one experiment."""
+    """Everything needed to reproduce one experiment.
+
+    The field defaults are the only statement of each experiment default;
+    presets, config files and the command line all fall back to them.
+    """
 
     d: int
     K: int
-    T: int
-    reps: int
-    seed: int
-    sigma: float
+    T: int = 1000
+    reps: int = 10
+    # theta_star is one sphere draw per seed; seed 1 gives a draw for which
+    # the greedy-wins ordering holds on all three d20-k20 headline presets
+    # (it holds for 8 of root seeds 0..9 on the correlated-gaussian preset).
+    seed: int = 1
+    sigma: float = 0.5
     spec: DistributionSpec
     policies: list[PolicyConfig]
     output_dir: str = "out"
@@ -412,7 +419,7 @@ PRESET_DISTS = ("gaussian", "uniform-ball", "laplace", "exponential",
                 "trunc-student-t", "trunc-cauchy")
 
 
-def default_policies(sigma: float, algos=("greedy", "linucb", "lints")) -> list[PolicyConfig]:
+def default_policies(sigma: float, algos=POLICY_KINDS) -> list[PolicyConfig]:
     """Baselines assume the experiment's noise scale unless overridden."""
     out = []
     for kind in algos:
@@ -422,61 +429,45 @@ def default_policies(sigma: float, algos=("greedy", "linucb", "lints")) -> list[
     return out
 
 
-def preset_config(shape: str, dist: str, T: int = 1000, reps: int = 10,
-                  seed: int = 1, sigma: float = 0.5,
-                  algos=("greedy", "linucb", "lints"), output_dir: str = "out",
-                  emit_svg: bool = True, diagnostics: bool = False,
-                  jobs: int = 1) -> ExperimentConfig:
-    # theta_star is one sphere draw per seed; seed 1 gives a draw for which
-    # the greedy-wins ordering holds on all three d20-k20 headline presets
-    # (it holds for 8 of root seeds 0..9 on the correlated-gaussian preset).
+def preset_config(shape: str, dist: str, algos=POLICY_KINDS,
+                  **settings) -> ExperimentConfig:
+    """The preset experiment `shape` x `dist` with default baselines.
+
+    `settings` are ExperimentConfig fields; d and K default to the shape's.
+    The spec is built at the final d and the baselines assume the final sigma.
+    """
     if shape not in PRESET_SHAPES:
         raise ConfigError(f"experiment.preset: unknown shape {shape!r} "
                           f"(choose from {sorted(PRESET_SHAPES)})")
     d, K = PRESET_SHAPES[shape]
-    return ExperimentConfig(d=d, K=K, T=T, reps=reps, seed=seed, sigma=sigma,
-                            spec=preset_spec(dist, d),
-                            policies=default_policies(sigma, algos),
-                            output_dir=output_dir, emit_svg=emit_svg,
-                            diagnostics=diagnostics, jobs=jobs)
+    settings = {"d": d, "K": K, **settings}
+    sigma = settings.get("sigma", ExperimentConfig.sigma)
+    return ExperimentConfig(spec=preset_spec(dist, settings["d"]),
+                            policies=default_policies(sigma, algos), **settings)
 
 
 # ---------------------------------------------------------------------------
 # INI config files
 
 
-_EXPERIMENT_KEYS = {"d", "k", "t", "reps", "seed", "sigma", "output_dir",
-                    "emit_svg", "diagnostics", "jobs"}
-_POLICY_KEYS = {"kind", "theta0", "lambda_reg", "delta", "v_scale",
-                "sigma_assumed"}
-
-
-def _get_int(section, key, default=None):
-    raw = section.get(key)
-    if raw is None:
-        if default is None:
-            raise ConfigError(f"{section.name}.{key}: missing required key")
-        return default
+def _int(section, key):
+    raw = section[key]
     try:
         return int(raw)
     except ValueError:
         raise ConfigError(f"{section.name}.{key}: not an integer: {raw!r}") from None
 
 
-def _get_float(section, key, default):
-    raw = section.get(key)
-    if raw is None:
-        return default
+def _float(section, key):
+    raw = section[key]
     try:
         return float(raw)
     except ValueError:
         raise ConfigError(f"{section.name}.{key}: not a number: {raw!r}") from None
 
 
-def _get_bool(section, key, default):
-    raw = section.get(key)
-    if raw is None:
-        return default
+def _bool(section, key):
+    raw = section[key]
     low = raw.strip().lower()
     if low in ("1", "true", "yes", "on"):
         return True
@@ -485,12 +476,32 @@ def _get_bool(section, key, default):
     raise ConfigError(f"{section.name}.{key}: not a boolean: {raw!r}")
 
 
-def config_from_ini(path) -> ExperimentConfig:
+# [experiment] key -> (ExperimentConfig field, parser); a missing key leaves
+# the field's default.
+_EXPERIMENT_KEYS = {
+    "d": ("d", _int), "k": ("K", _int), "t": ("T", _int),
+    "reps": ("reps", _int), "seed": ("seed", _int), "sigma": ("sigma", _float),
+    "output_dir": ("output_dir", lambda section, key: section[key]),
+    "emit_svg": ("emit_svg", _bool), "diagnostics": ("diagnostics", _bool),
+    "jobs": ("jobs", _int),
+}
+# [policy.NAME] keys besides `kind`, each a PolicyConfig field.
+_POLICY_KEYS = {
+    "theta0": lambda section, key: np.array(
+        [float(v) for v in section[key].split(",")]),
+    "lambda_reg": _float, "delta": _float, "v_scale": _float,
+    "sigma_assumed": _float,
+}
+
+
+def config_from_ini(path, **settings) -> ExperimentConfig:
     """Parse an experiment config file.
 
     Layout: an [experiment] section with the scalar settings, one [spec]
     section in the flat key-value form of spec_to_config, and one
-    [policy.NAME] section per policy.
+    [policy.NAME] section per policy.  `settings` are ExperimentConfig
+    fields that replace the file's [experiment] values before the policies
+    are built, so a policy without sigma_assumed assumes the final sigma.
     """
     parser = configparser.ConfigParser()
     read = parser.read(os.fspath(path), encoding="utf-8")
@@ -499,9 +510,15 @@ def config_from_ini(path) -> ExperimentConfig:
     if "experiment" not in parser:
         raise ConfigError("experiment: missing section")
     exp = parser["experiment"]
-    unknown = set(exp) - _EXPERIMENT_KEYS
+    unknown = set(exp) - set(_EXPERIMENT_KEYS)
     if unknown:
         raise ConfigError(f"experiment.{sorted(unknown)[0]}: unknown key")
+    settings = {name: parse(exp, key)
+                for key, (name, parse) in _EXPERIMENT_KEYS.items()
+                if key in exp} | settings
+    for name in ("d", "K"):
+        if name not in settings:
+            raise ConfigError(f"experiment.{name.lower()}: missing required key")
     if "spec" not in parser:
         raise ConfigError("spec: missing section")
     try:
@@ -509,65 +526,41 @@ def config_from_ini(path) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(f"spec: {exc}") from exc
 
-    sigma = _get_float(exp, "sigma", 0.5)
+    sigma = settings.get("sigma", ExperimentConfig.sigma)
     policies = []
     for section_name in parser.sections():
         if not section_name.startswith("policy."):
             continue
         sec = parser[section_name]
-        name = section_name[len("policy."):]
-        unknown = set(sec) - _POLICY_KEYS
+        unknown = set(sec) - set(_POLICY_KEYS) - {"kind"}
         if unknown:
             raise ConfigError(f"{section_name}.{sorted(unknown)[0]}: unknown key")
         kind = sec.get("kind")
         if kind not in POLICY_KINDS:
             raise ConfigError(f"{section_name}.kind: unknown kind {kind!r}")
-        theta0 = None
-        if sec.get("theta0") is not None:
-            theta0 = np.array([float(v) for v in sec["theta0"].split(",")])
-        delta = sec.get("delta")
+        params = {key: parse(sec, key) for key, parse in _POLICY_KEYS.items()
+                  if key in sec}
+        params.setdefault("sigma_assumed", sigma)
         try:
             policies.append(PolicyConfig(
-                kind=kind,
-                theta0=theta0,
-                lambda_reg=_get_float(sec, "lambda_reg", 1.0),
-                delta=None if delta is None else float(delta),
-                v_scale=_get_float(sec, "v_scale", 1.0),
-                sigma_assumed=_get_float(sec, "sigma_assumed", sigma),
-                name=name,
-            ))
+                kind=kind, name=section_name[len("policy."):], **params))
         except ValueError as exc:
             raise ConfigError(f"{section_name}: {exc}") from exc
-    if not policies:
-        policies = default_policies(sigma)
+    return ExperimentConfig(spec=spec, policies=policies or default_policies(sigma),
+                            **settings)
 
-    return ExperimentConfig(
-        d=_get_int(exp, "d"),
-        K=_get_int(exp, "k"),
-        T=_get_int(exp, "t", 1000),
-        reps=_get_int(exp, "reps", 10),
-        seed=_get_int(exp, "seed", 0),
-        sigma=sigma,
-        spec=spec,
-        policies=policies,
-        output_dir=exp.get("output_dir", "out"),
-        emit_svg=_get_bool(exp, "emit_svg", True),
-        diagnostics=_get_bool(exp, "diagnostics", False),
-        jobs=_get_int(exp, "jobs", 1),
-    )
+
+def _ini_value(v) -> str:
+    if isinstance(v, bool):
+        return str(v).lower()
+    return repr(v) if isinstance(v, float) else str(v)
 
 
 def config_to_ini(config: ExperimentConfig, path) -> None:
     """Write a config file that config_from_ini parses back."""
     parser = configparser.ConfigParser()
-    parser["experiment"] = {
-        "d": str(config.d), "k": str(config.K), "t": str(config.T),
-        "reps": str(config.reps), "seed": str(config.seed),
-        "sigma": repr(config.sigma), "output_dir": config.output_dir,
-        "emit_svg": str(config.emit_svg).lower(),
-        "diagnostics": str(config.diagnostics).lower(),
-        "jobs": str(config.jobs),
-    }
+    parser["experiment"] = {key: _ini_value(getattr(config, name))
+                            for key, (name, _) in _EXPERIMENT_KEYS.items()}
     parser["spec"] = spec_to_config(config.spec)
     for p in config.policies:
         block = {"kind": p.kind, "lambda_reg": repr(p.lambda_reg),

@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import math
 import xml.etree.ElementTree as ET
 
@@ -5,7 +7,8 @@ import numpy as np
 import pytest
 
 from greedybandit import cli
-from greedybandit.contexts import gaussian_spec, laplace_spec, sample_context_set
+from greedybandit.contexts import (gaussian_spec, laplace_spec,
+                                   sample_context_set, spec_to_config)
 from greedybandit.harness import (AGGREGATE_COLUMNS, ConfigError,
                                   ExperimentConfig, RAW_COLUMNS, ResultsTable,
                                   config_from_ini, config_to_ini,
@@ -260,7 +263,13 @@ class TestPresets:
 class TestIniConfig:
     def test_round_trip(self, tmp_path):
         cfg = preset_config("d20-k100", "trunc-cauchy", T=50, reps=2, seed=9,
-                            output_dir=str(tmp_path / "o"))
+                            sigma=0.25, output_dir=str(tmp_path / "o"),
+                            emit_svg=False, diagnostics=True, jobs=3)
+        cfg.policies = [
+            PolicyConfig("greedy", theta0=np.linspace(-1.0, 1.0, 20), name="g0"),
+            PolicyConfig("linucb", lambda_reg=2.5, delta=0.05,
+                         sigma_assumed=0.1, name="ucb"),
+            PolicyConfig("lints", v_scale=0.7, sigma_assumed=0.3)]
         ini = tmp_path / "exp.ini"
         config_to_ini(cfg, ini)
         back = config_from_ini(ini)
@@ -268,6 +277,23 @@ class TestIniConfig:
         assert back.spec.kind == "cauchy"
         assert back.spec.truncation == cfg.spec.truncation
         assert [p.kind for p in back.policies] == ["greedy", "linucb", "lints"]
+        for f in dataclasses.fields(ExperimentConfig):
+            if f.name not in ("spec", "policies"):
+                assert getattr(back, f.name) == getattr(cfg, f.name), f.name
+        assert spec_to_config(back.spec) == spec_to_config(cfg.spec)
+        for p, q in zip(back.policies, cfg.policies, strict=True):
+            assert (p.name, p.lambda_reg, p.delta, p.v_scale, p.sigma_assumed) \
+                == (q.name, q.lambda_reg, q.delta, q.v_scale, q.sigma_assumed)
+            if q.theta0 is None:
+                assert p.theta0 is None
+            else:
+                np.testing.assert_array_equal(p.theta0, q.theta0)
+
+    def test_default_seed_matches_presets(self, tmp_path):
+        ini = tmp_path / "exp.ini"
+        ini.write_text("[experiment]\nd = 2\nk = 2\n[spec]\nkind = laplace\n")
+        assert config_from_ini(ini).seed == 1
+        assert preset_config("d20-k20", "gaussian").seed == 1
 
     def test_unknown_keys_rejected(self, tmp_path):
         ini = tmp_path / "bad.ini"
@@ -382,3 +408,75 @@ class TestCli:
         rc = cli.main(["--dist", "uniform-ball", "--d", "4", "--K", "2",
                        "--T", "6", "--reps", "1", "--out", str(out), "--no-svg"])
         assert rc == 0
+
+    def _policy_file(self, tmp_path, policies):
+        ini = tmp_path / "exp.ini"
+        ini.write_text("[experiment]\nd = 3\nk = 4\nt = 5\nreps = 1\n"
+                       "[spec]\nkind = laplace\n" + policies)
+        return ini
+
+    def test_sigma_keeps_file_policies(self, tmp_path):
+        ini = self._policy_file(
+            tmp_path, "[policy.ucb_narrow]\nkind = linucb\n"
+                      "[policy.ucb_wide]\nkind = linucb\nlambda_reg = 5.0\n")
+        out = tmp_path / "o"
+        assert cli.main([str(ini), "--sigma", "0.3", "--out", str(out),
+                         "--no-svg"]) == 0
+        assert {r[0] for r in load_raw_csv(out / "raw.csv")} == {
+            "ucb_narrow", "ucb_wide"}
+        config = cli._config_from_args(
+            cli.build_parser().parse_args([str(ini), "--sigma", "0.3"]))
+        assert config.sigma == 0.3
+        # Sections without sigma_assumed follow the new sigma.
+        assert [(p.name, p.lambda_reg, p.sigma_assumed) for p in config.policies] \
+            == [("ucb_narrow", 1.0, 0.3), ("ucb_wide", 5.0, 0.3)]
+
+    def test_sigma_keeps_policy_keys(self, tmp_path):
+        ini = self._policy_file(
+            tmp_path, "[policy.myucb]\nkind = linucb\nlambda_reg = 5.0\n"
+                      "sigma_assumed = 0.1\n")
+        config = cli._config_from_args(
+            cli.build_parser().parse_args([str(ini), "--sigma", "0.3"]))
+        assert config.sigma == 0.3
+        assert [(p.name, p.kind, p.lambda_reg, p.sigma_assumed)
+                for p in config.policies] == [("myucb", "linucb", 5.0, 0.1)]
+
+    def test_run_matrix_smoke(self, tmp_path):
+        out = tmp_path / "matrix"
+        rc = cli.main(["--matrix", "--preset", "d20-k20", "--dist", "gaussian",
+                       "--T", "20", "--reps", "2", "--out", str(out)])
+        assert rc == 0
+        with open(out / "summary.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert sorted(r["policy"] for r in rows) == ["greedy", "lints", "linucb"]
+        assert all((r["shape"], r["dist"]) == ("d20-k20", "gaussian") for r in rows)
+        assert (out / "d20-k20-gaussian" / "raw.csv").exists()
+
+    def test_matrix_cell_matches_single_run(self, tmp_path):
+        flags = ["--T", "12", "--reps", "2", "--seed", "3", "--sigma", "0.4",
+                 "--no-svg"]
+        matrix, single = tmp_path / "matrix", tmp_path / "single"
+        assert cli.main(["--matrix", "--preset", "d20-k100,d20-k20",
+                         "--dist", "laplace,trunc-cauchy", "--out", str(matrix),
+                         *flags]) == 0
+        with open(matrix / "summary.csv", encoding="utf-8", newline="") as fh:
+            cells = [(r["shape"], r["dist"]) for r in csv.DictReader(fh)]
+        assert cells[::3] == [("d20-k100", "laplace"), ("d20-k100", "trunc-cauchy"),
+                              ("d20-k20", "laplace"), ("d20-k20", "trunc-cauchy")]
+        assert cli.main(["--preset", "d20-k100", "--dist", "trunc-cauchy",
+                         "--out", str(single), *flags]) == 0
+        cell = matrix / "d20-k100-trunc-cauchy"
+        for name in ("raw.csv", "aggregate.csv"):
+            assert (cell / name).read_bytes() == (single / name).read_bytes()
+        assert not (cell / "regret.svg").exists()
+
+    def test_matrix_with_config_file_exit_1(self, tmp_path, capsys):
+        ini = tmp_path / "exp.ini"
+        config_to_ini(preset_config("d20-k20", "laplace"), ini)
+        assert cli.main([str(ini), "--matrix"]) == 1
+        assert "invalid config" in capsys.readouterr().err
+
+    def test_list_without_matrix_is_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--dist", "gaussian,laplace"])
+        assert exc.value.code == 2
