@@ -6,10 +6,16 @@ the minimal eigenvalue clears a small numerical floor the state keeps both a
 Sherman-Morrison running inverse (cheap per-round reads) and a fresh
 Cholesky solve (authoritative for theta_hat).
 
-Every factorization and eigensolve goes straight to scipy's LAPACK drivers
-(dpotrf/dpotrs, dsyevd).  numpy links its own BLAS with its own thread
-pool, and alternating the two libraries every round makes their pools fight
-over the cores; keep numpy.linalg's LAPACK routines out of the episode loop.
+Every factorization and eigensolve goes straight to scipy's LAPACK drivers.
+The OLS solve is dpotrf/dpotrs.  The identification gate reads all
+eigenvalues from dsyevd, bit-equal to numpy.linalg.eigvalsh; update runs it
+only once t >= d, because a sum of t < d rank-one terms is singular.  The
+per-round minimal-eigenvalue record asks dsyevr for the smallest eigenvalue
+alone, which skips the full tridiagonal QR sweep; like any backward-stable
+solver it is within p(d) * eps * |Sigma|_2 of the exact value (Weyl).
+numpy links its own BLAS with its own thread pool, and alternating the two
+libraries every round makes their pools fight over the cores; keep
+numpy.linalg's LAPACK routines out of the episode loop.
 """
 
 from __future__ import annotations
@@ -33,6 +39,9 @@ class GramState:
 
     `theta_hat` is None until the Gram matrix becomes invertible;
     `invertible_since` records the update count at which that happened.
+    `t` counts the rank-one terms in `sigma`, so rank(sigma) <= t for a state
+    grown from `init`.  Construction checks the shapes and the symmetry of
+    `sigma`; `update` keeps it exactly symmetric.
     """
 
     sigma: np.ndarray
@@ -41,6 +50,15 @@ class GramState:
     theta_hat: np.ndarray | None = None
     invertible_since: int | None = None
     sigma_inv: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if (self.b.ndim != 1 or self.b.size < 1
+                or self.sigma.shape != 2 * self.b.shape):
+            raise ValueError(f"need sigma (d, d) and b (d,) with d >= 1, got "
+                             f"{self.sigma.shape} and {self.b.shape}")
+        asym = np.abs(self.sigma - self.sigma.T).max()
+        if asym > 1e-8 * max(1.0, np.abs(self.sigma).max()):
+            raise ValueError(f"Gram matrix asymmetric by {asym:.3e}")
 
     @property
     def dim(self) -> int:
@@ -99,7 +117,10 @@ def update(state: GramState, x, y: float) -> GramState:
     state.b += x * float(y)
     state.t += 1
 
-    if state.invertible_since is None and _is_invertible(state.sigma):
+    # While t < d, rank(sigma) <= t < d: the computed lambda_min is at most
+    # p(d) * eps * lambda_max, far below the floor, so the gate cannot pass.
+    if (state.invertible_since is None and state.t >= state.dim
+            and _is_invertible(state.sigma)):
         state.invertible_since = state.t
         state.sigma_inv = inv(state.sigma, check_finite=False)
     if state.invertible_since is not None:
@@ -128,11 +149,12 @@ def incremental_estimate(state: GramState) -> np.ndarray:
 
 
 def min_eigenvalue(state: GramState) -> float:
-    sigma = state.sigma
-    asym = np.abs(sigma - sigma.T).max()
-    if asym > 1e-8 * max(1.0, np.abs(sigma).max()):
-        raise ValueError(f"Gram matrix asymmetric by {asym:.3e}")
-    return float(_eigvalsh(sigma)[0])
+    """Smallest eigenvalue of Sigma, from one subset eigensolve."""
+    w, _, _, _, info = lapack.dsyevr(state.sigma, compute_v=0, range="I",
+                                     il=1, iu=1, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsyevr failed (info {info})")
+    return float(w[0])
 
 
 def weighted_norm(state: GramState, v) -> float:

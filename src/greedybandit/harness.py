@@ -503,7 +503,7 @@ def config_from_ini(path, **settings) -> ExperimentConfig:
     fields that replace the file's [experiment] values before the policies
     are built, so a policy without sigma_assumed assumes the final sigma.
     """
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     read = parser.read(os.fspath(path), encoding="utf-8")
     if not read:
         raise ConfigError(f"config file not found: {path}")
@@ -553,20 +553,22 @@ def config_from_ini(path, **settings) -> ExperimentConfig:
 def _ini_value(v) -> str:
     if isinstance(v, bool):
         return str(v).lower()
-    return repr(v) if isinstance(v, float) else str(v)
+    # float() first: repr of a numpy float is "np.float64(0.5)".
+    return repr(float(v)) if isinstance(v, float) else str(v)
 
 
 def config_to_ini(config: ExperimentConfig, path) -> None:
     """Write a config file that config_from_ini parses back."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     parser["experiment"] = {key: _ini_value(getattr(config, name))
                             for key, (name, _) in _EXPERIMENT_KEYS.items()}
     parser["spec"] = spec_to_config(config.spec)
     for p in config.policies:
-        block = {"kind": p.kind, "lambda_reg": repr(p.lambda_reg),
-                 "v_scale": repr(p.v_scale), "sigma_assumed": repr(p.sigma_assumed)}
+        block = {"kind": p.kind, "lambda_reg": _ini_value(p.lambda_reg),
+                 "v_scale": _ini_value(p.v_scale),
+                 "sigma_assumed": _ini_value(p.sigma_assumed)}
         if p.delta is not None:
-            block["delta"] = repr(p.delta)
+            block["delta"] = _ini_value(p.delta)
         if p.theta0 is not None:
             block["theta0"] = ",".join(repr(float(v)) for v in p.theta0)
         parser[f"policy.{p.name}"] = block

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import lapack
 
 from greedybandit.contexts import ContextSet, gaussian_spec, uniform_ball_spec
 from greedybandit.env import (BanditInstance, Trajectory, instantaneous_regret,
@@ -197,6 +198,50 @@ def test_episode_uses_no_numpy_lapack(kind, monkeypatch):
     traj = run_episode(inst, cfg, 30, 11)
     assert len(traj) == 30
     assert not np.isnan(traj.est_error_l2[-1])
+
+
+@pytest.mark.parametrize("kind", ["greedy", "linucb", "lints"])
+def test_one_eigensolve_per_round(kind, monkeypatch):
+    # The gram_min_eig record takes one subset solve (dsyevr) per round.  The
+    # identification gate's full solve (dsyevd) runs from round d, when Sigma
+    # can first have full rank, up to the round it is identified.
+    d, T = 5, 30
+    inst = small_instance(d=d, K=4)
+    cfg = PolicyConfig(kind, theta0=np.ones(d) if kind == "greedy" else None)
+    rounds = {"dsyevd": [], "dsyevr": []}
+
+    def counted(name):
+        driver = getattr(lapack, name)
+
+        def call(*args, **kwargs):
+            # Round t's gate precedes its record, so t - 1 records are done.
+            rounds[name].append(len(rounds["dsyevr"]) + 1)
+            return driver(*args, **kwargs)
+        return call
+
+    for name in rounds:
+        monkeypatch.setattr(lapack, name, counted(name))
+    traj = run_episode(inst, cfg, T, 11)
+    identified = ~np.isnan(traj.est_error_l2)
+    assert identified[-1]
+    since = int(np.argmax(identified)) + 1
+    assert rounds["dsyevr"] == list(range(1, T + 1))
+    assert rounds["dsyevd"] == list(range(d, since + 1))
+
+
+def test_wide_gram_record_invariants():
+    # perfbench's checks on the record, at d = 100: zero while rank < d and
+    # non-decreasing (Loewner order), each within roundoff of 1e-10 per round
+    # of data in Sigma.
+    d, T = 100, 300
+    rng = np.random.default_rng(3)
+    inst = make_instance(gaussian_spec(), d, 20, 0.5, rng)
+    cfg = PolicyConfig("greedy", theta0=sphere_vector(d, rng))
+    eig = run_episode(inst, cfg, T, 5).gram_min_eig
+    tol = 1e-10 * np.arange(1, T + 1)
+    assert np.all(np.abs(eig[:d - 1]) <= tol[:d - 1])
+    assert np.all(np.diff(eig) >= -tol[1:])
+    assert eig[-1] > 0
 
 
 def test_episode_does_not_import_scipy_special():

@@ -289,6 +289,26 @@ class TestIniConfig:
             else:
                 np.testing.assert_array_equal(p.theta0, q.theta0)
 
+    def test_numpy_floats_round_trip(self, tmp_path):
+        cfg = preset_config("d20-k20", "gaussian", sigma=np.float64(0.25))
+        cfg.policies = [PolicyConfig("linucb", lambda_reg=np.float64(2.5),
+                                     delta=np.float64(0.05),
+                                     v_scale=np.float64(0.7),
+                                     sigma_assumed=np.float64(0.1))]
+        ini = tmp_path / "exp.ini"
+        config_to_ini(cfg, ini)
+        back = config_from_ini(ini)
+        assert back.sigma == 0.25
+        p = back.policies[0]
+        assert (p.lambda_reg, p.delta, p.v_scale, p.sigma_assumed) \
+            == (2.5, 0.05, 0.7, 0.1)
+
+    def test_percent_in_value_round_trips(self, tmp_path):
+        out = str(tmp_path / "out" / "100%")
+        ini = tmp_path / "exp.ini"
+        config_to_ini(preset_config("d20-k20", "gaussian", output_dir=out), ini)
+        assert config_from_ini(ini).output_dir == out
+
     def test_default_seed_matches_presets(self, tmp_path):
         ini = tmp_path / "exp.ini"
         ini.write_text("[experiment]\nd = 2\nk = 2\n[spec]\nkind = laplace\n")
