@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 invalid configuration, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import os
 import sys
@@ -20,7 +19,7 @@ import time
 from .harness import (PRESET_DISTS, PRESET_SHAPES, ConfigError,
                       ExperimentConfig, config_from_ini, default_policies,
                       preset_config, preset_spec, run_experiment,
-                      write_outputs)
+                      write_outputs, write_rows)
 
 _SETTINGS = tuple(f.name for f in dataclasses.fields(ExperimentConfig)
                   if f.name not in ("spec", "policies"))
@@ -124,10 +123,8 @@ def _run_matrix(args, cells) -> None:
         rows.extend((shape, dist, name, val) for name, val in finals.items())
     out = ExperimentConfig.output_dir if args.output_dir is None else args.output_dir
     summary_path = os.path.join(out, "summary.csv")
-    with open(summary_path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(("shape", "dist", "policy", "final_mean_cum_regret"))
-        w.writerows(rows)
+    write_rows(summary_path, ("shape", "dist", "policy", "final_mean_cum_regret"),
+               rows)
     print(f"summary: {summary_path}")
 
 

@@ -316,7 +316,7 @@ class ContextSet:
         self.vectors = np.asarray(self.vectors, dtype=float)
         if self.vectors.ndim != 2:
             raise ValueError("context set must be a K x d array")
-        if not np.all(np.isfinite(self.vectors)):
+        if not np.isfinite(self.vectors).all():
             raise ValueError("context vectors must be finite")
 
     @property

@@ -1,9 +1,20 @@
-"""Bandit environment and the single-episode simulation loop.
+"""Bandit environment and the episode loop.
 
 An episode interleaves context sampling, arm selection, gaussian reward
 noise, and the OLS update, recording per-round diagnostics as T-length
 columns.  Regret is measured against the noise-free best arm of the
 realized context set.
+
+The loop advances R replications of one policy in lockstep over the
+stacked Gram state (see estimator): one pass per round serves all R, and a
+single episode is the case R = 1.  Each replication keeps its own
+generator and draws its contexts, posterior sample and reward noise from it
+in the order of a single run.  Scores, regrets and updates are array
+operations that compute every row exactly as a block of one does: a stacked
+matmul or vecdot makes one BLAS gemv or dot call per replication, never one
+product over the whole stack, whose kernel blocking would round some rows
+differently.  A replication's trajectory is therefore byte-identical
+whichever block it runs in.
 """
 
 from __future__ import annotations
@@ -75,18 +86,22 @@ class Trajectory:
         return float(self.cum_regret[-1]) if len(self) else 0.0
 
 
-def reward(instance: BanditInstance, x, rng: np.random.Generator) -> float:
-    """Linear mean plus sigma-scaled gaussian noise."""
+def reward(instance: BanditInstance, x, rng):
+    """Linear mean plus sigma-scaled gaussian noise: x (R, d) with one
+    generator per row, or one x (d,) with one generator."""
     x = np.asarray(x, dtype=float)
-    return float(x @ instance.theta_star + instance.sigma * rng.standard_normal())
+    rngs = [rng] if isinstance(rng, np.random.Generator) else rng
+    noise = [instance.sigma * g.standard_normal() for g in rngs]
+    return np.vecdot(x, instance.theta_star) + np.array(noise).reshape(x.shape[:-1])
 
 
-def instantaneous_regret(instance: BanditInstance, contexts: ContextSet,
-                         arm: int) -> tuple[float, int]:
-    """Noise-free regret of the chosen arm and the index of the best arm."""
-    means = contexts.vectors @ instance.theta_star
-    best = int(np.argmax(means))
-    return float(means[best] - means[arm]), best
+def instantaneous_regret(instance: BanditInstance, contexts, arm):
+    """Noise-free regret of the chosen arm and the index of the best arm, for
+    one ContextSet and arm or for (R, K, d) contexts and R arms."""
+    X = contexts.vectors if isinstance(contexts, ContextSet) else contexts
+    means = np.matmul(X, instance.theta_star)
+    chosen = means[arm] if means.ndim == 1 else means[np.arange(len(means)), arm]
+    return means.max(axis=-1) - chosen, means.argmax(axis=-1)
 
 
 def sphere_vector(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -108,8 +123,13 @@ def make_instance(spec: DistributionSpec, d: int, K: int, sigma: float,
 
 
 def run_episode(instance: BanditInstance, config: PolicyConfig, T: int,
-                seed) -> Trajectory:
-    """Simulate T rounds; the whole episode is a function of (inputs, seed)."""
+                seed) -> Trajectory | list[Trajectory]:
+    """Simulate T rounds; the whole episode is a function of (inputs, seed).
+
+    `seed` may also be a list of seeds: those replications run in lockstep
+    and one Trajectory per seed comes back, each equal byte for byte to the
+    run of its seed alone.
+    """
     T = int(T)
     if T < 1:
         raise ValueError("T must be >= 1")
@@ -118,22 +138,30 @@ def run_episode(instance: BanditInstance, config: PolicyConfig, T: int,
         raise ValueError("greedy episodes need theta0")
     if config.theta0 is not None and config.theta0.shape != (instance.d,):
         raise ValueError(f"theta0 must have shape ({instance.d},)")
-    rng = np.random.default_rng(seed)
-    state = estimator.init(instance.d)
-    arms, best_arms = np.empty((2, T), dtype=np.intp)
-    rewards, regrets, errors, eigs, norms = np.full((5, T), np.nan)
+    rngs = [np.random.default_rng(s)
+            for s in (seed if isinstance(seed, list) else [seed])]
+    R, d, K = len(rngs), instance.d, instance.K
+    state = estimator.init(d, R)
+    rows = np.arange(R)
+    arms, best_arms = np.empty((2, T, R), dtype=np.intp)
+    rewards, regrets, errors, eigs, norms = np.full((5, T, R), np.nan)
     for i in range(T):
-        contexts = sample_context_set(instance.spec, instance.d, instance.K, rng)
-        arm = policies.policy_step(state, config, contexts, i + 1, rng)
-        x = contexts.vectors[arm]
-        y = reward(instance, x, rng)
-        regrets[i], best_arms[i] = instantaneous_regret(instance, contexts, arm)
+        X = np.array([sample_context_set(instance.spec, d, K, g).vectors
+                      for g in rngs])
+        arm = policies.policy_step(state, config, X, i + 1, rngs)
+        x = X[rows, arm]
+        y = reward(instance, x, rngs)
+        regrets[i], best_arms[i] = instantaneous_regret(instance, X, arm)
         estimator.update(state, x, y)
         if state.theta_hat is not None:
-            errors[i] = np.linalg.norm(state.theta_hat - instance.theta_star)
+            diff = state.theta_hat - instance.theta_star
+            # vecdot is one BLAS dot per row, as np.linalg.norm of one vector.
+            errors[i] = np.sqrt(np.vecdot(diff, diff))
         arms[i], rewards[i] = arm, y
         eigs[i] = estimator.min_eigenvalue(state)
-        norms[i] = np.max(np.linalg.norm(contexts.vectors, axis=1))
-    return Trajectory(arm=arms, optimal_arm=best_arms, reward=rewards,
-                      inst_regret=regrets, est_error_l2=errors,
-                      gram_min_eig=eigs, max_ctx_norm=norms)
+        norms[i] = np.linalg.norm(X, axis=2).max(axis=1)
+    # Each replication's columns become contiguous rows.
+    columns = [np.ascontiguousarray(c.T)
+               for c in (arms, best_arms, rewards, regrets, errors, eigs, norms)]
+    trajectories = [Trajectory(*(c[r] for c in columns)) for r in range(R)]
+    return trajectories if isinstance(seed, list) else trajectories[0]

@@ -1,21 +1,27 @@
-"""Incremental ordinary least squares over rank-one Gram updates.
+"""Incremental ordinary least squares over rank-one Gram updates, for a stack
+of R regressions advanced in lockstep.
 
-GramState accumulates Sigma = sum x x^T and b = sum x y without any
-regularization.  Until Sigma is invertible the estimate is undefined; once
-the minimal eigenvalue clears a small numerical floor the state keeps both a
-Sherman-Morrison running inverse (cheap per-round reads) and a fresh
-Cholesky solve (authoritative for theta_hat).
+GramState stacks R replications' sufficient statistics along a leading axis,
+Sigma (R, d, d) = sum x x^T and b (R, d) = sum x y, without any
+regularization; a single regression is the stack of one.  Each update folds
+one observation per replication.  Until a replication's Gram matrix is
+invertible its estimate is undefined; once the minimal eigenvalue clears a
+small numerical floor the state keeps both a Sherman-Morrison running
+inverse (cheap per-round reads) and a fresh Cholesky solve (authoritative
+for theta_hat).
 
-Every factorization and eigensolve goes straight to scipy's LAPACK drivers.
-The OLS solve is dpotrf/dpotrs.  The identification gate reads all
-eigenvalues from dsyevd, bit-equal to numpy.linalg.eigvalsh; update runs it
-only once t >= d, because a sum of t < d rank-one terms is singular.  The
-per-round minimal-eigenvalue record asks dsyevr for the smallest eigenvalue
-alone, which skips the full tridiagonal QR sweep; like any backward-stable
-solver it is within p(d) * eps * |Sigma|_2 of the exact value (Weyl).
-numpy links its own BLAS with its own thread pool, and alternating the two
-libraries every round makes their pools fight over the cores; keep
-numpy.linalg's LAPACK routines out of the episode loop.
+The rank-one updates of Sigma, b and the running inverse are array
+operations over the stack.  Every factorization and eigensolve runs per
+replication and goes straight to scipy's LAPACK drivers.  The OLS solve is
+dpotrf/dpotrs.  The identification gate reads all eigenvalues from dsyevd,
+bit-equal to numpy.linalg.eigvalsh; update runs it only once t >= d, because
+a sum of t < d rank-one terms is singular.  The per-round minimal-eigenvalue
+record asks dsyevr for the smallest eigenvalue alone, which skips the full
+tridiagonal QR sweep; like any backward-stable solver it is within
+p(d) * eps * |Sigma|_2 of the exact value (Weyl).  numpy links its own BLAS
+with its own thread pool, and alternating the two libraries every round
+makes their pools fight over the cores; keep numpy.linalg's LAPACK routines
+out of the episode loop.
 """
 
 from __future__ import annotations
@@ -35,41 +41,57 @@ class NotIdentifiedError(RuntimeError):
 
 @dataclass
 class GramState:
-    """Running sufficient statistics of the regression.
+    """Running sufficient statistics of R regressions, stacked.
 
-    `theta_hat` is None until the Gram matrix becomes invertible;
-    `invertible_since` records the update count at which that happened.
-    `t` counts the rank-one terms in `sigma`, so rank(sigma) <= t for a state
-    grown from `init`.  Construction checks the shapes and the symmetry of
-    `sigma`; `update` keeps it exactly symmetric.
+    `sigma` is (R, d, d) and `b` (R, d); a (d, d) and (d,) pair is a stack of
+    one.  `t` counts the rank-one terms in each sigma, so rank(sigma[r]) <= t
+    for a state grown from `init`.  `invertible_since[r]` is the update count
+    at which replication r's Gram matrix became invertible, 0 while it is
+    not.  `theta_hat` and `sigma_inv` are None until some replication is
+    identified; after that they are (R, d) and (R, d, d), with NaN estimates
+    and zero inverses in the rows of replications not identified yet.
+    Construction checks the shapes and the symmetry of `sigma`; `update`
+    keeps it exactly symmetric.
     """
 
     sigma: np.ndarray
     b: np.ndarray
     t: int = 0
     theta_hat: np.ndarray | None = None
-    invertible_since: int | None = None
+    invertible_since: np.ndarray | int = 0
     sigma_inv: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if (self.b.ndim != 1 or self.b.size < 1
-                or self.sigma.shape != 2 * self.b.shape):
-            raise ValueError(f"need sigma (d, d) and b (d,) with d >= 1, got "
-                             f"{self.sigma.shape} and {self.b.shape}")
-        asym = np.abs(self.sigma - self.sigma.T).max()
+        self.sigma = np.asarray(self.sigma, dtype=float)
+        self.b = np.asarray(self.b, dtype=float)
+        if self.sigma.ndim == 2:
+            self.sigma, self.b = self.sigma[None], self.b[None]
+        if (self.b.ndim != 2 or self.b.shape[1] < 1
+                or self.sigma.shape != self.b.shape + self.b.shape[1:]):
+            raise ValueError(f"need sigma (R, d, d) and b (R, d) with d >= 1, "
+                             f"got {self.sigma.shape} and {self.b.shape}")
+        asym = np.abs(self.sigma - self.sigma.transpose(0, 2, 1)).max()
         if asym > 1e-8 * max(1.0, np.abs(self.sigma).max()):
             raise ValueError(f"Gram matrix asymmetric by {asym:.3e}")
+        self.invertible_since = np.broadcast_to(
+            np.asarray(self.invertible_since, dtype=np.intp), (self.reps,)).copy()
+
+    @property
+    def reps(self) -> int:
+        return self.sigma.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.sigma.shape[0]
+        return self.sigma.shape[-1]
 
 
-def init(d: int) -> GramState:
-    d = int(d)
+def init(d: int, reps: int = 1) -> GramState:
+    d, reps = int(d), int(reps)
     if d < 1:
         raise ValueError("d must be >= 1")
-    return GramState(sigma=np.zeros((d, d)), b=np.zeros(d))
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
+    return GramState(sigma=np.zeros((reps, d, d)), b=np.zeros((reps, d)))
 
 
 @lru_cache(maxsize=None)
@@ -99,65 +121,91 @@ def _is_invertible(sigma: np.ndarray) -> bool:
     return bool(eigs[0] > EPS_INV * max(1.0, eigs[-1]))
 
 
-def update(state: GramState, x, y: float) -> GramState:
-    """Fold one observation (x, y) into the state in place."""
+def update(state: GramState, x, y) -> GramState:
+    """Fold one observation per replication, x (R, d) and y (R,), into the
+    state in place; with R = 1, x may be (d,) and y a scalar."""
+    R, d = state.reps, state.dim
     x = np.asarray(x, dtype=float)
-    if x.shape != (state.dim,):
-        raise ValueError(f"expected context of shape ({state.dim},), got {x.shape}")
-    if not (np.all(np.isfinite(x)) and np.isfinite(y)):
+    y = np.asarray(y, dtype=float)
+    if x.shape[-1:] != (d,) or x.size != R * d or y.size != R:
+        raise ValueError(f"expected contexts ({R}, {d}) and {R} rewards, got "
+                         f"{x.shape} and {y.shape}")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("observation must be finite")
+    # Columns (R, d, 1) and rows (R, 1, d) of the stacked observations.
+    col, row = x.reshape(R, d, 1), x.reshape(R, 1, d)
 
     if state.sigma_inv is not None:
-        # Sherman-Morrison on the pre-update inverse.
-        Av = state.sigma_inv @ x
-        denom = 1.0 + float(x @ Av)
-        state.sigma_inv = state.sigma_inv - np.outer(Av, Av) / denom
+        # Sherman-Morrison on the pre-update inverses; the zero rows of
+        # replications not identified yet stay zero.
+        Av = np.matmul(state.sigma_inv, col)
+        denom = 1.0 + np.matmul(row, Av)
+        state.sigma_inv -= Av * Av.reshape(R, 1, d) / denom
 
-    state.sigma += np.outer(x, x)
-    state.b += x * float(y)
+    state.sigma += col * row
+    state.b += (col * y.reshape(R, 1, 1)).reshape(R, d)
     state.t += 1
 
     # While t < d, rank(sigma) <= t < d: the computed lambda_min is at most
     # p(d) * eps * lambda_max, far below the floor, so the gate cannot pass.
-    if (state.invertible_since is None and state.t >= state.dim
-            and _is_invertible(state.sigma)):
-        state.invertible_since = state.t
-        state.sigma_inv = inv(state.sigma, check_finite=False)
-    if state.invertible_since is not None:
-        state.theta_hat = solve(state)
+    since = state.invertible_since
+    if state.t >= d and not since.all():
+        for r in np.flatnonzero(since == 0):
+            if _is_invertible(state.sigma[r]):
+                if state.sigma_inv is None:
+                    state.sigma_inv = np.zeros((R, d, d))
+                since[r] = state.t
+                state.sigma_inv[r] = inv(state.sigma[r], check_finite=False)
+    for r, identified in enumerate(since.tolist()):
+        if identified:
+            if state.theta_hat is None:
+                state.theta_hat = np.full((R, d), np.nan)
+            state.theta_hat[r] = _solve(state, r)
     return state
 
 
-def solve(state: GramState) -> np.ndarray:
-    """Least squares estimate Sigma^-1 b via Cholesky (authoritative path)."""
-    if state.invertible_since is None and not _is_invertible(state.sigma):
+def _solve(state: GramState, r: int) -> np.ndarray:
+    sigma = state.sigma[r]
+    if not state.invertible_since[r] and not _is_invertible(sigma):
         raise NotIdentifiedError("Gram matrix is singular after "
                                  f"{state.t} updates")
-    L, info = lapack.dpotrf(state.sigma, lower=1, clean=0)
+    L, info = lapack.dpotrf(sigma, lower=1, clean=0)
     if info != 0:
         raise NotIdentifiedError(f"Cholesky factorization failed at leading "
                                  f"minor {info} after {state.t} updates")
-    theta, _ = lapack.dpotrs(L, state.b, lower=1)
+    theta, _ = lapack.dpotrs(L, state.b[r], lower=1)
     return theta
 
 
+def solve(state: GramState) -> np.ndarray:
+    """Least squares estimates Sigma^-1 b via Cholesky (authoritative path),
+    one row per replication."""
+    return np.stack([_solve(state, r) for r in range(state.reps)])
+
+
 def incremental_estimate(state: GramState) -> np.ndarray:
-    """Estimate from the Sherman-Morrison running inverse (cross-check path)."""
+    """Estimates from the Sherman-Morrison running inverses (cross-check
+    path), NaN in the rows of replications not identified yet."""
     if state.sigma_inv is None:
         raise NotIdentifiedError("Gram matrix is singular")
-    return state.sigma_inv @ state.b
+    theta = np.matmul(state.sigma_inv, state.b[:, :, None])[:, :, 0]
+    theta[state.invertible_since == 0] = np.nan
+    return theta
 
 
-def min_eigenvalue(state: GramState) -> float:
-    """Smallest eigenvalue of Sigma, from one subset eigensolve."""
-    w, _, _, _, info = lapack.dsyevr(state.sigma, compute_v=0, range="I",
-                                     il=1, iu=1, lower=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dsyevr failed (info {info})")
-    return float(w[0])
+def min_eigenvalue(state: GramState) -> np.ndarray:
+    """Smallest eigenvalue of each Sigma, from one subset eigensolve each."""
+    out = []
+    for sigma in state.sigma:
+        w, _, _, _, info = lapack.dsyevr(sigma, compute_v=0, range="I",
+                                         il=1, iu=1, lower=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dsyevr failed (info {info})")
+        out.append(w[0])
+    return np.array(out)
 
 
-def weighted_norm(state: GramState, v) -> float:
-    """sqrt(v^T Sigma v), clipped at zero against roundoff."""
+def weighted_norm(state: GramState, v) -> np.ndarray:
+    """sqrt(v^T Sigma v) per replication, clipped at zero against roundoff."""
     v = np.asarray(v, dtype=float)
-    return float(np.sqrt(max(float(v @ state.sigma @ v), 0.0)))
+    return np.sqrt(np.maximum(np.einsum("i,rij,j->r", v, state.sigma, v), 0.0))

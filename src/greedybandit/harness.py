@@ -2,10 +2,14 @@
 
 A run is fully determined by its config: the master seed is split into one
 stream for theta_star, one for the greedy warm start, and one per
-(policy, replication) episode, so results are byte-identical no matter how
-episodes are scheduled.  Outputs are a raw per-round CSV, an aggregate CSV
-(mean and sample std of cumulative regret per policy), an optional SVG
-regret plot, and an optional diagnostics text sidecar.
+(policy, replication) episode.  Each policy's replications run in lockstep
+blocks (one per policy, or with jobs > 1 several per policy spread over a
+process pool), and an episode's bytes depend on its stream alone, so results
+are byte-identical no matter how episodes are blocked or scheduled.
+Outputs are a raw per-round CSV, an aggregate CSV (mean and sample std of
+cumulative regret per policy), an optional SVG regret plot, and an optional
+diagnostics text sidecar, each written through a temporary file that
+replaces its target only when complete.
 """
 
 from __future__ import annotations
@@ -161,25 +165,32 @@ def run_experiment(config: ExperimentConfig) -> ResultsTable:
     instance = BanditInstance(theta_star=theta_star, sigma=config.sigma,
                               spec=config.spec, d=config.d, K=config.K)
 
-    tasks = []
+    # One lockstep block per policy, or with jobs > 1 up to `jobs` blocks per
+    # policy; a replication's trajectory does not depend on its block.
+    n_blocks = min(config.jobs, config.reps)
+    blocks = []
     for p_idx, policy in enumerate(config.policies):
         if policy.kind == "greedy" and policy.theta0 is None:
             policy = replace(policy, theta0=theta0.copy())
         policy = policy.with_delta_for_horizon(config.T)
-        for rep in range(config.reps):
-            seed = episode_seeds[p_idx * config.reps + rep]
-            tasks.append(((policy.name, rep), instance, policy, seed))
+        for j in range(n_blocks):
+            reps = range(j * config.reps // n_blocks,
+                         (j + 1) * config.reps // n_blocks)
+            seeds = [episode_seeds[p_idx * config.reps + rep] for rep in reps]
+            blocks.append((policy, reps, seeds))
 
     trajectories: dict[tuple[str, int], Trajectory] = {}
     if config.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            futures = {pool.submit(run_episode, inst, pol, config.T, seed): key
-                       for key, inst, pol, seed in tasks}
+            futures = {pool.submit(run_episode, instance, pol, config.T, seeds):
+                       (pol.name, reps) for pol, reps, seeds in blocks}
             for fut in concurrent.futures.as_completed(futures):
-                trajectories[futures[fut]] = fut.result()
+                name, reps = futures[fut]
+                trajectories.update(zip(zip(repeat(name), reps), fut.result()))
     else:
-        for key, inst, pol, seed in tasks:
-            trajectories[key] = run_episode(inst, pol, config.T, seed)
+        for pol, reps, seeds in blocks:
+            trajectories.update(zip(zip(repeat(pol.name), reps),
+                                    run_episode(instance, pol, config.T, seeds)))
     return ResultsTable(config=config, theta_star=theta_star, theta0=theta0,
                         trajectories=trajectories)
 
@@ -198,6 +209,30 @@ def _csv_cell(v) -> str:
     return repr(float(v))
 
 
+@contextlib.contextmanager
+def replacing(*targets):
+    """Yield a temporary `<target>.tmp` path beside each target.  When the
+    block completes, each temporary replaces its target (os.replace); if it
+    raises, the targets keep their previous contents.  No temporary file is
+    left behind either way."""
+    targets = [os.fspath(t) for t in targets]
+    tmps = [t + ".tmp" for t in targets]
+    try:
+        yield tmps
+        for tmp, target in zip(tmps, targets):
+            os.replace(tmp, target)
+    finally:
+        for tmp in tmps:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+
+
+def write_rows(path, columns, rows) -> None:
+    """Write one CSV file atomically: a header and one line per row."""
+    with replacing(path) as (tmp,):
+        _write_rows(tmp, columns, rows)
+
+
 def _write_rows(path: str, columns, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
@@ -206,14 +241,20 @@ def _write_rows(path: str, columns, rows) -> None:
             w.writerow([_csv_cell(v) for v in row])
 
 
+def _write_text(path, text: str) -> None:
+    with replacing(path) as (tmp,):
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+
 def write_csv(table: ResultsTable, path, aggregate_path=None) -> str:
     """Write the raw per-round CSV to `path` and the aggregate CSV next to it.
 
     Floats are written with repr so a parse-back reproduces the exact
-    values; missing estimates are empty cells.  Each file is written to a
-    temporary `<target>.tmp` beside its target, and both are moved into
-    place only after both are complete: a failure leaves no new raw CSV
-    without its aggregate, and no temporary file.
+    values; missing estimates are empty cells.  Both files are written to
+    temporaries and moved into place only after both are complete: a
+    failure leaves no new raw CSV without its aggregate, and no temporary
+    file.
     """
     path = os.fspath(path)
     if aggregate_path is None:
@@ -222,19 +263,12 @@ def write_csv(table: ResultsTable, path, aggregate_path=None) -> str:
     aggregate_path = os.fspath(aggregate_path)
     outputs = ((path, RAW_COLUMNS, table.raw_rows()),
                (aggregate_path, AGGREGATE_COLUMNS, table.aggregate_rows()))
-    started = []
     try:
-        for target, columns, rows in outputs:
-            started.append(target)
-            _write_rows(target + ".tmp", columns, rows)
-        for target in started:
-            os.replace(target + ".tmp", target)
+        with replacing(path, aggregate_path) as tmps:
+            for tmp, (target, columns, rows) in zip(tmps, outputs):
+                _write_rows(tmp, columns, rows)
     except OSError as exc:
         raise OSError(f"failed writing CSV to {target}: {exc}") from exc
-    finally:
-        for target in started:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(target + ".tmp")
     return aggregate_path
 
 
@@ -348,8 +382,7 @@ def render_svg(table: ResultsTable, path) -> None:
         out.append(f'<text x="{lx + 24}" y="{yy + 6}" font-size="12">'
                    f'{escape(name)}</text>')
     out.append("</svg>")
-    with open(os.fspath(path), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(out) + "\n")
+    _write_text(path, "\n".join(out) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -370,9 +403,7 @@ def write_outputs(table: ResultsTable) -> dict[str, str]:
         paths["svg"] = svg_path
     if cfg.diagnostics:
         diag_path = os.path.join(cfg.output_dir, "diagnostics.txt")
-        report = _diagnostics_for(table)
-        with open(diag_path, "w", encoding="utf-8") as fh:
-            fh.write(diag.format_report(report))
+        _write_text(diag_path, diag.format_report(_diagnostics_for(table)))
         paths["diagnostics"] = diag_path
     return paths
 

@@ -7,6 +7,11 @@ with lambda_reg and need a generator only in the Thompson case.  They
 factor the ridge matrix once per round with scipy's LAPACK dpotrf, and the
 one factor L serves the ridge estimate, LinUCB's log-determinant and
 widths, and LinTS's posterior draw.
+
+Every rule acts on the stacked state of R replications (see estimator) and
+their (R, K, d) context sets, and returns R arms; scores and argmax are
+array operations, while factorizations and LinTS's draws run per
+replication.  A single ContextSet is the stack of one.
 """
 
 from __future__ import annotations
@@ -66,76 +71,118 @@ class PolicyConfig:
         return replace(self, delta=1.0 / float(max(T, 2)))
 
 
-def greedy_select(theta, contexts: ContextSet) -> int:
-    """Index of the highest-scoring arm; ties break to the lowest index."""
+def _stacked(contexts, reps: int, dim: int) -> np.ndarray:
+    """The (R, K, d) context vectors of a stacked array, or of one ContextSet
+    or (K, d) array when R = 1."""
+    X = contexts.vectors if isinstance(contexts, ContextSet) else np.asarray(
+        contexts, dtype=float)
+    if X.ndim == 2:
+        X = X[None]
+    if X.shape[-1] != dim:
+        raise ValueError(f"context dim {X.shape[-1]} != state dim {dim}")
+    if X.ndim != 3 or X.shape[0] != reps:
+        raise ValueError(f"expected {reps} context sets, got shape {X.shape}")
+    return X
+
+
+def _generators(rng, reps: int) -> list[np.random.Generator]:
+    """One generator per replication; a single one serves a stack of one."""
+    rngs = [rng] if isinstance(rng, np.random.Generator) else list(rng)
+    if len(rngs) != reps:
+        raise ValueError(f"expected {reps} random generators, got {len(rngs)}")
+    return rngs
+
+
+def greedy_select(theta, contexts):
+    """Index of the highest-scoring arm; ties break to the lowest index.
+    Broadcasts: theta (R, d) against contexts (R, K, d) gives R choices."""
+    X = contexts.vectors if isinstance(contexts, ContextSet) else contexts
     theta = np.asarray(theta, dtype=float)
-    return int(np.argmax(contexts.vectors @ theta))
+    return np.matmul(X, theta[..., None])[..., 0].argmax(axis=-1)
 
 
 def _ridge(state: GramState, lambda_reg: float):
-    """Lower Cholesky factor L of Sigma + lambda I and the ridge estimate."""
-    sigma_bar = state.sigma + lambda_reg * np.eye(state.dim)
-    L, info = lapack.dpotrf(sigma_bar, lower=1, clean=0)
-    if info != 0:
-        raise ValueError("ridge Gram matrix must be positive definite")
-    theta_tilde, _ = lapack.dpotrs(L, state.b, lower=1)
+    """Lower Cholesky factors L (R, d, d) of Sigma + lambda I, each slice
+    Fortran-ordered, and the (R, d) ridge estimates."""
+    # Sigma is exactly symmetric, so the transposed slices of Sigma + lambda I
+    # are the same matrices in Fortran order: dpotrf factors them in place.
+    L = (state.sigma + lambda_reg * np.eye(state.dim)).transpose(0, 2, 1)
+    theta_tilde = np.empty(state.b.shape)
+    for r in range(state.reps):
+        L[r], info = lapack.dpotrf(L[r], lower=1, clean=0, overwrite_a=1)
+        if info != 0:
+            raise ValueError("ridge Gram matrix must be positive definite")
+        theta_tilde[r], _ = lapack.dpotrs(L[r], state.b[r], lower=1)
     return L, theta_tilde
 
 
-def _radius(L: np.ndarray, config: PolicyConfig) -> float:
-    """LinUCB bonus multiplier, with logdet(Sigma + lambda I) = 2 sum log diag L."""
+def _radius(L: np.ndarray, config: PolicyConfig) -> np.ndarray:
+    """LinUCB bonus multipliers, with logdet(Sigma + lambda I) = 2 sum log diag L."""
     if config.delta is None:
         raise ValueError("delta unresolved; call with_delta_for_horizon first")
     lam = config.lambda_reg
-    logdet = 2.0 * float(np.log(np.diagonal(L)).sum())
-    width = logdet - L.shape[0] * math.log(lam) + 2.0 * math.log(1.0 / config.delta)
-    return config.sigma_assumed * math.sqrt(max(width, 0.0)) + math.sqrt(lam)
+    shift = L.shape[-1] * math.log(lam)
+    bonus = 2.0 * math.log(1.0 / config.delta)
+    return np.array([
+        config.sigma_assumed * math.sqrt(max(2.0 * s - shift + bonus, 0.0))
+        + math.sqrt(lam)
+        for s in np.log(np.diagonal(L, axis1=-2, axis2=-1)).sum(axis=-1).tolist()])
 
 
-def confidence_radius(state: GramState, config: PolicyConfig, t: int) -> float:
-    """LinUCB bonus multiplier from the determinant of the ridge Gram matrix."""
+def confidence_radius(state: GramState, config: PolicyConfig, t: int) -> np.ndarray:
+    """LinUCB bonus multipliers from the determinants of the ridge Gram
+    matrices, one per replication."""
     return _radius(_ridge(state, config.lambda_reg)[0], config)
 
 
-def _linucb_choice(L: np.ndarray, theta_tilde: np.ndarray,
-                   contexts: ContextSet, beta: float) -> int:
-    X = contexts.vectors
-    V, _ = lapack.dpotrs(L, X.T, lower=1)
-    widths = np.sqrt(np.maximum(np.einsum("ij,ji->i", X, V), 0.0))
-    return int(np.argmax(X @ theta_tilde + beta * widths))
+def _linucb_choice(L: np.ndarray, theta_tilde: np.ndarray, X: np.ndarray,
+                   beta) -> np.ndarray:
+    # Row i of W[r] is Sigma_bar_r^-1 x_i, so the width is sqrt(x_i . W[r, i]).
+    W = np.empty_like(X)
+    for r in range(len(X)):
+        W[r] = lapack.dpotrs(L[r], X[r].T, lower=1)[0].T
+    widths = np.sqrt(np.maximum(np.einsum("rij,rij->ri", X, W), 0.0))
+    scores = np.matmul(X, theta_tilde[..., None])[..., 0]
+    return (scores + np.asarray(beta)[..., None] * widths).argmax(axis=-1)
 
 
-def linucb_select(state: GramState, config: PolicyConfig,
-                  contexts: ContextSet, beta: float) -> int:
+def linucb_select(state: GramState, config: PolicyConfig, contexts,
+                  beta) -> np.ndarray:
     L, theta_tilde = _ridge(state, config.lambda_reg)
-    return _linucb_choice(L, theta_tilde, contexts, beta)
+    return _linucb_choice(L, theta_tilde,
+                          _stacked(contexts, state.reps, state.dim), beta)
 
 
-def lints_select(state: GramState, config: PolicyConfig, contexts: ContextSet,
-                 rng: np.random.Generator) -> int:
+def lints_select(state: GramState, config: PolicyConfig, contexts,
+                 rng) -> np.ndarray:
     L, theta_tilde = _ridge(state, config.lambda_reg)
-    z = rng.standard_normal(state.dim)
-    # L^-T z has covariance sigma_bar^-1.
-    perturb, _ = lapack.dtrtrs(L, z, lower=1, trans=1)
+    perturb = np.empty(theta_tilde.shape)
+    for r, g in enumerate(_generators(rng, state.reps)):
+        z = g.standard_normal(state.dim)
+        # L^-T z has covariance sigma_bar^-1.
+        perturb[r], _ = lapack.dtrtrs(L[r], z, lower=1, trans=1)
     theta_sample = theta_tilde + config.v_scale * perturb
-    return greedy_select(theta_sample, contexts)
+    return greedy_select(theta_sample, _stacked(contexts, state.reps, state.dim))
 
 
-def policy_step(state: GramState, config: PolicyConfig, contexts: ContextSet,
-                t: int, rng: np.random.Generator | None = None) -> int:
-    """Choose an arm for round t (1-based) given the current Gram state."""
-    if contexts.dim != state.dim:
-        raise ValueError(f"context dim {contexts.dim} != state dim {state.dim}")
+def policy_step(state: GramState, config: PolicyConfig, contexts, t: int,
+                rng=None) -> np.ndarray:
+    """Choose each replication's arm for round t (1-based) given the stacked
+    Gram state: contexts (R, K, d), and for LinTS one generator per
+    replication.  Returns the R arm indices."""
+    X = _stacked(contexts, state.reps, state.dim)
     if config.kind == "greedy":
-        if state.theta_hat is not None:
-            return greedy_select(state.theta_hat, contexts)
-        if config.theta0 is None:
-            raise ValueError("greedy policy needs theta0 until the Gram matrix "
-                             "is invertible")
-        return greedy_select(config.theta0, contexts)
+        since, theta = state.invertible_since, state.theta_hat
+        if not since.all():
+            if config.theta0 is None:
+                raise ValueError("greedy policy needs theta0 until the Gram "
+                                 "matrix is invertible")
+            theta = config.theta0 if theta is None else np.where(
+                since[:, None] > 0, theta, config.theta0)
+        return greedy_select(theta, X)
     if config.kind == "linucb":
         L, theta_tilde = _ridge(state, config.lambda_reg)
-        return _linucb_choice(L, theta_tilde, contexts, _radius(L, config))
+        return _linucb_choice(L, theta_tilde, X, _radius(L, config))
     if rng is None:
         raise ValueError("lints needs a random generator")
-    return lints_select(state, config, contexts, rng)
+    return lints_select(state, config, X, rng)

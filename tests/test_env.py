@@ -11,6 +11,7 @@ from scipy.linalg import lapack
 from greedybandit.contexts import ContextSet, gaussian_spec, uniform_ball_spec
 from greedybandit.env import (BanditInstance, Trajectory, instantaneous_regret,
                               make_instance, reward, run_episode, sphere_vector)
+from greedybandit.harness import preset_spec
 from greedybandit.policies import PolicyConfig
 
 
@@ -198,35 +199,72 @@ def test_episode_uses_no_numpy_lapack(kind, monkeypatch):
     traj = run_episode(inst, cfg, 30, 11)
     assert len(traj) == 30
     assert not np.isnan(traj.est_error_l2[-1])
+    # The same loop advancing three replications in lockstep.
+    block = run_episode(inst, cfg, 30, [11, 12, 13])
+    assert [len(tr) for tr in block] == [30] * 3
+    assert not any(np.isnan(tr.est_error_l2[-1]) for tr in block)
 
 
 @pytest.mark.parametrize("kind", ["greedy", "linucb", "lints"])
 def test_one_eigensolve_per_round(kind, monkeypatch):
-    # The gram_min_eig record takes one subset solve (dsyevr) per round.  The
-    # identification gate's full solve (dsyevd) runs from round d, when Sigma
-    # can first have full rank, up to the round it is identified.
+    # The gram_min_eig record takes one subset solve (dsyevr) per round and
+    # replication.  A replication's identification gate (dsyevd) runs from
+    # round d, when its Sigma can first have full rank, up to the round it is
+    # identified.  Checked for one episode and for a block of three.
     d, T = 5, 30
     inst = small_instance(d=d, K=4)
     cfg = PolicyConfig(kind, theta0=np.ones(d) if kind == "greedy" else None)
-    rounds = {"dsyevd": [], "dsyevr": []}
+    for seeds in ([11], [11, 12, 13]):
+        R = len(seeds)
+        rounds = {"dsyevd": [], "dsyevr": []}
 
-    def counted(name):
-        driver = getattr(lapack, name)
+        def counted(name, driver):
+            def call(*args, **kwargs):
+                # Round t's gates precede its records, so R (t - 1) records
+                # are done.
+                rounds[name].append(len(rounds["dsyevr"]) // R + 1)
+                return driver(*args, **kwargs)
+            return call
 
-        def call(*args, **kwargs):
-            # Round t's gate precedes its record, so t - 1 records are done.
-            rounds[name].append(len(rounds["dsyevr"]) + 1)
-            return driver(*args, **kwargs)
-        return call
+        for name in rounds:
+            monkeypatch.setattr(lapack, name, counted(name, getattr(lapack, name)))
+        trajs = run_episode(inst, cfg, T, seeds)
+        monkeypatch.undo()
+        since = []
+        for traj in trajs:
+            identified = ~np.isnan(traj.est_error_l2)
+            assert identified[-1]
+            since.append(int(np.argmax(identified)) + 1)
+        assert rounds["dsyevr"] == [t for t in range(1, T + 1) for _ in seeds]
+        assert rounds["dsyevd"] == sorted(t for s in since for t in range(d, s + 1))
 
-    for name in rounds:
-        monkeypatch.setattr(lapack, name, counted(name))
-    traj = run_episode(inst, cfg, T, 11)
-    identified = ~np.isnan(traj.est_error_l2)
-    assert identified[-1]
-    since = int(np.argmax(identified)) + 1
-    assert rounds["dsyevr"] == list(range(1, T + 1))
-    assert rounds["dsyevd"] == list(range(d, since + 1))
+
+@pytest.mark.parametrize("kind", ["greedy", "linucb", "lints"])
+@pytest.mark.parametrize("dist", ["gaussian", "trunc-cauchy", "uniform-ball"])
+@pytest.mark.parametrize("d", [1, 5, 20])
+def test_block_matches_single_runs(kind, dist, d):
+    # A lockstep block of R replications gives each replication the bytes of
+    # its run alone: every batched score, regret, norm and update row must
+    # be computed exactly as a one-row stack computes it.  K = 7 is not a
+    # multiple of the BLAS kernels' row blocking; at d = 20 a single
+    # (R K, d) @ theta product rounds some rows differently from the
+    # per-replication (K, d) products.  The specs cover the correlated
+    # gaussian, a box-truncated Cauchy drawn by inverse CDF and the uniform
+    # ball.
+    spec = preset_spec(dist, d)
+    rng = np.random.default_rng(d)
+    inst = make_instance(spec, d, 7, 0.5, rng)
+    cfg = PolicyConfig(kind, theta0=sphere_vector(d, rng) if kind == "greedy"
+                       else None)
+    fields = ("arm", "optimal_arm", "reward", "inst_regret", "est_error_l2",
+              "gram_min_eig", "max_ctx_norm")
+    for seeds in ([101], [101, 202, 303]):
+        block = run_episode(inst, cfg, 40, seeds)
+        assert len(block) == len(seeds)
+        for seed, traj in zip(seeds, block):
+            alone = run_episode(inst, cfg, 40, seed)
+            for name in fields:
+                assert getattr(traj, name).tobytes() == getattr(alone, name).tobytes(), name
 
 
 def test_wide_gram_record_invariants():

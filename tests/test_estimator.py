@@ -10,24 +10,30 @@ from greedybandit.estimator import GramState, NotIdentifiedError
 class TestLifecycle:
     def test_init_shapes(self):
         s = est.init(3)
-        assert s.sigma.shape == (3, 3) and s.b.shape == (3,)
-        assert s.t == 0 and s.theta_hat is None and s.invertible_since is None
+        assert s.sigma.shape == (1, 3, 3) and s.b.shape == (1, 3)
+        assert s.t == 0 and s.theta_hat is None
+        assert s.invertible_since.tolist() == [0]
+        s = est.init(3, reps=4)
+        assert s.sigma.shape == (4, 3, 3) and s.b.shape == (4, 3)
+        assert s.invertible_since.tolist() == [0] * 4
 
     def test_init_validation(self):
         with pytest.raises(ValueError):
             est.init(0)
+        with pytest.raises(ValueError):
+            est.init(2, reps=0)
 
     def test_singular_until_spanning(self):
         s = est.init(2)
         est.update(s, [1.0, 0.0], 1.0)
-        assert s.theta_hat is None and s.invertible_since is None
+        assert s.theta_hat is None and s.invertible_since.tolist() == [0]
         with pytest.raises(NotIdentifiedError):
             est.solve(s)
         est.update(s, [2.0, 0.0], 2.0)  # same direction: still rank 1
         assert s.theta_hat is None
         est.update(s, [0.0, 1.0], -1.0)
-        assert s.invertible_since == 3
-        np.testing.assert_allclose(s.theta_hat, [1.0, -1.0], atol=1e-12)
+        assert s.invertible_since.tolist() == [3]
+        np.testing.assert_allclose(s.theta_hat, [[1.0, -1.0]], atol=1e-12)
 
     def test_update_validation(self):
         s = est.init(2)
@@ -42,11 +48,11 @@ class TestLifecycle:
 class TestSolve:
     def test_scalar_case(self):
         s = GramState(sigma=np.array([[3.0]]), b=np.array([6.0]))
-        np.testing.assert_allclose(est.solve(s), [2.0])
+        np.testing.assert_allclose(est.solve(s), [[2.0]])
 
     def test_identity_gram(self):
         s = GramState(sigma=np.eye(2), b=np.array([2.0, -1.0]))
-        np.testing.assert_allclose(est.solve(s), [2.0, -1.0])
+        np.testing.assert_allclose(est.solve(s), [[2.0, -1.0]])
 
     def test_residual_small(self, rng):
         d = 6
@@ -55,7 +61,7 @@ class TestSolve:
         s = est.init(d)
         for x, v in zip(X, y):
             est.update(s, x, v)
-        resid = s.sigma @ s.theta_hat - s.b
+        resid = s.sigma[0] @ s.theta_hat[0] - s.b[0]
         assert np.abs(resid).max() < 1e-9 * max(1.0, np.abs(s.b).max())
 
     def test_incremental_vs_cholesky_50_updates(self, rng):
@@ -132,7 +138,7 @@ class TestLapackDrivers:
             s = GramState(sigma=S, b=b)
             ref = cho_solve(cho_factor(S, lower=True, check_finite=False), b,
                             check_finite=False)
-            np.testing.assert_array_equal(est.solve(s), ref)
+            np.testing.assert_array_equal(est.solve(s)[0], ref)
 
     @pytest.mark.parametrize("d", [2, 5, 20])
     def test_psd_singular_not_identified(self, d, rng):
@@ -156,7 +162,7 @@ class TestWeightedNorm:
             est.update(s, rng.standard_normal(3), 0.0)
         v = rng.standard_normal(3)
         assert est.weighted_norm(s, v) == pytest.approx(
-            float(np.sqrt(v @ s.sigma @ v)))
+            float(np.sqrt(v @ s.sigma[0] @ v)))
 
     def test_zero_state(self):
         assert est.weighted_norm(est.init(2), [1.0, 1.0]) == 0.0
@@ -177,8 +183,8 @@ def test_incremental_matches_direct(d, n, seed):
     s = est.init(d)
     for x, v in zip(X, y):
         est.update(s, x, v)
-    np.testing.assert_allclose(s.sigma, X.T @ X, atol=1e-10)
-    np.testing.assert_allclose(s.b, X.T @ y, atol=1e-10)
+    np.testing.assert_allclose(s.sigma[0], X.T @ X, atol=1e-10)
+    np.testing.assert_allclose(s.b[0], X.T @ y, atol=1e-10)
     if s.theta_hat is not None:
         gram = X.T @ X
         ref = np.linalg.solve(gram, X.T @ y)
@@ -189,8 +195,8 @@ def test_incremental_matches_direct(d, n, seed):
         # cond(X^T X) = 6.4e7 and |theta| ~ 417 at d = n = 9).
         tol = max(1e-8, np.linalg.cond(gram) * np.finfo(float).eps
                   * np.abs(ref).max())
-        assert np.abs(s.theta_hat - ref).max() < tol
-        assert np.abs(est.incremental_estimate(s) - ref).max() < tol
+        assert np.abs(s.theta_hat[0] - ref).max() < tol
+        assert np.abs(est.incremental_estimate(s)[0] - ref).max() < tol
 
 
 @settings(deadline=None, max_examples=40)
@@ -221,3 +227,32 @@ def test_loewner_monotonicity(d, n, seed):
         cur = est.min_eigenvalue(s)
         assert cur >= prev - 1e-10 * max(1.0, prev)
         prev = cur
+
+
+@pytest.mark.parametrize("d, T, R", [(20, 50_000, 2), (100, 20_000, 1)])
+def test_long_horizon_accuracy_against_qr(d, T, R):
+    # Long iid designs with one starved direction (coordinate 0 scaled by
+    # 1e-4, so cond(Sigma) ~ 1e8), R replications in lockstep: after T
+    # rank-one updates both the Cholesky solve and the Sherman-Morrison
+    # running inverse still give the least squares answer of a QR solve
+    # (numpy.linalg.lstsq) on the stacked design, within the forward-error
+    # bound cond(Sigma) * eps * |theta| (Higham 2002, ch. 20).  Measured
+    # errors sit about four orders of magnitude below it; an update that
+    # drops the inverse's rank-one term misses it by far.
+    rng = np.random.default_rng(d)
+    X = rng.standard_normal((R, T, d))
+    X[:, :, 0] *= 1e-4
+    theta = rng.standard_normal(d)
+    theta /= np.linalg.norm(theta)
+    y = X @ theta + 0.5 * rng.standard_normal((R, T))
+    s = est.init(d, R)
+    for t in range(T):
+        est.update(s, X[:, t], y[:, t])
+    assert s.invertible_since.all()
+    solved, running = est.solve(s), est.incremental_estimate(s)
+    eps = np.finfo(float).eps
+    for r in range(R):
+        ref = np.linalg.lstsq(X[r], y[r], rcond=None)[0]
+        bound = np.linalg.cond(s.sigma[r]) * eps * np.linalg.norm(ref)
+        assert np.abs(solved[r] - ref).max() <= bound
+        assert np.abs(running[r] - ref).max() <= bound

@@ -1,6 +1,8 @@
+import builtins
 import csv
 import dataclasses
 import math
+import os
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -78,6 +80,18 @@ class TestRunExperiment:
     def test_parallel_matches_serial(self, tmp_path):
         serial = run_experiment(tiny_config(tmp_path, jobs=1))
         parallel = run_experiment(tiny_config(tmp_path, jobs=3))
+        assert list(serial.raw_rows()) == list(parallel.raw_rows())
+
+    def test_uneven_blocks_match_serial(self, tmp_path):
+        # Two workers split each policy's three replications into blocks of
+        # one and two; every trajectory keeps the bytes of the serial run.
+        serial = run_experiment(tiny_config(tmp_path, reps=3, jobs=1))
+        parallel = run_experiment(tiny_config(tmp_path, reps=3, jobs=2))
+        assert serial.trajectories.keys() == parallel.trajectories.keys()
+        for key, traj in serial.trajectories.items():
+            other = parallel.trajectories[key]
+            for name in ("arm", "inst_regret", "est_error_l2", "gram_min_eig"):
+                assert getattr(traj, name).tobytes() == getattr(other, name).tobytes()
         assert list(serial.raw_rows()) == list(parallel.raw_rows())
 
     @pytest.mark.parametrize("kind", ["greedy", "linucb", "lints"])
@@ -178,6 +192,49 @@ class TestCsv:
         with pytest.raises(OSError, match="missing"):
             write_csv(table, out / "raw.csv", tmp_path / "missing" / "agg.csv")
         assert list(out.iterdir()) == []
+
+
+def fail_writes_to(monkeypatch, name):
+    """Make every file whose name starts with `name` fail with ENOSPC halfway
+    through its first write, as a full disk would."""
+    real_open = builtins.open
+
+    def failing_open(path, *args, **kwargs):
+        fh = real_open(path, *args, **kwargs)
+        if isinstance(path, (str, os.PathLike)) and \
+                os.path.basename(os.fspath(path)).startswith(name):
+            def write(text):
+                fh.__class__.write(fh, text[:len(text) // 2])
+                raise OSError(28, "No space left on device")
+            fh.write = write
+        return fh
+
+    monkeypatch.setattr(builtins, "open", failing_open)
+
+
+class TestAtomicOutputs:
+    @pytest.mark.parametrize("name", ["regret.svg", "diagnostics.txt"])
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, name):
+        table = run_experiment(tiny_config(tmp_path, T=15, diagnostics=True))
+        write_outputs(table)
+        out = tmp_path / "out"
+        before = (out / name).read_bytes()
+        fail_writes_to(monkeypatch, name)
+        with pytest.raises(OSError, match="No space"):
+            write_outputs(table)
+        assert (out / name).read_bytes() == before
+        assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
+
+    def test_failed_matrix_summary_keeps_previous_file(self, tmp_path, monkeypatch):
+        out = tmp_path / "matrix"
+        flags = ["--matrix", "--preset", "d20-k20", "--dist", "gaussian",
+                 "--T", "5", "--reps", "1", "--no-svg", "--out", str(out)]
+        assert cli.main(flags) == 0
+        before = (out / "summary.csv").read_bytes()
+        fail_writes_to(monkeypatch, "summary.csv")
+        assert cli.main(flags) == 2
+        assert (out / "summary.csv").read_bytes() == before
+        assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
 
 
 class TestSvg:

@@ -129,7 +129,7 @@ class TestLinUcb:
             est.update(s, rng.standard_normal(3), rng.standard_normal())
         cfg = PolicyConfig("linucb", delta=0.1)
         cs = ContextSet(rng.standard_normal((5, 3)))
-        ridge = np.linalg.solve(s.sigma + np.eye(3), s.b)
+        ridge = np.linalg.solve(s.sigma[0] + np.eye(3), s.b[0])
         assert linucb_select(s, cfg, cs, beta=0.0) == greedy_select(ridge, cs)
 
     def test_width_term_changes_choice(self):
@@ -150,7 +150,7 @@ class TestLints:
         for _ in range(15):
             est.update(s, rng.standard_normal(3), rng.standard_normal())
         cfg = PolicyConfig("lints", v_scale=1e-6, delta=0.1)
-        ridge = np.linalg.solve(s.sigma + np.eye(3), s.b)
+        ridge = np.linalg.solve(s.sigma[0] + np.eye(3), s.b[0])
         agree = 0
         n = 1000
         for _ in range(n):
@@ -199,7 +199,7 @@ class TestConfidenceRadius:
         for _ in range(3 * d):
             est.update(s, rng.standard_normal(d), rng.standard_normal())
         cfg = PolicyConfig("linucb", lambda_reg=lam, delta=0.01, sigma_assumed=0.5)
-        sign, logdet = np.linalg.slogdet(s.sigma + lam * np.eye(d))
+        sign, logdet = np.linalg.slogdet(s.sigma[0] + lam * np.eye(d))
         width = logdet - d * math.log(lam) + 2 * math.log(1 / 0.01)
         expected = 0.5 * math.sqrt(width) + math.sqrt(lam)
         assert sign > 0
