@@ -5,8 +5,16 @@ exponential, student_t, cauchy.  Any of them can be truncated to an l2 ball
 or a per-coordinate box.  A box truncation of a family with independent
 coordinates is drawn exactly by inverse CDF, one uniform per coordinate;
 ball truncations and boxes around correlated gaussians are drawn by
-whole-vector rejection.  Every family carries a local anti-concentration
-(LAC) envelope, a non-decreasing function L(r) = a1 + a2 * r**alpha with
+whole-vector rejection.
+
+Sampling is a primitive draw, the only step that uses a generator, followed
+by a deterministic map from those variates to vectors.  Several generators
+fill the slots of one (R, n, d) block and a single map converts the whole
+block; the map works element by element or row by row, so each slot equals
+the draw of its generator alone.  Rejection fills the block slot by slot.
+
+Every family carries a local anti-concentration (LAC) envelope, a
+non-decreasing function L(r) = a1 + a2 * r**alpha with
 
     ||grad log f(x)||_inf <= L(||x||_inf)    on the support,
 
@@ -328,23 +336,63 @@ class ContextSet:
         return self.vectors.shape[1]
 
 
-def _sample_raw(spec: DistributionSpec, d: int, n: int, rng: np.random.Generator) -> np.ndarray:
+def _draw(spec: DistributionSpec, d: int, n: int,
+          rng: np.random.Generator) -> np.ndarray:
+    """The primitive variates of n untruncated vectors: everything the
+    generator contributes to them, in the order a single draw takes it.  A
+    row has d columns, plus the radius uniform for the ball."""
     if spec.kind == "gaussian":
-        mean, _, L, _, _ = _gauss_resolved(spec, d)
-        return mean + rng.standard_normal((n, d)) @ L.T
-    if spec.kind == "laplace":
-        return rng.laplace(_vec(spec.loc, d), _vec(spec.scale, d), size=(n, d))
-    if spec.kind == "uniform_ball":
-        z = rng.standard_normal((n, d))
-        norms = np.linalg.norm(z, axis=1, keepdims=True)
-        norms[norms == 0.0] = 1.0
-        r = spec.radius * rng.random(n) ** (1.0 / d)
-        return z / norms * r[:, None]
+        return rng.standard_normal((n, d))
     if spec.kind == "exponential":
-        return rng.exponential(1.0 / _vec(spec.rate, d), size=(n, d))
+        return rng.standard_exponential((n, d))
+    if spec.kind == "uniform_ball":
+        P = np.empty((n, d + 1))
+        P[:, :d] = rng.standard_normal((n, d))
+        P[:, d] = rng.random(n)
+        return P
+    if spec.kind == "laplace":
+        return rng.laplace(size=(n, d))
     if spec.kind == "student_t":
         return rng.standard_t(spec.df, size=(n, d))
-    return _vec(spec.loc, d) + _vec(spec.scale, d) * rng.standard_cauchy((n, d))
+    return rng.standard_cauchy((n, d))
+
+
+def _map(spec: DistributionSpec, d: int, P: np.ndarray) -> np.ndarray:
+    """The untruncated vectors of the primitive variates P (..., n, width),
+    computed in place where the map allows.
+
+    The map works element by element or row by row (a stacked matmul is one
+    BLAS call per slot), so each slot of a block maps exactly as it would
+    alone.  Parameters enter as the spec holds them: a scalar broadcasts
+    over the block in one inner loop rather than one per row."""
+    if spec.kind == "gaussian":
+        _, _, L, _, _ = _gauss_resolved(spec, d)
+        X = P @ L.T
+        X += spec.mean
+        return X
+    if spec.kind == "uniform_ball":
+        z = P[..., :d]
+        norms = np.linalg.norm(z, axis=-1, keepdims=True)
+        norms[norms == 0.0] = 1.0
+        r = spec.radius * P[..., d] ** (1.0 / d)
+        return z / norms * r[..., None]
+    if spec.kind == "exponential":
+        P *= 1.0 / spec.rate
+    elif spec.kind != "student_t":
+        P *= spec.scale
+        P += spec.loc
+    return P
+
+
+def _sample_raw(spec: DistributionSpec, d: int, n: int, rngs) -> np.ndarray:
+    """(len(rngs), n, d) untruncated vectors; slot r is drawn from rngs[r].
+    One generator's draw is used as it comes, so an n-row pool is never
+    copied."""
+    if len(rngs) == 1:
+        P = _draw(spec, d, n, rngs[0])[None]
+    else:
+        P = np.stack([_draw(spec, d, n, rng) for rng in rngs])
+    return _map(spec, d, P)
 
 
 def _coordwise_box(spec: DistributionSpec, d: int) -> bool:
@@ -415,7 +463,7 @@ def _check_feasible(spec: DistributionSpec, d: int) -> None:
     if region is None:
         return
     probe = np.random.default_rng(181081)
-    X = _sample_raw(spec, d, _FEASIBILITY_PROBE, probe)
+    X = _sample_raw(spec, d, _FEASIBILITY_PROBE, (probe,))[0]
     if _coordwise_box(spec, d):
         lo, hi = region._bounds(d)
         acc = np.mean((X >= lo) & (X <= hi), axis=0)
@@ -430,24 +478,17 @@ def _check_feasible(spec: DistributionSpec, d: int) -> None:
                 f"region acceptance {acc:.2e} below {MIN_REGION_MASS:.0e}")
 
 
-def _sample_box_coordwise(spec: DistributionSpec, d: int, n: int,
-                          rng: np.random.Generator) -> np.ndarray:
-    # Clipping keeps a round-off past the box edge (tan(arctan(5)) can land
-    # one ulp outside) inside the support.
-    lo, hi, loc, scale, a, w, icdf = _box_inverse_cdf(spec, d)
-    return np.clip(loc + scale * icdf(a + w * rng.random((n, d))), lo, hi)
-
-
-def _sample_reject_vectors(spec: DistributionSpec, d: int, n: int,
-                           rng: np.random.Generator,
-                           max_attempts: int = MAX_REJECTION_ATTEMPTS) -> np.ndarray:
+def _sample_reject_vectors(spec: DistributionSpec, d: int, rng: np.random.Generator,
+                           out: np.ndarray,
+                           max_attempts: int = MAX_REJECTION_ATTEMPTS) -> None:
+    """Fill the rows of `out` with whole-vector rejection draws."""
     region = spec.truncation
-    out = np.empty((n, d))
+    n = out.shape[0]
     unfilled = np.arange(n)
     attempts = np.zeros(n)
     mult = 1
     while unfilled.size:
-        cand = _sample_raw(spec, d, unfilled.size * mult, rng)
+        cand = _sample_raw(spec, d, unfilled.size * mult, (rng,))[0]
         good = cand[region.contains(cand)]
         k = min(good.shape[0], unfilled.size)
         out[unfilled[:k]] = good[:k]
@@ -456,31 +497,57 @@ def _sample_reject_vectors(spec: DistributionSpec, d: int, n: int,
         if unfilled.size and attempts[unfilled].max() > max_attempts:
             raise InfeasibleTruncationError(f"rejection cap {max_attempts} exceeded")
         mult = min(mult * 2, 4096)
-    return out
 
 
-def _sample_matrix(spec: DistributionSpec, d: int, n: int,
-                   rng: np.random.Generator) -> np.ndarray:
-    """n vectors from the spec, restricted to its truncation region if any."""
+def _sample_block(spec: DistributionSpec, d: int, n: int, rngs) -> np.ndarray:
+    """(len(rngs), n, d) block of vectors from the spec, restricted to its
+    truncation region if any; slot r is drawn from rngs[r] alone.
+
+    Each generator fills its slot with primitive variates, and one
+    deterministic map turns the whole block into vectors.  Regions sampled
+    by rejection draw slot by slot.
+    """
     if spec.truncation is None:
-        return _sample_raw(spec, d, n, rng)
+        return _sample_raw(spec, d, n, rngs)
     _check_feasible(spec, d)
-    if _coordwise_box(spec, d):
-        return _sample_box_coordwise(spec, d, n, rng)
-    return _sample_reject_vectors(spec, d, n, rng)
+    X = np.empty((len(rngs), n, d))
+    if not _coordwise_box(spec, d):
+        for rng, slot in zip(rngs, X):
+            _sample_reject_vectors(spec, d, rng, slot)
+        return X
+    for rng, slot in zip(rngs, X):
+        rng.random(out=slot)
+    # loc + scale * G^-1(a + w U), computed in place.  Clipping keeps a
+    # round-off past the box edge (tan(arctan(5)) can land one ulp outside)
+    # inside the support.
+    lo, hi, loc, scale, a, w, icdf = _box_inverse_cdf(spec, d)
+    X *= w
+    X += a
+    X = icdf(X)
+    X *= scale
+    X += loc
+    return np.clip(X, lo, hi, out=X)
 
 
 def sample_context_set(spec: DistributionSpec, d: int, K: int,
-                       rng: np.random.Generator) -> ContextSet:
+                       rng: np.random.Generator | list[np.random.Generator]
+                       ) -> ContextSet | np.ndarray:
     """Draw the K per-arm context vectors for one round.
 
     Arms are always drawn independently; a gaussian spec's rho correlates
-    coordinates within each arm's vector.
+    coordinates within each arm's vector.  With one Generator the result is
+    a ContextSet.  With a sequence of R generators it is the (R, K, d) array
+    whose slot r equals, byte for byte, the vectors drawn from rng[r] alone.
     """
     d = resolve_dim(spec, d)
     if K < 1:
         raise ValueError("K must be >= 1")
-    return ContextSet(_sample_matrix(spec, d, int(K), rng))
+    if isinstance(rng, np.random.Generator):
+        return ContextSet(_sample_block(spec, d, int(K), (rng,))[0])
+    X = _sample_block(spec, d, int(K), rng)
+    if not np.isfinite(X).all():
+        raise ValueError("context vectors must be finite")
+    return X
 
 
 # ---------------------------------------------------------------------------
@@ -698,7 +765,8 @@ def verify_lac(spec: DistributionSpec, n_samples: int, tol: float,
     if n_samples < 1000:
         raise ValueError("n_samples must be >= 1000")
     d = resolve_dim(spec, d)
-    X = np.vstack([_sample_matrix(spec, d, int(n_samples), rng), _mode_grid(spec, d)])
+    X = np.vstack([_sample_block(spec, d, int(n_samples), (rng,))[0],
+                   _mode_grid(spec, d)])
     n_total = X.shape[0]
     keep = _interior_mask(spec, X, margin=0.0)
     n_skipped = int(n_total - keep.sum())
@@ -783,8 +851,8 @@ def decay_rate_check(spec: DistributionSpec, region: Region | None,
         raise ValueError("spec truncation conflicts with the requested region")
     d = resolve_dim(sampler, d)
     n_pairs = int(n_pairs)
-    X1 = _sample_matrix(sampler, d, n_pairs, rng)
-    X2 = _sample_matrix(sampler, d, n_pairs, rng)
+    X1 = _sample_block(sampler, d, n_pairs, (rng,))[0]
+    X2 = _sample_block(sampler, d, n_pairs, (rng,))[0]
     ld1 = _log_density_batch(sampler, X1)
     ld2 = _log_density_batch(sampler, X2)
     lac = lac_function(sampler, d)

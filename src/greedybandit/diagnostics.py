@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contexts import DistributionSpec, _sample_matrix, resolve_dim
+from .contexts import DistributionSpec, _sample_block, resolve_dim
 from .env import Trajectory
 
 _N_BATCHES = 20
@@ -27,7 +27,7 @@ _MARGIN_CHUNK = 10**4
 def _sample_pool(spec: DistributionSpec, d: int, K: int, n_mc: int,
                  rng: np.random.Generator) -> np.ndarray:
     """(n_mc, K, d) stack of context sets drawn in one vectorized pass."""
-    flat = _sample_matrix(spec, d, int(n_mc) * int(K), rng)
+    flat = _sample_block(spec, d, int(n_mc) * int(K), (rng,))[0]
     return flat.reshape(int(n_mc), int(K), d)
 
 

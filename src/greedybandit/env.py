@@ -9,12 +9,13 @@ The loop advances R replications of one policy in lockstep over the
 stacked Gram state (see estimator): one pass per round serves all R, and a
 single episode is the case R = 1.  Each replication keeps its own
 generator and draws its contexts, posterior sample and reward noise from it
-in the order of a single run.  Scores, regrets and updates are array
-operations that compute every row exactly as a block of one does: a stacked
-matmul or vecdot makes one BLAS gemv or dot call per replication, never one
-product over the whole stack, whose kernel blocking would round some rows
-differently.  A replication's trajectory is therefore byte-identical
-whichever block it runs in.
+in the order of a single run; one sample_context_set call per round fills
+the (R, K, d) context block, each replication's slot from its generator.
+Scores, regrets and updates are array operations that compute every row
+exactly as a block of one does: a stacked matmul or vecdot makes one BLAS
+gemv or dot call per replication, never one product over the whole stack,
+whose kernel blocking would round some rows differently.  A replication's
+trajectory is therefore byte-identical whichever block it runs in.
 """
 
 from __future__ import annotations
@@ -146,8 +147,7 @@ def run_episode(instance: BanditInstance, config: PolicyConfig, T: int,
     arms, best_arms = np.empty((2, T, R), dtype=np.intp)
     rewards, regrets, errors, eigs, norms = np.full((5, T, R), np.nan)
     for i in range(T):
-        X = np.array([sample_context_set(instance.spec, d, K, g).vectors
-                      for g in rngs])
+        X = sample_context_set(instance.spec, d, K, rngs)
         arm = policies.policy_step(state, config, X, i + 1, rngs)
         x = X[rows, arm]
         y = reward(instance, x, rngs)
@@ -159,7 +159,8 @@ def run_episode(instance: BanditInstance, config: PolicyConfig, T: int,
             errors[i] = np.sqrt(np.vecdot(diff, diff))
         arms[i], rewards[i] = arm, y
         eigs[i] = estimator.min_eigenvalue(state)
-        norms[i] = np.linalg.norm(X, axis=2).max(axis=1)
+        # sqrt is monotone, so the root of the largest square is the max norm.
+        norms[i] = np.sqrt(np.vecdot(X, X).max(axis=-1))
     # Each replication's columns become contiguous rows.
     columns = [np.ascontiguousarray(c.T)
                for c in (arms, best_arms, rewards, regrets, errors, eigs, norms)]

@@ -199,16 +199,6 @@ def run_experiment(config: ExperimentConfig) -> ResultsTable:
 # CSV
 
 
-def _csv_cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return repr(float(v))
-
-
 @contextlib.contextmanager
 def replacing(*targets):
     """Yield a temporary `<target>.tmp` path beside each target.  When the
@@ -234,11 +224,12 @@ def write_rows(path, columns, rows) -> None:
 
 
 def _write_rows(path: str, columns, rows) -> None:
+    # The rows hold Python str, int, float and None cells; the csv module
+    # writes a float as its repr and None as an empty cell, and quotes strings.
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(columns)
-        for row in rows:
-            w.writerow([_csv_cell(v) for v in row])
+        w.writerows(rows)
 
 
 def _write_text(path, text: str) -> None:

@@ -112,7 +112,7 @@ class TestSampling:
 
     def test_rho_equicorrelation_matches_matrix(self, rng):
         spec = gaussian_spec(cov=1.0, rho=0.7)
-        X = ctx._sample_matrix(spec, 2, 10**5, rng)
+        X = ctx._sample_block(spec, 2, 10**5, (rng,))[0]
         emp = np.cov(X.T)
         assert np.abs(emp - np.array([[1.0, 0.7], [0.7, 1.0]])).max() < 0.02
 
@@ -153,31 +153,31 @@ class TestSampling:
         # Mean (or location quantile for heavy tails) within 3 MC standard
         # errors at 1e5 draws per untruncated kind.
         n = 10**5
-        X = ctx._sample_matrix(gaussian_spec(mean=np.array([1.0, -2.0])), 2, n, rng)
+        X = ctx._sample_block(gaussian_spec(mean=np.array([1.0, -2.0])), 2, n, (rng,))[0]
         se = X.std(axis=0, ddof=1) / math.sqrt(n)
         assert np.all(np.abs(X.mean(axis=0) - [1.0, -2.0]) < 3 * se)
 
-        X = ctx._sample_matrix(laplace_spec(loc=0.5, scale=2.0), 2, n, rng)
+        X = ctx._sample_block(laplace_spec(loc=0.5, scale=2.0), 2, n, (rng,))[0]
         se = X.std(axis=0, ddof=1) / math.sqrt(n)
         assert np.all(np.abs(X.mean(axis=0) - 0.5) < 3 * se)
 
-        X = ctx._sample_matrix(exponential_spec(rate=2.0), 2, n, rng)
+        X = ctx._sample_block(exponential_spec(rate=2.0), 2, n, (rng,))[0]
         se = X.std(axis=0, ddof=1) / math.sqrt(n)
         assert np.all(np.abs(X.mean(axis=0) - 0.5) < 3 * se)
 
-        X = ctx._sample_matrix(uniform_ball_spec(radius=2.0), 2, n, rng)
+        X = ctx._sample_block(uniform_ball_spec(radius=2.0), 2, n, (rng,))[0]
         se = X.std(axis=0, ddof=1) / math.sqrt(n)
         assert np.all(np.abs(X.mean(axis=0)) < 3 * se)
         # Radial CDF of the unit-ball at radius r is (r/R)^d.
         r_med = np.median(np.linalg.norm(X, axis=1))
         assert abs(r_med - 2.0 * math.sqrt(0.5)) < 0.01
 
-        X = ctx._sample_matrix(student_t_spec(df=3.0), 2, n, rng)
+        X = ctx._sample_block(student_t_spec(df=3.0), 2, n, (rng,))[0]
         se = X.std(axis=0, ddof=1) / math.sqrt(n)
         assert np.all(np.abs(X.mean(axis=0)) < 3 * se)
 
         # Cauchy has no mean: check location and scale via quartiles.
-        X = ctx._sample_matrix(cauchy_spec(loc=1.0, scale=0.5), 1, n, rng)
+        X = ctx._sample_block(cauchy_spec(loc=1.0, scale=0.5), 1, n, (rng,))[0]
         q1, q2, q3 = np.quantile(X[:, 0], [0.25, 0.5, 0.75])
         assert abs(q2 - 1.0) < 0.02
         assert abs((q3 - q1) / 2 - 0.5) < 0.02
@@ -210,7 +210,7 @@ class TestBoxInverseCdf:
         # One-sample KS test of each coordinate against the analytic
         # truncated CDF (F(x) - F(lo)) / (F(hi) - F(lo)) at a fixed seed.
         spec, d, (lo, hi), laws = BOX_CASES[name]
-        X = ctx._sample_matrix(spec, d, 20000, np.random.default_rng(11))
+        X = ctx._sample_block(spec, d, 20000, (np.random.default_rng(11),))[0]
         assert np.all((X >= lo) & (X <= hi))
         for j, law in enumerate(laws):
             f_lo, f_hi = law.cdf(lo), law.cdf(hi)
@@ -225,10 +225,78 @@ class TestBoxInverseCdf:
     def test_draws_do_not_depend_on_chunking(self, spec):
         # Exactly n * d uniforms per call, so drawing in chunks (as the
         # margin estimator does) gives the same rows as one draw.
-        whole = ctx._sample_matrix(spec, 3, 70, np.random.default_rng(4))
+        whole = ctx._sample_block(spec, 3, 70, (np.random.default_rng(4),))[0]
         rng = np.random.default_rng(4)
-        parts = [ctx._sample_matrix(spec, 3, n, rng) for n in (30, 40)]
+        parts = [ctx._sample_block(spec, 3, n, (rng,))[0] for n in (30, 40)]
         np.testing.assert_array_equal(whole, np.vstack(parts))
+
+
+# Every sampling path at dimension d: untruncated families, factorizing box
+# truncations drawn by inverse CDF (scalar and per-coordinate parameters),
+# and the regions drawn by whole-vector rejection.
+BLOCK_SPECS = {
+    "gaussian": lambda d: gaussian_spec(),
+    "gaussian-rho": lambda d: gaussian_spec(cov=1.0, rho=0.7),
+    "gaussian-vector": lambda d: gaussian_spec(mean=np.linspace(-1.0, 1.0, d),
+                                               cov=np.linspace(0.5, 2.0, d)),
+    "laplace": lambda d: laplace_spec(loc=0.5, scale=2.0),
+    "uniform-ball": lambda d: uniform_ball_spec(radius=math.sqrt(d)),
+    "exponential": lambda d: exponential_spec(rate=1.5),
+    "student-t": lambda d: student_t_spec(df=3.0),
+    "cauchy": lambda d: cauchy_spec(loc=1.0, scale=0.5),
+    "box-cauchy": lambda d: cauchy_spec(truncation=box(-5.0, 5.0)),
+    "box-cauchy-vector": lambda d: cauchy_spec(loc=np.linspace(-1.0, 1.0, d),
+                                               truncation=box(-5.0, 5.0)),
+    "box-student-t": lambda d: student_t_spec(df=2.0, truncation=box(-5.0, 5.0)),
+    "box-gaussian": lambda d: gaussian_spec(mean=0.5, cov=2.0, truncation=box(-3.0, 3.0)),
+    "box-laplace": lambda d: laplace_spec(loc=0.5, scale=2.0, truncation=box(-1.0, 6.0)),
+    "box-exponential": lambda d: exponential_spec(rate=1.5, truncation=box(-1.0, 3.0)),
+    "reject-box-gaussian-rho": lambda d: gaussian_spec(cov=1.0, rho=0.5,
+                                                       truncation=box(-3.0, 3.0)),
+    "reject-ball-laplace": lambda d: laplace_spec(truncation=ball(2.0 * math.sqrt(d))),
+    "reject-ball-gaussian": lambda d: gaussian_spec(truncation=ball(math.sqrt(d) + 1.0)),
+    "reject-box-uniform-ball": lambda d: uniform_ball_spec(radius=2.0, truncation=box(-1.0, 1.0)),
+}
+
+
+class TestBlockDraw:
+    @pytest.mark.parametrize("name", sorted(BLOCK_SPECS))
+    def test_block_equals_stacked_single_draws(self, name):
+        # Slot r of a block holds, byte for byte, what rng r draws alone.
+        for d in (1, 5, 20):
+            spec = BLOCK_SPECS[name](d)
+            for R in (1, 3):
+                for K in (1, 7):
+                    seeds = [100 * d + 10 * R + K + r for r in range(R)]
+                    block = sample_context_set(spec, d, K,
+                                               [np.random.default_rng(s) for s in seeds])
+                    alone = np.array([sample_context_set(spec, d, K,
+                                                         np.random.default_rng(s)).vectors
+                                      for s in seeds])
+                    assert block.shape == (R, K, d)
+                    assert block.tobytes() == alone.tobytes(), (d, R, K)
+
+    @pytest.mark.parametrize("bad", [0, 1, 2])
+    def test_non_finite_slot_rejected(self, bad, monkeypatch):
+        rngs = [np.random.default_rng(s) for s in range(3)]
+        draw = ctx._draw
+
+        def draw_inf_in_one_slot(spec, d, n, rng):
+            P = draw(spec, d, n, rng)
+            if rng is rngs[bad]:
+                P[-1, -1] = np.inf
+            return P
+
+        monkeypatch.setattr(ctx, "_draw", draw_inf_in_one_slot)
+        with pytest.raises(ValueError, match="finite"):
+            sample_context_set(cauchy_spec(), 4, 5, rngs)
+
+    def test_single_generator_gives_context_set(self):
+        out = sample_context_set(gaussian_spec(), 3, 4, np.random.default_rng(0))
+        assert isinstance(out, ctx.ContextSet)
+        assert out.vectors.shape == (4, 3)
+        block = sample_context_set(gaussian_spec(), 3, 4, [np.random.default_rng(0)])
+        assert block.tobytes() == out.vectors.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +405,7 @@ def test_gradient_matches_finite_difference(kind, d, scale, seed):
     else:
         spec = cauchy_spec(scale=scale)
     rng = np.random.default_rng(seed)
-    X = ctx._sample_matrix(spec, d, 50, rng)
+    X = ctx._sample_block(spec, d, 50, (rng,))[0]
     keep = ctx._interior_mask(spec, X, margin=1e-4)
     X = X[keep]
     h = 1e-5

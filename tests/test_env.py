@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import lapack
 
+from greedybandit import env, policies
 from greedybandit.contexts import ContextSet, gaussian_spec, uniform_ball_spec
 from greedybandit.env import (BanditInstance, Trajectory, instantaneous_regret,
                               make_instance, reward, run_episode, sphere_vector)
@@ -304,3 +305,29 @@ def test_episode_does_not_import_scipy_special():
                           text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_block_round_looks_up_traced_names(monkeypatch):
+    # perfbench's tracer wraps env.sample_context_set and policies.policy_step
+    # by name and keys policy_step on its PolicyConfig second argument, so a
+    # rename or a changed call fails here instead of in a traced run.
+    contexts_calls, step_configs = [], []
+    sample, step = env.sample_context_set, policies.policy_step
+
+    def counted_sample(spec, d, K, rngs):
+        contexts_calls.append(rngs)
+        return sample(spec, d, K, rngs)
+
+    def counted_step(*args, **kwargs):
+        step_configs.append(args[1])
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(env, "sample_context_set", counted_sample)
+    monkeypatch.setattr(policies, "policy_step", counted_step)
+    run_episode(small_instance(), PolicyConfig("linucb"), 5, [1, 2, 3])
+    assert len(contexts_calls) == 5
+    for rngs in contexts_calls:
+        assert len(rngs) == 3
+        assert all(isinstance(g, np.random.Generator) for g in rngs)
+    assert len(step_configs) == 5
+    assert all(isinstance(c, PolicyConfig) for c in step_configs)

@@ -8,7 +8,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from greedybandit import cli
+from greedybandit import cli, harness
 from greedybandit.contexts import (gaussian_spec, laplace_spec,
                                    sample_context_set, spec_to_config)
 from greedybandit.harness import (AGGREGATE_COLUMNS, ConfigError,
@@ -168,6 +168,32 @@ class TestCsv:
         table = run_experiment(tiny_config(tmp_path, T=2, reps=1))
         with pytest.raises(OSError, match="no/such"):
             write_csv(table, tmp_path / "no" / "such" / "raw.csv")
+
+    def test_quoted_policy_name_matches_csv_module(self, tmp_path):
+        # With a comma and a double quote in a policy name the files must
+        # still be the csv module's bytes, with floats written as their repr
+        # and a missing estimate empty, and parse back to the same rows.
+        name = 'ucb, "tuned"'
+        cfg = tiny_config(tmp_path, T=4, reps=2, policies=[
+            PolicyConfig("linucb", name=name, sigma_assumed=0.5),
+            PolicyConfig("greedy", sigma_assumed=0.5)])
+        table = run_experiment(cfg)
+        raw, agg = tmp_path / "raw.csv", tmp_path / "agg.csv"
+        write_csv(table, raw, agg)
+        for path, columns, rows in ((raw, RAW_COLUMNS, table.raw_rows()),
+                                    (agg, AGGREGATE_COLUMNS, table.aggregate_rows())):
+            ref = tmp_path / f"ref_{path.name}"
+            with open(ref, "w", encoding="utf-8", newline="") as fh:
+                w = csv.writer(fh, lineterminator="\n")
+                w.writerow(columns)
+                w.writerows([repr(v) if isinstance(v, float) else
+                             "" if v is None else v for v in row] for row in rows)
+            assert path.read_bytes() == ref.read_bytes()
+        assert '"ucb, ""tuned"""' in raw.read_text(encoding="utf-8")
+        parsed = load_raw_csv(raw)
+        assert parsed == list(table.raw_rows())
+        assert {row[0] for row in parsed} == {name, "greedy"}
+        assert any(row[5] is None for row in parsed)
 
     def test_failed_aggregate_leaves_no_new_raw(self, tmp_path, monkeypatch):
         table = run_experiment(tiny_config(tmp_path, T=3, reps=1))
@@ -557,3 +583,19 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             cli.main(["--dist", "gaussian,laplace"])
         assert exc.value.code == 2
+
+
+def test_run_experiment_calls_run_episode_by_name(tmp_path, monkeypatch):
+    # perfbench's tracer wraps harness.run_episode by name and keys it on its
+    # PolicyConfig second argument; a rename or a changed call fails here.
+    configs = []
+    run = harness.run_episode
+
+    def counted(*args, **kwargs):
+        configs.append(args[1])
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_episode", counted)
+    table = run_experiment(tiny_config(tmp_path, T=3, reps=2))
+    assert all(isinstance(c, PolicyConfig) for c in configs)
+    assert [c.name for c in configs] == table.policy_names
