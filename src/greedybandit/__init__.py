@@ -1,7 +1,7 @@
 """Simulation laboratory for exploration-free linear contextual bandits."""
 
-from .contexts import (ContextSet, DistributionSpec, LacCheckReport, LacFunction,
-                       Region, ball, box, cauchy_spec, decay_rate_check,
+from .contexts import (DistributionSpec, LacCheckReport, LacFunction, Region,
+                       ball, box, cauchy_spec, decay_rate_check,
                        exponential_spec, gaussian_spec, grad_log_density,
                        lac_function, laplace_spec, log_density,
                        sample_context_set, spec_from_config, spec_to_config,
@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BanditInstance", "ConcentrationEstimate", "ConfigError",
-    "ConsistencyReport", "ContextSet", "DiagnosticsReport", "DistributionSpec",
+    "ConsistencyReport", "DiagnosticsReport", "DistributionSpec",
     "DiversityEstimate", "ExperimentConfig", "GramState", "GrowthReport",
     "LacCheckReport", "LacFunction", "MarginEstimate", "NotIdentifiedError",
     "PolicyConfig", "Region", "ResultsTable", "Trajectory",

@@ -8,10 +8,12 @@ ball truncations and boxes around correlated gaussians are drawn by
 whole-vector rejection.
 
 Sampling is a primitive draw, the only step that uses a generator, followed
-by a deterministic map from those variates to vectors.  Several generators
-fill the slots of one (R, n, d) block and a single map converts the whole
-block; the map works element by element or row by row, so each slot equals
-the draw of its generator alone.  Rejection fills the block slot by slot.
+by a deterministic map from those variates to vectors.  R generators fill
+the slots of one (R, n, d) block and a single map converts the whole block;
+the map works element by element or row by row, so each slot equals the
+draw of its generator alone.  Rejection fills the block slot by slot.
+`sample_context_set` returns one round's (R, K, d) context block; one
+replication is the block R = 1.
 
 Every family carries a local anti-concentration (LAC) envelope, a
 non-decreasing function L(r) = a1 + a2 * r**alpha with
@@ -314,28 +316,6 @@ def _gauss_resolved(spec: DistributionSpec, d: int):
 # Sampling
 
 
-@dataclass(eq=False)
-class ContextSet:
-    """K context vectors, one row per arm."""
-
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        self.vectors = np.asarray(self.vectors, dtype=float)
-        if self.vectors.ndim != 2:
-            raise ValueError("context set must be a K x d array")
-        if not np.isfinite(self.vectors).all():
-            raise ValueError("context vectors must be finite")
-
-    @property
-    def n_arms(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
-
-
 def _draw(spec: DistributionSpec, d: int, n: int,
           rng: np.random.Generator) -> np.ndarray:
     """The primitive variates of n untruncated vectors: everything the
@@ -530,21 +510,18 @@ def _sample_block(spec: DistributionSpec, d: int, n: int, rngs) -> np.ndarray:
 
 
 def sample_context_set(spec: DistributionSpec, d: int, K: int,
-                       rng: np.random.Generator | list[np.random.Generator]
-                       ) -> ContextSet | np.ndarray:
-    """Draw the K per-arm context vectors for one round.
+                       rngs: list[np.random.Generator]) -> np.ndarray:
+    """Draw the K per-arm context vectors of one round for each of R
+    replications: the (R, K, d) array whose slot r equals, byte for byte, the
+    vectors drawn from rngs[r] alone.
 
     Arms are always drawn independently; a gaussian spec's rho correlates
-    coordinates within each arm's vector.  With one Generator the result is
-    a ContextSet.  With a sequence of R generators it is the (R, K, d) array
-    whose slot r equals, byte for byte, the vectors drawn from rng[r] alone.
+    coordinates within each arm's vector.
     """
     d = resolve_dim(spec, d)
     if K < 1:
         raise ValueError("K must be >= 1")
-    if isinstance(rng, np.random.Generator):
-        return ContextSet(_sample_block(spec, d, int(K), (rng,))[0])
-    X = _sample_block(spec, d, int(K), rng)
+    X = _sample_block(spec, d, int(K), rngs)
     if not np.isfinite(X).all():
         raise ValueError("context vectors must be finite")
     return X

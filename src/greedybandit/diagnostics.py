@@ -261,11 +261,9 @@ def estimate_concentration_params(spec: DistributionSpec, d: int, K: int,
     n = pool.shape[0]
     half = math.sqrt(target_p * (1.0 - target_p) / n)
     worst_q, worst_se = -np.inf, 0.0
+    probs = [target_p, max(target_p - half, 0.0), min(target_p + half, 1.0)]
     for eta in dirs:
-        m = np.sort(np.max(pool @ eta, axis=1))
-        q = float(np.quantile(m, target_p))
-        lo = float(np.quantile(m, max(target_p - half, 0.0)))
-        hi = float(np.quantile(m, min(target_p + half, 1.0)))
+        q, lo, hi = np.quantile(np.max(pool @ eta, axis=1), probs).tolist()
         if q > worst_q:
             worst_q, worst_se = q, 0.5 * (hi - lo)
     raw = worst_q / R
@@ -396,8 +394,6 @@ class DiagnosticsReport:
     c_star_hat: float | None
     p_star_hat: float | None
     x_max_hat: float
-    consistency_series: list[tuple[int, float]]
-    growth_series: list[tuple[int, float]]
     growth: GrowthReport
     consistency: ConsistencyReport
     notes: list[str] = field(default_factory=list)
@@ -434,9 +430,6 @@ def run_diagnostics(spec: DistributionSpec, d: int, K: int, theta_star,
         c_star_hat=c_star,
         p_star_hat=p_star,
         x_max_hat=x_max,
-        consistency_series=consistency_curve(trajectory),
-        growth_series=list(zip(trajectory.t.tolist(),
-                               (trajectory.gram_min_eig / trajectory.t).tolist())),
         growth=growth,
         consistency=cons,
         notes=notes,

@@ -7,7 +7,7 @@ realized context set.
 
 The loop advances R replications of one policy in lockstep over the
 stacked Gram state (see estimator): one pass per round serves all R, and a
-single episode is the case R = 1.  Each replication keeps its own
+single episode is the block R = 1.  Each replication keeps its own
 generator and draws its contexts, posterior sample and reward noise from it
 in the order of a single run; one sample_context_set call per round fills
 the (R, K, d) context block, each replication's slot from its generator.
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import estimator, policies
-from .contexts import ContextSet, DistributionSpec, resolve_dim, sample_context_set
+from .contexts import DistributionSpec, resolve_dim, sample_context_set
 from .policies import PolicyConfig
 
 
@@ -83,25 +83,21 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.inst_regret)
 
-    def final_regret(self) -> float:
-        return float(self.cum_regret[-1]) if len(self) else 0.0
 
-
-def reward(instance: BanditInstance, x, rng):
-    """Linear mean plus sigma-scaled gaussian noise: x (R, d) with one
-    generator per row, or one x (d,) with one generator."""
-    x = np.asarray(x, dtype=float)
-    rngs = [rng] if isinstance(rng, np.random.Generator) else rng
+def reward(instance: BanditInstance, x: np.ndarray,
+           rngs: list[np.random.Generator]) -> np.ndarray:
+    """Linear mean plus sigma-scaled gaussian noise for the R chosen arms
+    x (R, d), row r's noise drawn from rngs[r]."""
     noise = [instance.sigma * g.standard_normal() for g in rngs]
-    return np.vecdot(x, instance.theta_star) + np.array(noise).reshape(x.shape[:-1])
+    return np.vecdot(x, instance.theta_star) + np.array(noise)
 
 
-def instantaneous_regret(instance: BanditInstance, contexts, arm):
-    """Noise-free regret of the chosen arm and the index of the best arm, for
-    one ContextSet and arm or for (R, K, d) contexts and R arms."""
-    X = contexts.vectors if isinstance(contexts, ContextSet) else contexts
-    means = np.matmul(X, instance.theta_star)
-    chosen = means[arm] if means.ndim == 1 else means[np.arange(len(means)), arm]
+def instantaneous_regret(instance: BanditInstance, contexts: np.ndarray,
+                         arm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Noise-free regret of each chosen arm and the index of each best arm,
+    for (R, K, d) contexts and R arms."""
+    means = np.matmul(contexts, instance.theta_star)
+    chosen = means[np.arange(len(means)), arm]
     return means.max(axis=-1) - chosen, means.argmax(axis=-1)
 
 
@@ -124,12 +120,10 @@ def make_instance(spec: DistributionSpec, d: int, K: int, sigma: float,
 
 
 def run_episode(instance: BanditInstance, config: PolicyConfig, T: int,
-                seed) -> Trajectory | list[Trajectory]:
-    """Simulate T rounds; the whole episode is a function of (inputs, seed).
-
-    `seed` may also be a list of seeds: those replications run in lockstep
-    and one Trajectory per seed comes back, each equal byte for byte to the
-    run of its seed alone.
+                seeds: list[int]) -> list[Trajectory]:
+    """Simulate T rounds of one replication per seed, in lockstep.  Each
+    Trajectory is a function of (inputs, its seed) alone: equal byte for
+    byte to the run of its seed in a block of one.
     """
     T = int(T)
     if T < 1:
@@ -139,8 +133,7 @@ def run_episode(instance: BanditInstance, config: PolicyConfig, T: int,
         raise ValueError("greedy episodes need theta0")
     if config.theta0 is not None and config.theta0.shape != (instance.d,):
         raise ValueError(f"theta0 must have shape ({instance.d},)")
-    rngs = [np.random.default_rng(s)
-            for s in (seed if isinstance(seed, list) else [seed])]
+    rngs = [np.random.default_rng(s) for s in seeds]
     R, d, K = len(rngs), instance.d, instance.K
     state = estimator.init(d, R)
     rows = np.arange(R)
@@ -148,7 +141,7 @@ def run_episode(instance: BanditInstance, config: PolicyConfig, T: int,
     rewards, regrets, errors, eigs, norms = np.full((5, T, R), np.nan)
     for i in range(T):
         X = sample_context_set(instance.spec, d, K, rngs)
-        arm = policies.policy_step(state, config, X, i + 1, rngs)
+        arm = policies.policy_step(state, config, X, rngs)
         x = X[rows, arm]
         y = reward(instance, x, rngs)
         regrets[i], best_arms[i] = instantaneous_regret(instance, X, arm)
@@ -164,5 +157,4 @@ def run_episode(instance: BanditInstance, config: PolicyConfig, T: int,
     # Each replication's columns become contiguous rows.
     columns = [np.ascontiguousarray(c.T)
                for c in (arms, best_arms, rewards, regrets, errors, eigs, norms)]
-    trajectories = [Trajectory(*(c[r] for c in columns)) for r in range(R)]
-    return trajectories if isinstance(seed, list) else trajectories[0]
+    return [Trajectory(*(c[r] for c in columns)) for r in range(R)]

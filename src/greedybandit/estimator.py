@@ -203,9 +203,3 @@ def min_eigenvalue(state: GramState) -> np.ndarray:
             raise np.linalg.LinAlgError(f"dsyevr failed (info {info})")
         out.append(w[0])
     return np.array(out)
-
-
-def weighted_norm(state: GramState, v) -> np.ndarray:
-    """sqrt(v^T Sigma v) per replication, clipped at zero against roundoff."""
-    v = np.asarray(v, dtype=float)
-    return np.sqrt(np.maximum(np.einsum("i,rij,j->r", v, state.sigma, v), 0.0))

@@ -11,7 +11,8 @@ widths, and LinTS's posterior draw.
 Every rule acts on the stacked state of R replications (see estimator) and
 their (R, K, d) context sets, and returns R arms; scores and argmax are
 array operations, while factorizations and LinTS's draws run per
-replication.  A single ContextSet is the stack of one.
+replication, LinTS's from one generator each.  One replication is the
+stack R = 1.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import numpy as np
 from scipy.linalg import lapack
 
 from . import estimator
-from .contexts import ContextSet
 from .estimator import GramState
 
 POLICY_KINDS = ("greedy", "linucb", "lints")
@@ -72,33 +72,18 @@ class PolicyConfig:
 
 
 def _stacked(contexts, reps: int, dim: int) -> np.ndarray:
-    """The (R, K, d) context vectors of a stacked array, or of one ContextSet
-    or (K, d) array when R = 1."""
-    X = contexts.vectors if isinstance(contexts, ContextSet) else np.asarray(
-        contexts, dtype=float)
-    if X.ndim == 2:
-        X = X[None]
-    if X.shape[-1] != dim:
-        raise ValueError(f"context dim {X.shape[-1]} != state dim {dim}")
-    if X.ndim != 3 or X.shape[0] != reps:
-        raise ValueError(f"expected {reps} context sets, got shape {X.shape}")
+    """The (R, K, d) context block, checked against the state's R and d."""
+    X = np.asarray(contexts, dtype=float)
+    if X.ndim != 3 or X.shape[0] != reps or X.shape[2] != dim:
+        raise ValueError(f"expected ({reps}, K, {dim}) contexts, got shape {X.shape}")
     return X
-
-
-def _generators(rng, reps: int) -> list[np.random.Generator]:
-    """One generator per replication; a single one serves a stack of one."""
-    rngs = [rng] if isinstance(rng, np.random.Generator) else list(rng)
-    if len(rngs) != reps:
-        raise ValueError(f"expected {reps} random generators, got {len(rngs)}")
-    return rngs
 
 
 def greedy_select(theta, contexts):
     """Index of the highest-scoring arm; ties break to the lowest index.
     Broadcasts: theta (R, d) against contexts (R, K, d) gives R choices."""
-    X = contexts.vectors if isinstance(contexts, ContextSet) else contexts
     theta = np.asarray(theta, dtype=float)
-    return np.matmul(X, theta[..., None])[..., 0].argmax(axis=-1)
+    return np.matmul(contexts, theta[..., None])[..., 0].argmax(axis=-1)
 
 
 def _ridge(state: GramState, lambda_reg: float):
@@ -129,7 +114,7 @@ def _radius(L: np.ndarray, config: PolicyConfig) -> np.ndarray:
         for s in np.log(np.diagonal(L, axis1=-2, axis2=-1)).sum(axis=-1).tolist()])
 
 
-def confidence_radius(state: GramState, config: PolicyConfig, t: int) -> np.ndarray:
+def confidence_radius(state: GramState, config: PolicyConfig) -> np.ndarray:
     """LinUCB bonus multipliers from the determinants of the ridge Gram
     matrices, one per replication."""
     return _radius(_ridge(state, config.lambda_reg)[0], config)
@@ -154,10 +139,12 @@ def linucb_select(state: GramState, config: PolicyConfig, contexts,
 
 
 def lints_select(state: GramState, config: PolicyConfig, contexts,
-                 rng) -> np.ndarray:
+                 rngs: list[np.random.Generator]) -> np.ndarray:
+    if len(rngs) != state.reps:
+        raise ValueError(f"expected {state.reps} random generators, got {len(rngs)}")
     L, theta_tilde = _ridge(state, config.lambda_reg)
     perturb = np.empty(theta_tilde.shape)
-    for r, g in enumerate(_generators(rng, state.reps)):
+    for r, g in enumerate(rngs):
         z = g.standard_normal(state.dim)
         # L^-T z has covariance sigma_bar^-1.
         perturb[r], _ = lapack.dtrtrs(L[r], z, lower=1, trans=1)
@@ -165,9 +152,9 @@ def lints_select(state: GramState, config: PolicyConfig, contexts,
     return greedy_select(theta_sample, _stacked(contexts, state.reps, state.dim))
 
 
-def policy_step(state: GramState, config: PolicyConfig, contexts, t: int,
-                rng=None) -> np.ndarray:
-    """Choose each replication's arm for round t (1-based) given the stacked
+def policy_step(state: GramState, config: PolicyConfig, contexts,
+                rngs: list[np.random.Generator] | None = None) -> np.ndarray:
+    """Choose each replication's arm for the next round given the stacked
     Gram state: contexts (R, K, d), and for LinTS one generator per
     replication.  Returns the R arm indices."""
     X = _stacked(contexts, state.reps, state.dim)
@@ -183,6 +170,6 @@ def policy_step(state: GramState, config: PolicyConfig, contexts, t: int,
     if config.kind == "linucb":
         L, theta_tilde = _ridge(state, config.lambda_reg)
         return _linucb_choice(L, theta_tilde, X, _radius(L, config))
-    if rng is None:
-        raise ValueError("lints needs a random generator")
-    return lints_select(state, config, X, rng)
+    if rngs is None:
+        raise ValueError("lints needs random generators")
+    return lints_select(state, config, X, rngs)

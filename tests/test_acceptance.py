@@ -122,7 +122,7 @@ def test_criterion_3_sqrt_t_consistency():
         inst = make_instance(gaussian_spec(), 5, 5, 0.5, rng)
         traj = run_episode(inst, PolicyConfig("greedy",
                                               theta0=sphere_vector(5, rng)),
-                           1000, seed)
+                           1000, [seed])[0]
         vals = np.array([v for t, v in consistency_curve(traj)
                          if 100 <= t <= 1000])
         ratio = float(vals.max() / np.median(vals))

@@ -98,14 +98,14 @@ class TestSpecValidation:
 class TestSampling:
     def test_uniform_ball_norms(self, rng):
         spec = uniform_ball_spec(radius=math.sqrt(20))
-        cs = sample_context_set(spec, 20, 50, rng)
-        assert cs.vectors.shape == (50, 20)
-        assert np.all(np.linalg.norm(cs.vectors, axis=1) <= math.sqrt(20) + 1e-12)
+        cs = sample_context_set(spec, 20, 50, [rng])[0]
+        assert cs.shape == (50, 20)
+        assert np.all(np.linalg.norm(cs, axis=1) <= math.sqrt(20) + 1e-12)
 
     def test_gaussian_empirical_covariance(self, rng):
         cov = np.array([[1.0, 0.7], [0.7, 1.0]])
         spec = gaussian_spec(cov=cov)
-        X = np.vstack([sample_context_set(spec, 2, 100, rng).vectors
+        X = np.vstack([sample_context_set(spec, 2, 100, [rng])[0]
                        for _ in range(1000)])
         emp = np.cov(X.T)
         assert np.abs(emp - cov).max() < 0.02
@@ -118,26 +118,26 @@ class TestSampling:
 
     def test_truncated_cauchy_box(self, rng):
         spec = cauchy_spec(truncation=box(-5.0, 5.0))
-        cs = sample_context_set(spec, 3, 40, rng)
-        assert np.all(np.abs(cs.vectors) <= 5.0)
+        cs = sample_context_set(spec, 3, 40, [rng])[0]
+        assert np.all(np.abs(cs) <= 5.0)
 
     def test_truncated_cauchy_high_dim_coordwise(self, rng):
         # Joint box mass is astronomically small at d=100; the per-coordinate
         # rejection path must still sample it exactly and quickly.
         spec = cauchy_spec(truncation=box(-5.0, 5.0))
-        cs = sample_context_set(spec, 100, 20, rng)
-        assert cs.vectors.shape == (20, 100)
-        assert np.all(np.abs(cs.vectors) <= 5.0)
+        cs = sample_context_set(spec, 100, 20, [rng])[0]
+        assert cs.shape == (20, 100)
+        assert np.all(np.abs(cs) <= 5.0)
 
     def test_infeasible_truncation_rejected(self, rng):
         spec = gaussian_spec(truncation=box(8.0, 9.0))
         with pytest.raises(InfeasibleTruncationError):
-            sample_context_set(spec, 2, 4, rng)
+            sample_context_set(spec, 2, 4, [rng])
 
     def test_whole_vector_rejection_ball(self, rng):
         spec = laplace_spec(truncation=ball(1.5))
-        cs = sample_context_set(spec, 3, 200, rng)
-        assert np.all(np.linalg.norm(cs.vectors, axis=1) <= 1.5)
+        cs = sample_context_set(spec, 3, 200, [rng])[0]
+        assert np.all(np.linalg.norm(cs, axis=1) <= 1.5)
 
     def test_k_validation(self, rng):
         with pytest.raises(ValueError):
@@ -145,8 +145,8 @@ class TestSampling:
 
     def test_same_seed_same_draws(self):
         spec = student_t_spec(df=2.0, truncation=box(-5.0, 5.0))
-        a = sample_context_set(spec, 4, 10, np.random.default_rng(5)).vectors
-        b = sample_context_set(spec, 4, 10, np.random.default_rng(5)).vectors
+        a = sample_context_set(spec, 4, 10, [np.random.default_rng(5)])[0]
+        b = sample_context_set(spec, 4, 10, [np.random.default_rng(5)])[0]
         np.testing.assert_array_equal(a, b)
 
     def test_sampler_fidelity_first_moments(self, rng):
@@ -271,7 +271,7 @@ class TestBlockDraw:
                     block = sample_context_set(spec, d, K,
                                                [np.random.default_rng(s) for s in seeds])
                     alone = np.array([sample_context_set(spec, d, K,
-                                                         np.random.default_rng(s)).vectors
+                                                         [np.random.default_rng(s)])[0]
                                       for s in seeds])
                     assert block.shape == (R, K, d)
                     assert block.tobytes() == alone.tobytes(), (d, R, K)
@@ -290,13 +290,6 @@ class TestBlockDraw:
         monkeypatch.setattr(ctx, "_draw", draw_inf_in_one_slot)
         with pytest.raises(ValueError, match="finite"):
             sample_context_set(cauchy_spec(), 4, 5, rngs)
-
-    def test_single_generator_gives_context_set(self):
-        out = sample_context_set(gaussian_spec(), 3, 4, np.random.default_rng(0))
-        assert isinstance(out, ctx.ContextSet)
-        assert out.vectors.shape == (4, 3)
-        block = sample_context_set(gaussian_spec(), 3, 4, [np.random.default_rng(0)])
-        assert block.tobytes() == out.vectors.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -550,8 +543,8 @@ class TestTruncate:
         # including the consumed random stream (first batch all accepted).
         spec = uniform_ball_spec(2.0)
         tspec = truncate(spec, ball(2.0))
-        a = sample_context_set(spec, 3, 25, np.random.default_rng(9)).vectors
-        b = sample_context_set(tspec, 3, 25, np.random.default_rng(9)).vectors
+        a = sample_context_set(spec, 3, 25, [np.random.default_rng(9)])[0]
+        b = sample_context_set(tspec, 3, 25, [np.random.default_rng(9)])[0]
         np.testing.assert_array_equal(a, b)
         assert lac_function(tspec, d=3) == ctx.LacFunction(1.0, 0.0, 0.0)
 

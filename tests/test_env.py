@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import lapack
 
 from greedybandit import env, policies
-from greedybandit.contexts import ContextSet, gaussian_spec, uniform_ball_spec
+from greedybandit.contexts import gaussian_spec, uniform_ball_spec
 from greedybandit.env import (BanditInstance, Trajectory, instantaneous_regret,
                               make_instance, reward, run_episode, sphere_vector)
 from greedybandit.harness import preset_spec
@@ -50,18 +50,18 @@ class TestReward:
     def test_noiseless_exact(self, rng):
         inst = small_instance(sigma=0.0)
         x = np.array([0.3, -0.7])
-        assert reward(inst, x, rng) == float(x @ inst.theta_star)
+        assert reward(inst, x[None], [rng])[0] == float(x @ inst.theta_star)
 
     def test_zero_context_noise_mean(self, rng):
         inst = small_instance(sigma=0.5)
         n = 10**5
-        draws = np.array([reward(inst, np.zeros(2), rng) for _ in range(n)])
+        draws = np.array([reward(inst, np.zeros((1, 2)), [rng])[0] for _ in range(n)])
         assert abs(draws.mean()) < 3 * 0.5 / math.sqrt(n)
 
     def test_noise_variance(self, rng):
         inst = small_instance(sigma=1.0)
         n = 10**5
-        draws = np.array([reward(inst, np.zeros(2), rng) for _ in range(n)])
+        draws = np.array([reward(inst, np.zeros((1, 2)), [rng])[0] for _ in range(n)])
         var = draws.var(ddof=1)
         se = math.sqrt(2.0 / (n - 1))  # SE of the sample variance of N(0,1)
         assert abs(var - 1.0) < 3 * se
@@ -70,8 +70,8 @@ class TestReward:
 class TestInstantaneousRegret:
     def test_optimal_arm_zero(self):
         inst = small_instance(theta=[1.0, 0.0])
-        cs = ContextSet(np.array([[1.0, 0.0], [0.5, 2.0], [-1.0, 0.0]]))
-        regret, best = instantaneous_regret(inst, cs, 0)
+        cs = np.array([[1.0, 0.0], [0.5, 2.0], [-1.0, 0.0]])
+        (regret,), (best,) = instantaneous_regret(inst, cs[None], [0])
         assert regret == 0.0 and best == 0
 
     @settings(deadline=None, max_examples=50)
@@ -82,10 +82,10 @@ class TestInstantaneousRegret:
         theta = sphere_vector(d, rng)
         inst = BanditInstance(theta_star=theta, sigma=0.0,
                               spec=gaussian_spec(), d=d, K=k)
-        cs = ContextSet(rng.standard_normal((k, d)))
+        cs = rng.standard_normal((k, d))
         arm = arm % k
-        regret, best = instantaneous_regret(inst, cs, arm)
-        means = [float(v @ theta) for v in cs.vectors]
+        (regret,), (best,) = instantaneous_regret(inst, cs[None], [arm])
+        means = [float(v @ theta) for v in cs]
         assert regret == pytest.approx(max(means) - means[arm])
         assert means[best] == max(means)
         assert regret >= 0.0
@@ -94,7 +94,7 @@ class TestInstantaneousRegret:
 class TestRunEpisode:
     def test_record_count_and_fields(self, rng):
         inst = make_instance(gaussian_spec(), 3, 4, 0.5, rng)
-        traj = run_episode(inst, PolicyConfig("greedy", theta0=np.zeros(3)), 25, 7)
+        traj = run_episode(inst, PolicyConfig("greedy", theta0=np.zeros(3)), 25, [7])[0]
         assert len(traj) == 25
         assert traj.t.tolist() == list(range(1, 26))
         assert np.all((0 <= traj.arm) & (traj.arm < 4))
@@ -104,7 +104,7 @@ class TestRunEpisode:
 
     def test_est_error_appears_once_identified(self, rng):
         inst = make_instance(gaussian_spec(), 3, 4, 0.5, rng)
-        traj = run_episode(inst, PolicyConfig("greedy", theta0=np.zeros(3)), 25, 7)
+        traj = run_episode(inst, PolicyConfig("greedy", theta0=np.zeros(3)), 25, [7])[0]
         missing = np.isnan(traj.est_error_l2)
         first = int(np.argmin(missing))
         assert first >= 2  # needs at least d observations
@@ -114,8 +114,8 @@ class TestRunEpisode:
     def test_deterministic_per_seed(self, rng):
         inst = make_instance(gaussian_spec(), 3, 4, 0.5, rng)
         cfg = PolicyConfig("lints")
-        a = run_episode(inst, cfg, 30, 42)
-        b = run_episode(inst, cfg, 30, 42)
+        a = run_episode(inst, cfg, 30, [42])[0]
+        b = run_episode(inst, cfg, 30, [42])[0]
         np.testing.assert_array_equal(a.arm, b.arm)
         np.testing.assert_array_equal(a.reward, b.reward)
         np.testing.assert_array_equal(a.cum_regret, b.cum_regret)
@@ -125,14 +125,15 @@ class TestRunEpisode:
         # so regret is zero from round 2 on.
         inst = BanditInstance(theta_star=np.array([1.0]), sigma=0.0,
                               spec=gaussian_spec(), d=1, K=2)
-        traj = run_episode(inst, PolicyConfig("greedy", theta0=np.array([1.0])), 10, 3)
+        traj = run_episode(inst, PolicyConfig("greedy", theta0=np.array([1.0])),
+                           10, [3])[0]
         assert np.all(traj.inst_regret[1:] == 0.0)
 
     def test_noiseless_regret_bounded_after_identification(self, rng):
         # sigma=0: exact recovery makes cumulative regret flat afterwards.
         inst = make_instance(uniform_ball_spec(radius=math.sqrt(4)), 4, 5, 0.0, rng)
-        traj = run_episode(inst, PolicyConfig("greedy",
-                                              theta0=sphere_vector(4, rng)), 200, 11)
+        traj = run_episode(inst, PolicyConfig("greedy", theta0=sphere_vector(4, rng)),
+                           200, [11])[0]
         errs = traj.est_error_l2
         first = int(np.argmin(np.isnan(errs)))
         assert errs[first] < 1e-8
@@ -140,7 +141,7 @@ class TestRunEpisode:
 
     def test_cum_regret_monotone(self, rng):
         inst = make_instance(gaussian_spec(), 3, 4, 0.5, rng)
-        traj = run_episode(inst, PolicyConfig("linucb"), 50, 1)
+        traj = run_episode(inst, PolicyConfig("linucb"), 50, [1])[0]
         assert np.all(np.diff(traj.cum_regret) >= 0.0)
 
     def test_per_round_greedy_inequality(self, rng):
@@ -148,7 +149,7 @@ class TestRunEpisode:
         # whenever the round was scored with an OLS estimate.
         inst = make_instance(gaussian_spec(), 4, 6, 0.5, rng)
         traj = run_episode(inst, PolicyConfig("greedy", theta0=sphere_vector(4, rng)),
-                           300, 19)
+                           300, [19])[0]
         prev_err = traj.est_error_l2[:-1]
         scored = ~np.isnan(prev_err)
         bound = 2.0 * traj.max_ctx_norm[1:][scored] * prev_err[scored]
@@ -157,11 +158,11 @@ class TestRunEpisode:
     def test_parameter_validation(self, rng):
         inst = make_instance(gaussian_spec(), 3, 4, 0.5, rng)
         with pytest.raises(ValueError):
-            run_episode(inst, PolicyConfig("greedy", theta0=np.zeros(3)), 0, 1)
+            run_episode(inst, PolicyConfig("greedy", theta0=np.zeros(3)), 0, [1])
         with pytest.raises(ValueError):
-            run_episode(inst, PolicyConfig("greedy"), 10, 1)
+            run_episode(inst, PolicyConfig("greedy"), 10, [1])
         with pytest.raises(ValueError):
-            run_episode(inst, PolicyConfig("greedy", theta0=np.zeros(2)), 10, 1)
+            run_episode(inst, PolicyConfig("greedy", theta0=np.zeros(2)), 10, [1])
 
     def test_trajectory_cum_regret_is_cumsum(self):
         zeros = np.zeros(4)
@@ -170,7 +171,7 @@ class TestRunEpisode:
                           est_error_l2=np.full(4, np.nan), gram_min_eig=zeros,
                           max_ctx_norm=np.ones(4))
         np.testing.assert_array_equal(traj.cum_regret, [0.0, 1.0, 3.0, 6.0])
-        assert traj.final_regret() == 6.0
+        assert traj.cum_regret[-1] == 6.0
 
 
 # numpy and scipy each link their own BLAS with its own thread pool;
@@ -188,7 +189,7 @@ def test_episode_uses_no_numpy_lapack(kind, monkeypatch):
     cfg = PolicyConfig(kind, theta0=np.ones(d) if kind == "greedy" else None)
     # Draw once first: the gaussian spec factors its covariance (with numpy)
     # once and caches it, outside the loop.
-    run_episode(inst, cfg, 2, 0)
+    run_episode(inst, cfg, 2, [0])
 
     def forbidden(name):
         def call(*args, **kwargs):
@@ -197,7 +198,7 @@ def test_episode_uses_no_numpy_lapack(kind, monkeypatch):
 
     for name in NUMPY_LAPACK:
         monkeypatch.setattr(np.linalg, name, forbidden(name))
-    traj = run_episode(inst, cfg, 30, 11)
+    traj = run_episode(inst, cfg, 30, [11])[0]
     assert len(traj) == 30
     assert not np.isnan(traj.est_error_l2[-1])
     # The same loop advancing three replications in lockstep.
@@ -263,7 +264,7 @@ def test_block_matches_single_runs(kind, dist, d):
         block = run_episode(inst, cfg, 40, seeds)
         assert len(block) == len(seeds)
         for seed, traj in zip(seeds, block):
-            alone = run_episode(inst, cfg, 40, seed)
+            alone = run_episode(inst, cfg, 40, [seed])[0]
             for name in fields:
                 assert getattr(traj, name).tobytes() == getattr(alone, name).tobytes(), name
 
@@ -276,7 +277,7 @@ def test_wide_gram_record_invariants():
     rng = np.random.default_rng(3)
     inst = make_instance(gaussian_spec(), d, 20, 0.5, rng)
     cfg = PolicyConfig("greedy", theta0=sphere_vector(d, rng))
-    eig = run_episode(inst, cfg, T, 5).gram_min_eig
+    eig = run_episode(inst, cfg, T, [5])[0].gram_min_eig
     tol = 1e-10 * np.arange(1, T + 1)
     assert np.all(np.abs(eig[:d - 1]) <= tol[:d - 1])
     assert np.all(np.diff(eig) >= -tol[1:])

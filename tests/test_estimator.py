@@ -155,19 +155,6 @@ class TestLapackDrivers:
             est.solve(s)
 
 
-class TestWeightedNorm:
-    def test_matches_quadratic_form(self, rng):
-        s = est.init(3)
-        for _ in range(10):
-            est.update(s, rng.standard_normal(3), 0.0)
-        v = rng.standard_normal(3)
-        assert est.weighted_norm(s, v) == pytest.approx(
-            float(np.sqrt(v @ s.sigma[0] @ v)))
-
-    def test_zero_state(self):
-        assert est.weighted_norm(est.init(2), [1.0, 1.0]) == 0.0
-
-
 @settings(deadline=None, max_examples=60)
 @given(d=st.integers(1, 10), n=st.integers(1, 40), seed=st.integers(0, 10**6))
 @example(d=9, n=9, seed=2)

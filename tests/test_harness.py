@@ -8,6 +8,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+import greedybandit
 from greedybandit import cli, harness
 from greedybandit.contexts import (gaussian_spec, laplace_spec,
                                    sample_context_set, spec_to_config)
@@ -438,7 +439,7 @@ class TestIniConfig:
         plain.write_text(block)
         coupled.write_text(block + "arm_coupling = shared_gaussian_covariance\n")
         a, b = config_from_ini(plain).spec, config_from_ini(coupled).spec
-        draws = [sample_context_set(spec, 3, 4, np.random.default_rng(3)).vectors
+        draws = [sample_context_set(spec, 3, 4, [np.random.default_rng(3)])[0]
                  for spec in (a, b)]
         np.testing.assert_array_equal(draws[0], draws[1])
 
@@ -599,3 +600,11 @@ def test_run_experiment_calls_run_episode_by_name(tmp_path, monkeypatch):
     table = run_experiment(tiny_config(tmp_path, T=3, reps=2))
     assert all(isinstance(c, PolicyConfig) for c in configs)
     assert [c.name for c in configs] == table.policy_names
+
+
+def test_public_names_resolve():
+    # A name left in __all__ after its object is deleted would fail only at
+    # a user's `from greedybandit import *`.
+    names = greedybandit.__all__
+    assert len(set(names)) == len(names)
+    assert [name for name in names if not hasattr(greedybandit, name)] == []

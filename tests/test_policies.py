@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from greedybandit import estimator as est
-from greedybandit.contexts import ContextSet
 from greedybandit.policies import (PolicyConfig, confidence_radius,
                                    greedy_select, linucb_select, lints_select,
                                    policy_step)
 
 
 def contexts_of(*rows):
-    return ContextSet(np.array(rows, dtype=float))
+    return np.array(rows, dtype=float)[None]
 
 
 class TestConfig:
@@ -67,7 +66,7 @@ class TestGreedySelect:
 )
 def test_greedy_scaling_property(k, d, c, seed):
     rng = np.random.default_rng(seed)
-    cs = ContextSet(rng.standard_normal((k, d)))
+    cs = rng.standard_normal((k, d))[None]
     theta = rng.standard_normal(d)
     assert greedy_select(theta, cs) == greedy_select(c * theta, cs)
 
@@ -77,48 +76,54 @@ class TestPolicyStep:
         s = est.init(2)
         cfg = PolicyConfig("greedy", theta0=np.array([1.0, 0.0]))
         cs = contexts_of([0.5, 9.0], [0.6, -9.0])
-        assert policy_step(s, cfg, cs, t=1) == 1  # scored with theta0
+        assert policy_step(s, cfg, cs) == 1  # scored with theta0
         est.update(s, [1.0, 0.0], 1.0)
         est.update(s, [0.0, 1.0], 1.0)
         # theta_hat = (1, 1) now dominates the warm start.
-        assert policy_step(s, cfg, cs, t=3) == 0
+        assert policy_step(s, cfg, cs) == 0
 
     def test_greedy_requires_theta0_while_singular(self):
         s = est.init(2)
         cfg = PolicyConfig("greedy")
         with pytest.raises(ValueError):
-            policy_step(s, cfg, contexts_of([1.0, 0.0]), t=1)
+            policy_step(s, cfg, contexts_of([1.0, 0.0]))
 
-    def test_dim_mismatch(self):
-        s = est.init(3)
+    @pytest.mark.parametrize("reps,contexts", [
+        (1, np.zeros((1, 2, 2))),
+        (2, np.zeros((1, 2, 3))),
+        (1, np.zeros((2, 3))),
+    ], ids=["wrong-d", "wrong-R", "unstacked-K-by-d"])
+    def test_dim_mismatch(self, reps, contexts):
+        # The state has d = 3; only a (reps, K, 3) block is accepted.
+        s = est.init(3, reps)
         cfg = PolicyConfig("greedy", theta0=np.zeros(3))
         with pytest.raises(ValueError):
-            policy_step(s, cfg, contexts_of([1.0, 0.0]), t=1)
+            policy_step(s, cfg, contexts)
 
     def test_lints_needs_rng(self):
         s = est.init(2)
         cfg = PolicyConfig("lints")
         with pytest.raises(ValueError):
-            policy_step(s, cfg, contexts_of([1.0, 0.0]), t=1)
+            policy_step(s, cfg, contexts_of([1.0, 0.0]))
 
     def test_greedy_and_linucb_are_pure(self, rng):
         s = est.init(3)
         for _ in range(8):
             est.update(s, rng.standard_normal(3), rng.standard_normal())
-        cs = ContextSet(rng.standard_normal((4, 3)))
+        cs = rng.standard_normal((4, 3))[None]
         g = PolicyConfig("greedy", theta0=np.zeros(3))
         u = PolicyConfig("linucb", delta=0.01)
-        assert policy_step(s, g, cs, t=9) == policy_step(s, g, cs, t=9)
-        assert policy_step(s, u, cs, t=9) == policy_step(s, u, cs, t=9)
+        assert policy_step(s, g, cs) == policy_step(s, g, cs)
+        assert policy_step(s, u, cs) == policy_step(s, u, cs)
 
     def test_lints_pure_given_draw(self, rng):
         s = est.init(3)
         for _ in range(8):
             est.update(s, rng.standard_normal(3), rng.standard_normal())
-        cs = ContextSet(rng.standard_normal((4, 3)))
+        cs = rng.standard_normal((4, 3))[None]
         cfg = PolicyConfig("lints", delta=0.01)
-        a = policy_step(s, cfg, cs, t=9, rng=np.random.default_rng(3))
-        b = policy_step(s, cfg, cs, t=9, rng=np.random.default_rng(3))
+        a = policy_step(s, cfg, cs, rngs=[np.random.default_rng(3)])
+        b = policy_step(s, cfg, cs, rngs=[np.random.default_rng(3)])
         assert a == b
 
 
@@ -128,7 +133,7 @@ class TestLinUcb:
         for _ in range(12):
             est.update(s, rng.standard_normal(3), rng.standard_normal())
         cfg = PolicyConfig("linucb", delta=0.1)
-        cs = ContextSet(rng.standard_normal((5, 3)))
+        cs = rng.standard_normal((5, 3))[None]
         ridge = np.linalg.solve(s.sigma[0] + np.eye(3), s.b[0])
         assert linucb_select(s, cfg, cs, beta=0.0) == greedy_select(ridge, cs)
 
@@ -154,8 +159,8 @@ class TestLints:
         agree = 0
         n = 1000
         for _ in range(n):
-            cs = ContextSet(rng.standard_normal((4, 3)))
-            if lints_select(s, cfg, cs, rng) == greedy_select(ridge, cs):
+            cs = rng.standard_normal((4, 3))[None]
+            if lints_select(s, cfg, cs, [rng]) == greedy_select(ridge, cs):
                 agree += 1
         assert agree / n > 0.99
 
@@ -166,15 +171,15 @@ class TestConfidenceRadius:
         cfg = PolicyConfig("linucb", lambda_reg=1.0, delta=0.1, sigma_assumed=0.5)
         # Sigma = 0: logdet(lambda I) - d log(lambda) = 0.
         expected = 0.5 * math.sqrt(2 * math.log(10)) + 1.0
-        assert confidence_radius(s, cfg, t=1) == pytest.approx(expected)
+        assert confidence_radius(s, cfg) == pytest.approx(expected)
 
     def test_sigma_scales_first_term(self):
         s = est.init(3)
         lam = 2.0
         a = PolicyConfig("linucb", lambda_reg=lam, delta=0.05, sigma_assumed=0.5)
         b = PolicyConfig("linucb", lambda_reg=lam, delta=0.05, sigma_assumed=1.0)
-        ra = confidence_radius(s, a, t=1) - math.sqrt(lam)
-        rb = confidence_radius(s, b, t=1) - math.sqrt(lam)
+        ra = confidence_radius(s, a) - math.sqrt(lam)
+        rb = confidence_radius(s, b) - math.sqrt(lam)
         assert rb == pytest.approx(2 * ra)
 
     def test_determinant_trace_bound_after_updates(self, rng):
@@ -191,7 +196,7 @@ class TestConfidenceRadius:
         cfg = PolicyConfig("linucb", lambda_reg=lam, delta=delta, sigma_assumed=sig)
         bound = sig * math.sqrt(d * math.log(1 + n * x_max**2 / (d * lam))
                                 + 2 * math.log(1 / delta)) + math.sqrt(lam)
-        assert confidence_radius(s, cfg, t=n + 1) <= bound + 1e-12
+        assert confidence_radius(s, cfg) <= bound + 1e-12
 
     @pytest.mark.parametrize("d,lam", [(1, 1.0), (3, 0.5), (20, 1.0), (100, 2.0)])
     def test_factor_logdet_matches_slogdet(self, d, lam, rng):
@@ -203,20 +208,20 @@ class TestConfidenceRadius:
         width = logdet - d * math.log(lam) + 2 * math.log(1 / 0.01)
         expected = 0.5 * math.sqrt(width) + math.sqrt(lam)
         assert sign > 0
-        assert confidence_radius(s, cfg, t=3 * d + 1) == pytest.approx(expected, rel=1e-12)
+        assert confidence_radius(s, cfg) == pytest.approx(expected, rel=1e-12)
 
     def test_policy_step_uses_public_radius(self, rng):
         # policy_step shares one factor between the radius and the widths;
         # it must choose what the two public calls choose.
         s = est.init(4)
         cfg = PolicyConfig("linucb", delta=0.05)
-        for t in range(1, 40):
-            cs = ContextSet(rng.standard_normal((6, 4)))
-            beta = confidence_radius(s, cfg, t)
-            arm = policy_step(s, cfg, cs, t)
+        for _ in range(39):
+            cs = rng.standard_normal((6, 4))[None]
+            beta = confidence_radius(s, cfg)
+            arm = policy_step(s, cfg, cs)
             assert arm == linucb_select(s, cfg, cs, beta)
-            est.update(s, cs.vectors[arm], rng.standard_normal())
+            est.update(s, cs[0, arm], rng.standard_normal())
 
     def test_unresolved_delta_rejected(self):
         with pytest.raises(ValueError):
-            confidence_radius(est.init(2), PolicyConfig("linucb"), t=1)
+            confidence_radius(est.init(2), PolicyConfig("linucb"))
