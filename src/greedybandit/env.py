@@ -146,10 +146,10 @@ def run_episode(instance: BanditInstance, config: PolicyConfig, T: int,
         y = reward(instance, x, rngs)
         regrets[i], best_arms[i] = instantaneous_regret(instance, X, arm)
         estimator.update(state, x, y)
-        if state.theta_hat is not None:
-            diff = state.theta_hat - instance.theta_star
-            # vecdot is one BLAS dot per row, as np.linalg.norm of one vector.
-            errors[i] = np.sqrt(np.vecdot(diff, diff))
+        diff = state.theta_hat - instance.theta_star
+        # vecdot is one BLAS dot per row, as np.linalg.norm of one vector;
+        # the rows not identified yet are NaN.
+        errors[i] = np.sqrt(np.vecdot(diff, diff))
         arms[i], rewards[i] = arm, y
         eigs[i] = estimator.min_eigenvalue(state)
         # sqrt is monotone, so the root of the largest square is the max norm.

@@ -3,31 +3,29 @@ of R regressions advanced in lockstep.
 
 GramState stacks R replications' sufficient statistics along a leading axis,
 Sigma (R, d, d) = sum x x^T and b (R, d) = sum x y, without any
-regularization; a single regression is the stack of one.  Each update folds
-one observation per replication.  Until a replication's Gram matrix is
-invertible its estimate is undefined; once the minimal eigenvalue clears a
-small numerical floor the state keeps both a Sherman-Morrison running
-inverse (cheap per-round reads) and a fresh Cholesky solve (authoritative
-for theta_hat).
+regularization.  Each update folds one observation per replication.  Until
+a replication's Gram matrix is invertible its estimate is undefined (NaN);
+once the minimal eigenvalue clears a small numerical floor the state keeps
+both a Sherman-Morrison running inverse (cheap per-round reads) and a fresh
+Cholesky solve (authoritative for theta_hat).
 
 The rank-one updates of Sigma, b and the running inverse are array
 operations over the stack.  Every factorization and eigensolve runs per
 replication and goes straight to scipy's LAPACK drivers.  The OLS solve is
-dpotrf/dpotrs.  The identification gate reads all eigenvalues from dsyevd,
-bit-equal to numpy.linalg.eigvalsh; update runs it only once t >= d, because
-a sum of t < d rank-one terms is singular.  The per-round minimal-eigenvalue
-record asks dsyevr for the smallest eigenvalue alone, which skips the full
-tridiagonal QR sweep; like any backward-stable solver it is within
-p(d) * eps * |Sigma|_2 of the exact value (Weyl).  numpy links its own BLAS
-with its own thread pool, and alternating the two libraries every round
-makes their pools fight over the cores; keep numpy.linalg's LAPACK routines
-out of the episode loop.
+dpotrf/dpotrs.  Eigenvalues come from dsyevr: the identification gate
+reads all of them, and update runs it only once t >= d, because a sum of
+t < d rank-one terms is singular; the per-round minimal-eigenvalue record
+asks for the smallest alone, which skips the full tridiagonal QR sweep.
+Like any backward-stable solver dsyevr is within p(d) * eps * |Sigma|_2 of
+the exact eigenvalues (Weyl).  numpy links its own BLAS with its own thread
+pool, and alternating the two libraries every round makes their pools
+fight over the cores; keep numpy.linalg's LAPACK routines out of the
+episode loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import inv, lapack
@@ -43,29 +41,26 @@ class NotIdentifiedError(RuntimeError):
 class GramState:
     """Running sufficient statistics of R regressions, stacked.
 
-    `sigma` is (R, d, d) and `b` (R, d); a (d, d) and (d,) pair is a stack of
-    one.  `t` counts the rank-one terms in each sigma, so rank(sigma[r]) <= t
-    for a state grown from `init`.  `invertible_since[r]` is the update count
-    at which replication r's Gram matrix became invertible, 0 while it is
-    not.  `theta_hat` and `sigma_inv` are None until some replication is
-    identified; after that they are (R, d) and (R, d, d), with NaN estimates
-    and zero inverses in the rows of replications not identified yet.
-    Construction checks the shapes and the symmetry of `sigma`; `update`
-    keeps it exactly symmetric.
+    `sigma` is (R, d, d) and `b` (R, d).  `t` counts the rank-one terms in
+    each sigma, so rank(sigma[r]) <= t for a state grown from `init`.  The
+    state allocates the rest itself: `invertible_since[r]` is the update
+    count at which replication r's Gram matrix became invertible, 0 while
+    it is not; `theta_hat` (R, d) and `sigma_inv` (R, d, d) hold the
+    estimates and running inverses, NaN and exactly zero in the rows of
+    replications not identified yet.  Construction checks the shapes and
+    the symmetry of `sigma`; `update` keeps it exactly symmetric.
     """
 
     sigma: np.ndarray
     b: np.ndarray
     t: int = 0
-    theta_hat: np.ndarray | None = None
-    invertible_since: np.ndarray | int = 0
-    sigma_inv: np.ndarray | None = field(default=None, repr=False)
+    invertible_since: np.ndarray = field(init=False)
+    theta_hat: np.ndarray = field(init=False)
+    sigma_inv: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.sigma = np.asarray(self.sigma, dtype=float)
         self.b = np.asarray(self.b, dtype=float)
-        if self.sigma.ndim == 2:
-            self.sigma, self.b = self.sigma[None], self.b[None]
         if (self.b.ndim != 2 or self.b.shape[1] < 1
                 or self.sigma.shape != self.b.shape + self.b.shape[1:]):
             raise ValueError(f"need sigma (R, d, d) and b (R, d) with d >= 1, "
@@ -73,8 +68,9 @@ class GramState:
         asym = np.abs(self.sigma - self.sigma.transpose(0, 2, 1)).max()
         if asym > 1e-8 * max(1.0, np.abs(self.sigma).max()):
             raise ValueError(f"Gram matrix asymmetric by {asym:.3e}")
-        self.invertible_since = np.broadcast_to(
-            np.asarray(self.invertible_since, dtype=np.intp), (self.reps,)).copy()
+        self.invertible_since = np.zeros(self.reps, dtype=np.intp)
+        self.theta_hat = np.full(self.b.shape, np.nan)
+        self.sigma_inv = np.zeros(self.sigma.shape)
 
     @property
     def reps(self) -> int:
@@ -94,40 +90,27 @@ def init(d: int, reps: int = 1) -> GramState:
     return GramState(sigma=np.zeros((reps, d, d)), b=np.zeros((reps, d)))
 
 
-@lru_cache(maxsize=None)
-def _eig_workspace(d: int) -> tuple[int, int]:
-    """Optimal dsyevd workspace for eigenvalues only.  With it the blocked
-    tridiagonal reduction runs, as in numpy.linalg.eigvalsh, and the
-    eigenvalues agree with numpy's bit for bit; the minimal default
-    workspace takes the unblocked path and differs in the last bits."""
-    lwork, liwork, info = lapack.dsyevd_lwork(d, compute_v=0, lower=1)
+def _eigenvalues(sigma: np.ndarray, **subset) -> np.ndarray:
+    """Ascending eigenvalues of a symmetric matrix (lower triangle read):
+    those that dsyevr's range, il and iu arguments select."""
+    w, _, m, _, info = lapack.dsyevr(sigma, compute_v=0, lower=1, **subset)
     if info != 0:
-        raise ValueError(f"dsyevd workspace query failed (info {info})")
-    return int(lwork), int(liwork)
-
-
-def _eigvalsh(sigma: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a symmetric matrix (lower triangle read)."""
-    lwork, liwork = _eig_workspace(sigma.shape[0])
-    w, _, info = lapack.dsyevd(sigma, compute_v=0, lower=1,
-                               lwork=lwork, liwork=liwork)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dsyevd failed to converge (info {info})")
-    return w
+        raise np.linalg.LinAlgError(f"dsyevr failed (info {info})")
+    return w[:m]
 
 
 def _is_invertible(sigma: np.ndarray) -> bool:
-    eigs = _eigvalsh(sigma)
+    eigs = _eigenvalues(sigma, range="A")
     return bool(eigs[0] > EPS_INV * max(1.0, eigs[-1]))
 
 
 def update(state: GramState, x, y) -> GramState:
     """Fold one observation per replication, x (R, d) and y (R,), into the
-    state in place; with R = 1, x may be (d,) and y a scalar."""
+    state in place."""
     R, d = state.reps, state.dim
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.shape[-1:] != (d,) or x.size != R * d or y.size != R:
+    if x.shape != (R, d) or y.shape != (R,):
         raise ValueError(f"expected contexts ({R}, {d}) and {R} rewards, got "
                          f"{x.shape} and {y.shape}")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
@@ -135,12 +118,11 @@ def update(state: GramState, x, y) -> GramState:
     # Columns (R, d, 1) and rows (R, 1, d) of the stacked observations.
     col, row = x.reshape(R, d, 1), x.reshape(R, 1, d)
 
-    if state.sigma_inv is not None:
-        # Sherman-Morrison on the pre-update inverses; the zero rows of
-        # replications not identified yet stay zero.
-        Av = np.matmul(state.sigma_inv, col)
-        denom = 1.0 + np.matmul(row, Av)
-        state.sigma_inv -= Av * Av.reshape(R, 1, d) / denom
+    # Sherman-Morrison on the pre-update inverses; the zero rows of
+    # replications not identified yet stay zero.
+    Av = np.matmul(state.sigma_inv, col)
+    denom = 1.0 + np.matmul(row, Av)
+    state.sigma_inv -= Av * Av.reshape(R, 1, d) / denom
 
     state.sigma += col * row
     state.b += (col * y.reshape(R, 1, 1)).reshape(R, d)
@@ -152,15 +134,10 @@ def update(state: GramState, x, y) -> GramState:
     if state.t >= d and not since.all():
         for r in np.flatnonzero(since == 0):
             if _is_invertible(state.sigma[r]):
-                if state.sigma_inv is None:
-                    state.sigma_inv = np.zeros((R, d, d))
                 since[r] = state.t
                 state.sigma_inv[r] = inv(state.sigma[r], check_finite=False)
-    for r, identified in enumerate(since.tolist()):
-        if identified:
-            if state.theta_hat is None:
-                state.theta_hat = np.full((R, d), np.nan)
-            state.theta_hat[r] = _solve(state, r)
+    for r in np.flatnonzero(since):
+        state.theta_hat[r] = _solve(state, r)
     return state
 
 
@@ -185,8 +162,9 @@ def solve(state: GramState) -> np.ndarray:
 
 def incremental_estimate(state: GramState) -> np.ndarray:
     """Estimates from the Sherman-Morrison running inverses (cross-check
-    path), NaN in the rows of replications not identified yet."""
-    if state.sigma_inv is None:
+    path), NaN in the rows of replications not identified yet; raises while
+    none is."""
+    if not state.invertible_since.any():
         raise NotIdentifiedError("Gram matrix is singular")
     theta = np.matmul(state.sigma_inv, state.b[:, :, None])[:, :, 0]
     theta[state.invertible_since == 0] = np.nan
@@ -195,11 +173,5 @@ def incremental_estimate(state: GramState) -> np.ndarray:
 
 def min_eigenvalue(state: GramState) -> np.ndarray:
     """Smallest eigenvalue of each Sigma, from one subset eigensolve each."""
-    out = []
-    for sigma in state.sigma:
-        w, _, _, _, info = lapack.dsyevr(sigma, compute_v=0, range="I",
-                                         il=1, iu=1, lower=1)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"dsyevr failed (info {info})")
-        out.append(w[0])
-    return np.array(out)
+    return np.array([_eigenvalues(sigma, range="I", il=1, iu=1)[0]
+                     for sigma in state.sigma])

@@ -243,9 +243,10 @@ def write_csv(table: ResultsTable, path, aggregate_path=None) -> str:
 
     Floats are written with repr so a parse-back reproduces the exact
     values; missing estimates are empty cells.  Both files are written to
-    temporaries and moved into place only after both are complete: a
-    failure leaves no new raw CSV without its aggregate, and no temporary
-    file.
+    temporaries and moved into place, the raw CSV first, only after both are
+    complete: a failed write leaves both targets as they were.  A failed
+    move of the aggregate leaves the new raw CSV beside the previous
+    aggregate.  No temporary file is left either way.
     """
     path = os.fspath(path)
     if aggregate_path is None:
@@ -254,12 +255,13 @@ def write_csv(table: ResultsTable, path, aggregate_path=None) -> str:
     aggregate_path = os.fspath(aggregate_path)
     outputs = ((path, RAW_COLUMNS, table.raw_rows()),
                (aggregate_path, AGGREGATE_COLUMNS, table.aggregate_rows()))
-    try:
-        with replacing(path, aggregate_path) as tmps:
-            for tmp, (target, columns, rows) in zip(tmps, outputs):
+    # A failed move raises os.replace's own error, which names both paths.
+    with replacing(path, aggregate_path) as tmps:
+        for tmp, (target, columns, rows) in zip(tmps, outputs):
+            try:
                 _write_rows(tmp, columns, rows)
-    except OSError as exc:
-        raise OSError(f"failed writing CSV to {target}: {exc}") from exc
+            except OSError as exc:
+                raise OSError(f"failed writing CSV to {target}: {exc}") from exc
     return aggregate_path
 
 

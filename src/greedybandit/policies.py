@@ -164,8 +164,7 @@ def policy_step(state: GramState, config: PolicyConfig, contexts,
             if config.theta0 is None:
                 raise ValueError("greedy policy needs theta0 until the Gram "
                                  "matrix is invertible")
-            theta = config.theta0 if theta is None else np.where(
-                since[:, None] > 0, theta, config.theta0)
+            theta = np.where(since[:, None] > 0, theta, config.theta0)
         return greedy_select(theta, X)
     if config.kind == "linucb":
         L, theta_tilde = _ridge(state, config.lambda_reg)

@@ -224,8 +224,8 @@ def test_criterion_8_estimator_oracle_equivalence():
         theta = sphere_vector(d, rng)
         state = est.init(d)
         for x in X:
-            est.update(state, x, float(x @ theta))  # noiseless rewards
-        if state.theta_hat is None:
+            est.update(state, [x], [float(x @ theta)])  # noiseless rewards
+        if not state.invertible_since.all():
             continue
         diff = float(np.abs(est.incremental_estimate(state) - est.solve(state)).max())
         rec = float(np.abs(state.theta_hat - theta).max())

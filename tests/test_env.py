@@ -209,27 +209,26 @@ def test_episode_uses_no_numpy_lapack(kind, monkeypatch):
 
 @pytest.mark.parametrize("kind", ["greedy", "linucb", "lints"])
 def test_one_eigensolve_per_round(kind, monkeypatch):
-    # The gram_min_eig record takes one subset solve (dsyevr) per round and
-    # replication.  A replication's identification gate (dsyevd) runs from
-    # round d, when its Sigma can first have full rank, up to the round it is
-    # identified.  Checked for one episode and for a block of three.
+    # The gram_min_eig record takes one subset solve (dsyevr, range "I") per
+    # round and replication.  A replication's identification gate (dsyevr,
+    # range "A") runs from round d, when its Sigma can first have full rank,
+    # up to the round it is identified.  Checked for one episode and for a
+    # block of three.
     d, T = 5, 30
     inst = small_instance(d=d, K=4)
     cfg = PolicyConfig(kind, theta0=np.ones(d) if kind == "greedy" else None)
+    driver = lapack.dsyevr
     for seeds in ([11], [11, 12, 13]):
         R = len(seeds)
-        rounds = {"dsyevd": [], "dsyevr": []}
+        rounds = {"A": [], "I": []}
 
-        def counted(name, driver):
-            def call(*args, **kwargs):
-                # Round t's gates precede its records, so R (t - 1) records
-                # are done.
-                rounds[name].append(len(rounds["dsyevr"]) // R + 1)
-                return driver(*args, **kwargs)
-            return call
+        def counted(*args, **kwargs):
+            # Round t's gates precede its records, so R (t - 1) records are
+            # done.
+            rounds[kwargs["range"]].append(len(rounds["I"]) // R + 1)
+            return driver(*args, **kwargs)
 
-        for name in rounds:
-            monkeypatch.setattr(lapack, name, counted(name, getattr(lapack, name)))
+        monkeypatch.setattr(lapack, "dsyevr", counted)
         trajs = run_episode(inst, cfg, T, seeds)
         monkeypatch.undo()
         since = []
@@ -237,8 +236,8 @@ def test_one_eigensolve_per_round(kind, monkeypatch):
             identified = ~np.isnan(traj.est_error_l2)
             assert identified[-1]
             since.append(int(np.argmax(identified)) + 1)
-        assert rounds["dsyevr"] == [t for t in range(1, T + 1) for _ in seeds]
-        assert rounds["dsyevd"] == sorted(t for s in since for t in range(d, s + 1))
+        assert rounds["I"] == [t for t in range(1, T + 1) for _ in seeds]
+        assert rounds["A"] == sorted(t for s in since for t in range(d, s + 1))
 
 
 @pytest.mark.parametrize("kind", ["greedy", "linucb", "lints"])

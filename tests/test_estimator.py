@@ -5,13 +5,14 @@ from scipy.linalg import cho_factor, cho_solve
 
 from greedybandit import estimator as est
 from greedybandit.estimator import GramState, NotIdentifiedError
+from greedybandit.policies import PolicyConfig, policy_step
 
 
 class TestLifecycle:
     def test_init_shapes(self):
         s = est.init(3)
         assert s.sigma.shape == (1, 3, 3) and s.b.shape == (1, 3)
-        assert s.t == 0 and s.theta_hat is None
+        assert s.t == 0 and np.isnan(s.theta_hat).all()
         assert s.invertible_since.tolist() == [0]
         s = est.init(3, reps=4)
         assert s.sigma.shape == (4, 3, 3) and s.b.shape == (4, 3)
@@ -25,33 +26,60 @@ class TestLifecycle:
 
     def test_singular_until_spanning(self):
         s = est.init(2)
-        est.update(s, [1.0, 0.0], 1.0)
-        assert s.theta_hat is None and s.invertible_since.tolist() == [0]
+        est.update(s, [[1.0, 0.0]], [1.0])
+        assert np.isnan(s.theta_hat).all() and s.invertible_since.tolist() == [0]
         with pytest.raises(NotIdentifiedError):
             est.solve(s)
-        est.update(s, [2.0, 0.0], 2.0)  # same direction: still rank 1
-        assert s.theta_hat is None
-        est.update(s, [0.0, 1.0], -1.0)
+        est.update(s, [[2.0, 0.0]], [2.0])  # same direction: still rank 1
+        assert np.isnan(s.theta_hat).all()
+        est.update(s, [[0.0, 1.0]], [-1.0])
         assert s.invertible_since.tolist() == [3]
         np.testing.assert_allclose(s.theta_hat, [[1.0, -1.0]], atol=1e-12)
+
+    def test_mixed_block(self):
+        # Row 0 gets spanning vectors, row 1 one repeated vector: row 0 is
+        # identified at t = d while row 1 stays singular.  The rows not
+        # identified read NaN estimates and exactly zero inverses, and the
+        # greedy rule scores them with theta0.
+        with pytest.raises(NotIdentifiedError):
+            est.incremental_estimate(est.init(3, reps=2))
+        s = est.init(3, reps=2)
+        theta = np.array([1.0, 0.0, 0.0])
+        for x in ([1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0]):
+            X = np.array([x, [1.0, 1.0, 1.0]])
+            est.update(s, X, X @ theta)
+        assert s.invertible_since.tolist() == [3, 0]
+        assert np.isnan(s.theta_hat[1]).all()
+        assert (s.sigma_inv[1] == 0.0).all()
+        row0 = est.solve(GramState(sigma=s.sigma[:1], b=s.b[:1]))[0]
+        np.testing.assert_array_equal(s.theta_hat[0], row0)
+        inc = est.incremental_estimate(s)
+        assert np.isnan(inc[1]).all()
+        np.testing.assert_allclose(inc[0], row0, rtol=0, atol=1e-12)
+        # theta_hat[0] = (1, 0, 0) picks arm 0 and theta0 = (0, 0, 1) arm 1.
+        cfg = PolicyConfig("greedy", theta0=np.array([0.0, 0.0, 1.0]))
+        cs = np.array([[[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]] * 2)
+        assert policy_step(s, cfg, cs).tolist() == [0, 1]
 
     def test_update_validation(self):
         s = est.init(2)
         with pytest.raises(ValueError):
-            est.update(s, [1.0], 0.0)
+            est.update(s, [[1.0]], [0.0])
         with pytest.raises(ValueError):
-            est.update(s, [np.inf, 0.0], 0.0)
+            est.update(s, [[np.inf, 0.0]], [0.0])
         with pytest.raises(ValueError):
-            est.update(s, [1.0, 0.0], np.nan)
+            est.update(s, [[1.0, 0.0]], [np.nan])
+        with pytest.raises(ValueError):  # only the stacked form is accepted
+            est.update(s, [1.0, 0.0], 1.0)
 
 
 class TestSolve:
     def test_scalar_case(self):
-        s = GramState(sigma=np.array([[3.0]]), b=np.array([6.0]))
+        s = GramState(sigma=np.array([[[3.0]]]), b=np.array([[6.0]]))
         np.testing.assert_allclose(est.solve(s), [[2.0]])
 
     def test_identity_gram(self):
-        s = GramState(sigma=np.eye(2), b=np.array([2.0, -1.0]))
+        s = GramState(sigma=np.eye(2)[None], b=np.array([[2.0, -1.0]]))
         np.testing.assert_allclose(est.solve(s), [[2.0, -1.0]])
 
     def test_residual_small(self, rng):
@@ -60,7 +88,7 @@ class TestSolve:
         y = rng.standard_normal(40)
         s = est.init(d)
         for x, v in zip(X, y):
-            est.update(s, x, v)
+            est.update(s, [x], [v])
         resid = s.sigma[0] @ s.theta_hat[0] - s.b[0]
         assert np.abs(resid).max() < 1e-9 * max(1.0, np.abs(s.b).max())
 
@@ -68,7 +96,7 @@ class TestSolve:
         d = 4
         s = est.init(d)
         for _ in range(50):
-            est.update(s, rng.standard_normal(d), rng.standard_normal())
+            est.update(s, [rng.standard_normal(d)], [rng.standard_normal()])
         inc = est.incremental_estimate(s)
         direct = est.solve(s)
         assert np.abs(inc - direct).max() < 1e-8
@@ -82,20 +110,22 @@ class TestMinEigenvalue:
         # Checked once, where a state is built from outside data; update's
         # sigma += outer(x, x) is exactly symmetric.
         with pytest.raises(ValueError, match="asymmetric"):
-            GramState(sigma=np.array([[1.0, 0.1], [0.0, 1.0]]), b=np.zeros(2))
+            GramState(sigma=np.array([[[1.0, 0.1], [0.0, 1.0]]]),
+                      b=np.zeros((1, 2)))
 
     @pytest.mark.parametrize("sigma, b", [
-        (np.eye(2), np.zeros(3)),
-        (np.zeros((2, 3)), np.zeros(2)),
-        (np.eye(2), np.zeros((2, 1))),
-        (np.zeros((0, 0)), np.zeros(0)),
+        (np.eye(2)[None], np.zeros((1, 3))),
+        (np.zeros((1, 2, 3)), np.zeros((1, 2))),
+        (np.eye(2)[None], np.zeros((1, 2, 1))),
+        (np.zeros((1, 0, 0)), np.zeros((1, 0))),
+        (np.eye(2), np.zeros(2)),  # a single regression is not a stack
     ])
     def test_shape_mismatch_rejected(self, sigma, b):
         with pytest.raises(ValueError, match="need sigma"):
             GramState(sigma=sigma, b=b)
 
     def test_known_eigenvalue(self):
-        s = GramState(sigma=np.diag([5.0, 0.25]), b=np.zeros(2))
+        s = GramState(sigma=np.diag([5.0, 0.25])[None], b=np.zeros((1, 2)))
         assert est.min_eigenvalue(s) == pytest.approx(0.25, rel=1e-8)
 
 
@@ -106,15 +136,9 @@ def random_grams(d, n, rng):
 
 
 class TestLapackDrivers:
-    # The estimator calls scipy's LAPACK drivers directly; they must give the
-    # very numbers of the numpy and scipy wrappers they replaced.
-    @pytest.mark.parametrize("d", [1, 3, 20, 100])
-    def test_min_eigenvalue_matches_numpy_exactly(self, d, rng):
-        # The identification gate's eigenvalues (dsyevd).
-        for S in random_grams(d, 30, rng):
-            np.testing.assert_array_equal(est._eigvalsh(S),
-                                          np.linalg.eigvalsh(S))
-
+    # The estimator calls scipy's LAPACK drivers directly.  Its solve gives
+    # the very numbers of scipy's cho_solve, and its eigenvalues (dsyevr)
+    # are within backward error of numpy's.
     @pytest.mark.parametrize("d", [1, 3, 20, 100])
     def test_min_eigenvalue_within_backward_error(self, d, rng):
         # The record's subset solve (dsyevr) is backward stable, so by Weyl's
@@ -128,14 +152,14 @@ class TestLapackDrivers:
                                     for _ in range(10))]
         for S in grams:
             ref = np.linalg.eigvalsh(S)
-            got = est.min_eigenvalue(GramState(sigma=S, b=np.zeros(d)))
+            got = est.min_eigenvalue(GramState(sigma=S[None], b=np.zeros((1, d))))
             assert abs(got - ref[0]) <= d * np.finfo(float).eps * ref[-1]
 
     @pytest.mark.parametrize("d", [1, 3, 20, 100])
     def test_solve_matches_cho_solve_exactly(self, d, rng):
         for S in random_grams(d, 30, rng):
             b = rng.standard_normal(d)
-            s = GramState(sigma=S, b=b)
+            s = GramState(sigma=S[None], b=b[None])
             ref = cho_solve(cho_factor(S, lower=True, check_finite=False), b,
                             check_finite=False)
             np.testing.assert_array_equal(est.solve(s)[0], ref)
@@ -143,14 +167,27 @@ class TestLapackDrivers:
     @pytest.mark.parametrize("d", [2, 5, 20])
     def test_psd_singular_not_identified(self, d, rng):
         X = rng.standard_normal((d - 1, d))
-        s = GramState(sigma=X.T @ X, b=X.T @ rng.standard_normal(d - 1))
+        s = GramState(sigma=(X.T @ X)[None],
+                      b=(X.T @ rng.standard_normal(d - 1))[None])
+        with pytest.raises(NotIdentifiedError):
+            est.solve(s)
+
+    @pytest.mark.parametrize("lam_max, above, below", [(1.0, 2e-9, 5e-10),
+                                                       (1e3, 2e-6, 5e-7)])
+    def test_identification_floor(self, lam_max, above, below):
+        # A Gram matrix is identified when lambda_min > 1e-9 max(1, lambda_max).
+        # Below the floor the solve raises even though Cholesky would succeed.
+        s = GramState(sigma=np.diag([lam_max, above])[None], b=np.ones((1, 2)))
+        np.testing.assert_allclose(est.solve(s), [[1 / lam_max, 1 / above]])
+        s = GramState(sigma=np.diag([lam_max, below])[None], b=np.ones((1, 2)))
         with pytest.raises(NotIdentifiedError):
             est.solve(s)
 
     def test_failed_factorization_not_identified(self):
         # Past the eigenvalue gate (invertible_since set) an exactly singular
         # Gram matrix still raises instead of returning a solve.
-        s = GramState(sigma=np.ones((2, 2)), b=np.ones(2), invertible_since=1)
+        s = GramState(sigma=np.ones((1, 2, 2)), b=np.ones((1, 2)))
+        s.invertible_since[:] = 1
         with pytest.raises(NotIdentifiedError):
             est.solve(s)
 
@@ -169,10 +206,10 @@ def test_incremental_matches_direct(d, n, seed):
     y = rng.standard_normal(n)
     s = est.init(d)
     for x, v in zip(X, y):
-        est.update(s, x, v)
+        est.update(s, [x], [v])
     np.testing.assert_allclose(s.sigma[0], X.T @ X, atol=1e-10)
     np.testing.assert_allclose(s.b[0], X.T @ y, atol=1e-10)
-    if s.theta_hat is not None:
+    if s.invertible_since.all():
         gram = X.T @ X
         ref = np.linalg.solve(gram, X.T @ y)
         # Forward-error bound: Sigma summed from rank-one updates rounds
@@ -197,8 +234,8 @@ def test_noiseless_exact_recovery(d, seed):
     s = est.init(d)
     for _ in range(d + 3):
         x = rng.standard_normal(d)
-        est.update(s, x, float(x @ theta))
-    assert s.theta_hat is not None
+        est.update(s, [x], [float(x @ theta)])
+    assert s.invertible_since.all()
     assert np.abs(s.theta_hat - theta).max() < 1e-8
 
 
@@ -210,7 +247,7 @@ def test_loewner_monotonicity(d, n, seed):
     s = est.init(d)
     prev = 0.0
     for _ in range(n):
-        est.update(s, rng.standard_normal(d), 0.0)
+        est.update(s, [rng.standard_normal(d)], [0.0])
         cur = est.min_eigenvalue(s)
         assert cur >= prev - 1e-10 * max(1.0, prev)
         prev = cur

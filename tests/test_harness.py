@@ -212,6 +212,19 @@ class TestCsv:
         assert sorted(p.name for p in out.iterdir()) == ["raw.csv"]
         assert (out / "raw.csv").read_text(encoding="utf-8") == "old\n"
 
+    def test_failed_raw_move_names_raw(self, tmp_path):
+        # The raw target is a directory, so moving its temporary into place
+        # fails; the error names the raw CSV, not the aggregate written
+        # after it.
+        table = run_experiment(tiny_config(tmp_path, T=3, reps=1))
+        out = tmp_path / "csv"
+        (out / "raw.csv").mkdir(parents=True)
+        with pytest.raises(OSError) as info:
+            write_csv(table, out / "raw.csv", out / "agg.csv")
+        assert str(out / "raw.csv") in str(info.value)
+        assert str(out / "agg.csv") not in str(info.value)
+        assert sorted(p.name for p in out.iterdir()) == ["raw.csv"]
+
     def test_unwritable_aggregate_leaves_nothing(self, tmp_path):
         table = run_experiment(tiny_config(tmp_path, T=3, reps=1))
         out = tmp_path / "csv"

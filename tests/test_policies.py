@@ -77,8 +77,8 @@ class TestPolicyStep:
         cfg = PolicyConfig("greedy", theta0=np.array([1.0, 0.0]))
         cs = contexts_of([0.5, 9.0], [0.6, -9.0])
         assert policy_step(s, cfg, cs) == 1  # scored with theta0
-        est.update(s, [1.0, 0.0], 1.0)
-        est.update(s, [0.0, 1.0], 1.0)
+        est.update(s, [[1.0, 0.0]], [1.0])
+        est.update(s, [[0.0, 1.0]], [1.0])
         # theta_hat = (1, 1) now dominates the warm start.
         assert policy_step(s, cfg, cs) == 0
 
@@ -109,7 +109,7 @@ class TestPolicyStep:
     def test_greedy_and_linucb_are_pure(self, rng):
         s = est.init(3)
         for _ in range(8):
-            est.update(s, rng.standard_normal(3), rng.standard_normal())
+            est.update(s, [rng.standard_normal(3)], [rng.standard_normal()])
         cs = rng.standard_normal((4, 3))[None]
         g = PolicyConfig("greedy", theta0=np.zeros(3))
         u = PolicyConfig("linucb", delta=0.01)
@@ -119,7 +119,7 @@ class TestPolicyStep:
     def test_lints_pure_given_draw(self, rng):
         s = est.init(3)
         for _ in range(8):
-            est.update(s, rng.standard_normal(3), rng.standard_normal())
+            est.update(s, [rng.standard_normal(3)], [rng.standard_normal()])
         cs = rng.standard_normal((4, 3))[None]
         cfg = PolicyConfig("lints", delta=0.01)
         a = policy_step(s, cfg, cs, rngs=[np.random.default_rng(3)])
@@ -131,7 +131,7 @@ class TestLinUcb:
     def test_beta_zero_is_ridge_greedy(self, rng):
         s = est.init(3)
         for _ in range(12):
-            est.update(s, rng.standard_normal(3), rng.standard_normal())
+            est.update(s, [rng.standard_normal(3)], [rng.standard_normal()])
         cfg = PolicyConfig("linucb", delta=0.1)
         cs = rng.standard_normal((5, 3))[None]
         ridge = np.linalg.solve(s.sigma[0] + np.eye(3), s.b[0])
@@ -142,7 +142,7 @@ class TestLinUcb:
         # must flip the selection toward it.
         s = est.init(2)
         for _ in range(50):
-            est.update(s, [1.0, 0.0], 1.0)
+            est.update(s, [[1.0, 0.0]], [1.0])
         cfg = PolicyConfig("linucb", delta=0.1)
         cs = contexts_of([1.0, 0.0], [0.9, 1.0])
         assert linucb_select(s, cfg, cs, beta=0.0) == 0
@@ -153,7 +153,7 @@ class TestLints:
     def test_vanishing_scale_agrees_with_ridge(self, rng):
         s = est.init(3)
         for _ in range(15):
-            est.update(s, rng.standard_normal(3), rng.standard_normal())
+            est.update(s, [rng.standard_normal(3)], [rng.standard_normal()])
         cfg = PolicyConfig("lints", v_scale=1e-6, delta=0.1)
         ridge = np.linalg.solve(s.sigma[0] + np.eye(3), s.b[0])
         agree = 0
@@ -192,7 +192,7 @@ class TestConfidenceRadius:
         for _ in range(n):
             x = rng.standard_normal(d)
             x *= min(1.0, x_max / np.linalg.norm(x))
-            est.update(s, x, 0.0)
+            est.update(s, [x], [0.0])
         cfg = PolicyConfig("linucb", lambda_reg=lam, delta=delta, sigma_assumed=sig)
         bound = sig * math.sqrt(d * math.log(1 + n * x_max**2 / (d * lam))
                                 + 2 * math.log(1 / delta)) + math.sqrt(lam)
@@ -202,7 +202,7 @@ class TestConfidenceRadius:
     def test_factor_logdet_matches_slogdet(self, d, lam, rng):
         s = est.init(d)
         for _ in range(3 * d):
-            est.update(s, rng.standard_normal(d), rng.standard_normal())
+            est.update(s, [rng.standard_normal(d)], [rng.standard_normal()])
         cfg = PolicyConfig("linucb", lambda_reg=lam, delta=0.01, sigma_assumed=0.5)
         sign, logdet = np.linalg.slogdet(s.sigma[0] + lam * np.eye(d))
         width = logdet - d * math.log(lam) + 2 * math.log(1 / 0.01)
@@ -220,7 +220,7 @@ class TestConfidenceRadius:
             beta = confidence_radius(s, cfg)
             arm = policy_step(s, cfg, cs)
             assert arm == linucb_select(s, cfg, cs, beta)
-            est.update(s, cs[0, arm], rng.standard_normal())
+            est.update(s, cs[0, arm], [rng.standard_normal()])
 
     def test_unresolved_delta_rejected(self):
         with pytest.raises(ValueError):
