@@ -387,15 +387,40 @@ def _coordwise_box(spec: DistributionSpec, d: int) -> bool:
     return True
 
 
+def _cauchy_icdf(u, out):
+    """tan(pi (u - 0.5)), written into out."""
+    np.subtract(u, 0.5, out=out)
+    out *= math.pi
+    return np.tan(out, out=out)
+
+
+def _laplace_icdf(u, out):
+    """-sign(u - 0.5) log1p(-2 |u - 0.5|), written into out."""
+    np.subtract(u, 0.5, out=out)
+    sign = np.sign(out)
+    np.negative(sign, out=sign)
+    np.abs(out, out=out)
+    out *= -2.0
+    np.log1p(out, out=out)
+    out *= sign
+    return out
+
+
+def _exponential_icdf(u, out):
+    """-log1p(-u), written into out."""
+    np.negative(u, out=out)
+    np.log1p(out, out=out)
+    return np.negative(out, out=out)
+
+
 # Standard CDF G and its inverse for the closed-form families, drawn as
-# X = loc + scale * Z with Z ~ G.
+# X = loc + scale * Z with Z ~ G.  Each inverse takes (u, out=...) like the
+# scipy.special ufuncs of the other families, so a block is mapped in place.
 _STANDARD_CDFS = {
-    "cauchy": (lambda z: 0.5 + np.arctan(z) / math.pi,
-               lambda u: np.tan(math.pi * (u - 0.5))),
+    "cauchy": (lambda z: 0.5 + np.arctan(z) / math.pi, _cauchy_icdf),
     "laplace": (lambda z: 0.5 - 0.5 * np.sign(z) * np.expm1(-np.abs(z)),
-                lambda u: -np.sign(u - 0.5) * np.log1p(-2.0 * np.abs(u - 0.5))),
-    "exponential": (lambda z: -np.expm1(-np.maximum(z, 0.0)),
-                    lambda u: -np.log1p(-u)),
+                _laplace_icdf),
+    "exponential": (lambda z: -np.expm1(-np.maximum(z, 0.0)), _exponential_icdf),
 }
 
 
@@ -499,14 +524,14 @@ def _sample_block(spec: DistributionSpec, d: int, n: int, rngs) -> np.ndarray:
         rng.random(out=slot)
     # loc + scale * G^-1(a + w U), computed in place.  Clipping keeps a
     # round-off past the box edge (tan(arctan(5)) can land one ulp outside)
-    # inside the support.
+    # inside the support; the array method skips np.clip's dispatch.
     lo, hi, loc, scale, a, w, icdf = _box_inverse_cdf(spec, d)
     X *= w
     X += a
-    X = icdf(X)
+    icdf(X, out=X)
     X *= scale
     X += loc
-    return np.clip(X, lo, hi, out=X)
+    return X.clip(lo, hi, out=X)
 
 
 def sample_context_set(spec: DistributionSpec, d: int, K: int,

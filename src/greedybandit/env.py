@@ -16,6 +16,14 @@ exactly as a block of one does: a stacked matmul or vecdot makes one BLAS
 gemv or dot call per replication, never one product over the whole stack,
 whose kernel blocking would round some rows differently.  A replication's
 trajectory is therefore byte-identical whichever block it runs in.
+
+The round loop runs with every OpenBLAS in the process at one thread
+(blas.one_thread) and gives back the caller's counts when it ends.  Its
+LAPACK calls are small and per replication; a second BLAS thread only
+contends with the other library's pool and with other workers (on 2 cores,
+d = 100 with 4 reps ran 2-7x slower at --jobs 2 than at --jobs 1 without
+the pin).  The counts are process-global, so threads of one process running
+blocks at once share them.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import estimator, policies
+from . import blas, estimator, policies
 from .contexts import DistributionSpec, resolve_dim, sample_context_set
 from .policies import PolicyConfig
 
@@ -139,21 +147,23 @@ def run_episode(instance: BanditInstance, config: PolicyConfig, T: int,
     rows = np.arange(R)
     arms, best_arms = np.empty((2, T, R), dtype=np.intp)
     rewards, regrets, errors, eigs, norms = np.full((5, T, R), np.nan)
-    for i in range(T):
-        X = sample_context_set(instance.spec, d, K, rngs)
-        arm = policies.policy_step(state, config, X, rngs)
-        x = X[rows, arm]
-        y = reward(instance, x, rngs)
-        regrets[i], best_arms[i] = instantaneous_regret(instance, X, arm)
-        estimator.update(state, x, y)
-        diff = state.theta_hat - instance.theta_star
-        # vecdot is one BLAS dot per row, as np.linalg.norm of one vector;
-        # the rows not identified yet are NaN.
-        errors[i] = np.sqrt(np.vecdot(diff, diff))
-        arms[i], rewards[i] = arm, y
-        eigs[i] = estimator.min_eigenvalue(state)
-        # sqrt is monotone, so the root of the largest square is the max norm.
-        norms[i] = np.sqrt(np.vecdot(X, X).max(axis=-1))
+    with blas.one_thread():
+        for i in range(T):
+            X = sample_context_set(instance.spec, d, K, rngs)
+            arm = policies.policy_step(state, config, X, rngs)
+            x = X[rows, arm]
+            y = reward(instance, x, rngs)
+            regrets[i], best_arms[i] = instantaneous_regret(instance, X, arm)
+            estimator.update(state, x, y)
+            diff = state.theta_hat - instance.theta_star
+            # vecdot is one BLAS dot per row, as np.linalg.norm of one vector;
+            # the rows not identified yet are NaN.
+            errors[i] = np.sqrt(np.vecdot(diff, diff))
+            arms[i], rewards[i] = arm, y
+            eigs[i] = estimator.min_eigenvalue(state)
+            # sqrt is monotone, so the root of the largest square is the max
+            # norm.
+            norms[i] = np.sqrt(np.vecdot(X, X).max(axis=-1))
     # Each replication's columns become contiguous rows.
     columns = [np.ascontiguousarray(c.T)
                for c in (arms, best_arms, rewards, regrets, errors, eigs, norms)]

@@ -142,11 +142,7 @@ def update(state: GramState, x, y) -> GramState:
 
 
 def _solve(state: GramState, r: int) -> np.ndarray:
-    sigma = state.sigma[r]
-    if not state.invertible_since[r] and not _is_invertible(sigma):
-        raise NotIdentifiedError("Gram matrix is singular after "
-                                 f"{state.t} updates")
-    L, info = lapack.dpotrf(sigma, lower=1, clean=0)
+    L, info = lapack.dpotrf(state.sigma[r], lower=1, clean=0)
     if info != 0:
         raise NotIdentifiedError(f"Cholesky factorization failed at leading "
                                  f"minor {info} after {state.t} updates")
@@ -156,8 +152,17 @@ def _solve(state: GramState, r: int) -> np.ndarray:
 
 def solve(state: GramState) -> np.ndarray:
     """Least squares estimates Sigma^-1 b via Cholesky (authoritative path),
-    one row per replication."""
-    return np.stack([_solve(state, r) for r in range(state.reps)])
+    one row per replication, NaN in the rows below the identification floor;
+    raises while no row clears it, or when an identified row's Cholesky
+    factorization fails."""
+    rows = [r for r in range(state.reps)
+            if state.invertible_since[r] or _is_invertible(state.sigma[r])]
+    if not rows:
+        raise NotIdentifiedError(f"Gram matrix is singular after {state.t} updates")
+    theta = np.full(state.b.shape, np.nan)
+    for r in rows:
+        theta[r] = _solve(state, r)
+    return theta
 
 
 def incremental_estimate(state: GramState) -> np.ndarray:

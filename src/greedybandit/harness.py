@@ -5,7 +5,10 @@ stream for theta_star, one for the greedy warm start, and one per
 (policy, replication) episode.  Each policy's replications run in lockstep
 blocks (one per policy, or with jobs > 1 several per policy spread over a
 process pool), and an episode's bytes depend on its stream alone, so results
-are byte-identical no matter how episodes are blocked or scheduled.
+are byte-identical no matter how episodes are blocked or scheduled.  Every
+block runs at one OpenBLAS thread in the process that runs it (see env), so
+a pool of N workers uses N cores instead of oversubscribing them, and the
+caller's thread counts are back once the block returns.
 Outputs are a raw per-round CSV, an aggregate CSV (mean and sample std of
 cumulative regret per policy), an optional SVG regret plot, and an optional
 diagnostics text sidecar, each written through a temporary file that

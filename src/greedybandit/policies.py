@@ -120,8 +120,14 @@ def confidence_radius(state: GramState, config: PolicyConfig) -> np.ndarray:
     return _radius(_ridge(state, config.lambda_reg)[0], config)
 
 
-def _linucb_choice(L: np.ndarray, theta_tilde: np.ndarray, X: np.ndarray,
-                   beta) -> np.ndarray:
+def linucb_select(state: GramState, config: PolicyConfig, contexts,
+                  beta=None) -> np.ndarray:
+    """LinUCB arms; beta None takes each replication's confidence radius
+    from the same ridge factor that gives the estimate and the widths."""
+    X = _stacked(contexts, state.reps, state.dim)
+    L, theta_tilde = _ridge(state, config.lambda_reg)
+    if beta is None:
+        beta = _radius(L, config)
     # Row i of W[r] is Sigma_bar_r^-1 x_i, so the width is sqrt(x_i . W[r, i]).
     W = np.empty_like(X)
     for r in range(len(X)):
@@ -129,13 +135,6 @@ def _linucb_choice(L: np.ndarray, theta_tilde: np.ndarray, X: np.ndarray,
     widths = np.sqrt(np.maximum(np.einsum("rij,rij->ri", X, W), 0.0))
     scores = np.matmul(X, theta_tilde[..., None])[..., 0]
     return (scores + np.asarray(beta)[..., None] * widths).argmax(axis=-1)
-
-
-def linucb_select(state: GramState, config: PolicyConfig, contexts,
-                  beta) -> np.ndarray:
-    L, theta_tilde = _ridge(state, config.lambda_reg)
-    return _linucb_choice(L, theta_tilde,
-                          _stacked(contexts, state.reps, state.dim), beta)
 
 
 def lints_select(state: GramState, config: PolicyConfig, contexts,
@@ -167,8 +166,7 @@ def policy_step(state: GramState, config: PolicyConfig, contexts,
             theta = np.where(since[:, None] > 0, theta, config.theta0)
         return greedy_select(theta, X)
     if config.kind == "linucb":
-        L, theta_tilde = _ridge(state, config.lambda_reg)
-        return _linucb_choice(L, theta_tilde, X, _radius(L, config))
+        return linucb_select(state, config, X)
     if rngs is None:
         raise ValueError("lints needs random generators")
     return lints_select(state, config, X, rngs)

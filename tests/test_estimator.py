@@ -51,8 +51,10 @@ class TestLifecycle:
         assert s.invertible_since.tolist() == [3, 0]
         assert np.isnan(s.theta_hat[1]).all()
         assert (s.sigma_inv[1] == 0.0).all()
-        row0 = est.solve(GramState(sigma=s.sigma[:1], b=s.b[:1]))[0]
+        solved = est.solve(s)
+        row0 = solved[0]
         np.testing.assert_array_equal(s.theta_hat[0], row0)
+        assert np.isnan(solved[1]).all()
         inc = est.incremental_estimate(s)
         assert np.isnan(inc[1]).all()
         np.testing.assert_allclose(inc[0], row0, rtol=0, atol=1e-12)

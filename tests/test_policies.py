@@ -222,6 +222,16 @@ class TestConfidenceRadius:
             assert arm == linucb_select(s, cfg, cs, beta)
             est.update(s, cs[0, arm], [rng.standard_normal()])
 
+    def test_default_beta_is_confidence_radius(self, rng):
+        s = est.init(3, reps=2)
+        cfg = PolicyConfig("linucb", delta=0.05)
+        for _ in range(8):
+            X = rng.standard_normal((2, 3))
+            est.update(s, X, rng.standard_normal(2))
+        cs = rng.standard_normal((2, 5, 3))
+        np.testing.assert_array_equal(
+            linucb_select(s, cfg, cs), linucb_select(s, cfg, cs, confidence_radius(s, cfg)))
+
     def test_unresolved_delta_rejected(self):
         with pytest.raises(ValueError):
             confidence_radius(est.init(2), PolicyConfig("linucb"))
