@@ -119,13 +119,18 @@ def update(state: GramState, x, y) -> GramState:
     col, row = x.reshape(R, d, 1), x.reshape(R, 1, d)
 
     # Sherman-Morrison on the pre-update inverses; the zero rows of
-    # replications not identified yet stay zero.
+    # replications not identified yet stay zero.  One (R, d, d) buffer
+    # holds both outer products in turn; einsum writes a product of two
+    # rows in fewer inner loops than a broadcast multiply, to the same bits.
     Av = np.matmul(state.sigma_inv, col)
     denom = 1.0 + np.matmul(row, Av)
-    state.sigma_inv -= Av * Av.reshape(R, 1, d) / denom
+    v = Av.reshape(R, d)
+    outer = np.einsum("ri,rj->rij", v, v)
+    outer /= denom
+    state.sigma_inv -= outer
 
-    state.sigma += col * row
-    state.b += (col * y.reshape(R, 1, 1)).reshape(R, d)
+    state.sigma += np.einsum("ri,rj->rij", x, x, out=outer)
+    state.b += x * y.reshape(R, 1)
     state.t += 1
 
     # While t < d, rank(sigma) <= t < d: the computed lambda_min is at most

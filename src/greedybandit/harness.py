@@ -21,11 +21,11 @@ import concurrent.futures
 import configparser
 import contextlib
 import csv
+import html
 import math
 import os
 from dataclasses import dataclass, replace
 from itertools import repeat
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -376,7 +376,7 @@ def render_svg(table: ResultsTable, path) -> None:
         yy = ly + 18 * i
         out.append(f'<rect x="{lx}" y="{yy}" width="18" height="4" fill="{color}"/>')
         out.append(f'<text x="{lx + 24}" y="{yy + 6}" font-size="12">'
-                   f'{escape(name)}</text>')
+                   f'{html.escape(name, quote=False)}</text>')
     out.append("</svg>")
     _write_text(path, "\n".join(out) + "\n")
 

@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from greedybandit import contexts as ctx
+from greedybandit import blas, contexts as ctx
 from greedybandit.contexts import (DegenerateInputError, DistributionSpec,
                                    InfeasibleTruncationError, OutOfSupportError,
                                    ball, box, cauchy_spec, decay_rate_check,
@@ -275,6 +276,24 @@ class TestBlockDraw:
                                       for s in seeds])
                     assert block.shape == (R, K, d)
                     assert block.tobytes() == alone.tobytes(), (d, R, K)
+
+    @pytest.mark.parametrize("d", [5, 20, 100])
+    def test_pool_map_in_place_matches_one_call(self, d):
+        # A pool-sized gaussian slot is mapped in row blocks written back
+        # into its draw, the last block taking a tail that is not a multiple
+        # of the block; the rows equal the one-call product byte for byte,
+        # at the default BLAS threads and at one.
+        spec = gaussian_spec(mean=0.25, cov=1.5, rho=0.3)
+        L = ctx._gauss_resolved(spec, d)[2]
+        P = np.random.default_rng(d).standard_normal((1, 3 * ctx._MAP_ROWS + 17, d))
+        expected = P @ L.T
+        expected += spec.mean
+        for pin in (contextlib.nullcontext(), blas.one_thread()):
+            with pin:
+                draw = P.copy()
+                X = ctx._map(spec, d, draw)
+            assert np.shares_memory(X, draw)
+            assert X.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("bad", [0, 1, 2])
     def test_non_finite_slot_rejected(self, bad, monkeypatch):

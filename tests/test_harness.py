@@ -292,6 +292,18 @@ class TestSvg:
         for name in table.policy_names:
             assert name in texts
 
+    def test_legend_escapes_markup_only(self, tmp_path):
+        # &, < and > are escaped in the legend and quotes are written as
+        # they are: the bytes xml.sax.saxutils.escape gave.
+        name = 'a<b> & "c\'s"'
+        cfg = tiny_config(tmp_path, T=5, policies=[
+            PolicyConfig(kind="greedy", sigma_assumed=0.5, name=name)])
+        path = tmp_path / "named.svg"
+        render_svg(run_experiment(cfg), path)
+        assert '>a&lt;b&gt; &amp; "c\'s"</text>' in path.read_text()
+        texts = [t.text for t in ET.parse(path).getroot().iter(f"{SVG_NS}text")]
+        assert name in texts
+
     def test_constant_zero_series_flat(self, tmp_path):
         # K=1 forces zero regret every round: the series is a flat line on
         # the axis.
