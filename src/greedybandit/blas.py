@@ -16,13 +16,20 @@ import contextlib
 import ctypes
 import functools
 import os
+import threading
 
 MAPS = "/proc/self/maps"
+
+# The pin shared by every thread of the process: how many blocks are inside
+# one_thread, and the counts the first of them found.
+_pin_lock = threading.Lock()
+_pin_depth = 0
+_pin_saved: list[int] = []
 
 
 @functools.cache
 def _libraries() -> list[tuple]:
-    """(get, set) thread-count functions of every OpenBLAS mapped now."""
+    """(get, set, config) entry points of every OpenBLAS mapped now."""
     try:
         with open(MAPS, encoding="utf-8") as fh:
             paths = {line.split()[-1] for line in fh}
@@ -37,30 +44,46 @@ def _libraries() -> list[tuple]:
         for suffix in ("64_", ""):
             get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
             set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
-            if get is not None and set_ is not None:
+            config = getattr(lib, f"scipy_openblas_get_config{suffix}", None)
+            if get is not None and set_ is not None and config is not None:
                 get.restype, set_.restype = ctypes.c_int, None
                 set_.argtypes = [ctypes.c_int]
-                found.append((get, set_))
+                config.restype = ctypes.c_char_p
+                found.append((get, set_, config))
                 break
     return found
 
 
 def thread_counts() -> list[int]:
     """Current thread count of each library the probe found."""
-    return [get() for get, _ in _libraries()]
+    return [get() for get, _, _ in _libraries()]
+
+
+def configs() -> list[str]:
+    """Build string of each library the probe found: version, build options
+    and the CPU core whose kernels it runs."""
+    return [config().decode() for _, _, config in _libraries()]
 
 
 @contextlib.contextmanager
 def one_thread():
     """Run the block with every library at one thread, then give back the
-    caller's counts.  The counts are process-global: blocks that overlap in
-    threads of one process share them, and each restores on exit the counts
-    it found on entry."""
-    libs, saved = _libraries(), thread_counts()
-    for _, set_ in libs:
-        set_(1)
+    caller's counts.  The counts are process-global, so blocks that overlap
+    in threads of one process share one pin: the first to enter saves the
+    counts and sets them to one, and the last to exit restores them."""
+    global _pin_depth, _pin_saved
+    libs = _libraries()
+    with _pin_lock:
+        if _pin_depth == 0:
+            _pin_saved = thread_counts()
+            for _, set_, _ in libs:
+                set_(1)
+        _pin_depth += 1
     try:
         yield
     finally:
-        for (_, set_), n in zip(libs, saved):
-            set_(n)
+        with _pin_lock:
+            _pin_depth -= 1
+            if _pin_depth == 0:
+                for (_, set_, _), n in zip(libs, _pin_saved):
+                    set_(n)

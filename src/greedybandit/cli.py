@@ -68,7 +68,9 @@ def build_parser() -> argparse.ArgumentParser:
                         action=argparse.BooleanOptionalAction,
                         help="write the regret plot")
     parser.add_argument("--diagnostics", action=argparse.BooleanOptionalAction,
-                        help="write the diagnostics sidecar")
+                        help="write the diagnostics sidecar; its Monte-Carlo "
+                             "estimates run on one extra thread next to the "
+                             "episodes, at every --jobs")
     parser.add_argument("--jobs", type=int, help="parallel worker processes")
     parser.add_argument("--list-presets", action="store_true",
                         help="print available presets and exit")

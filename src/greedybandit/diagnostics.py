@@ -6,6 +6,9 @@ lambda_star, margin slope c_delta, bounded-context concentration pair
 checks run on recorded trajectories (sqrt(t)-consistency of the OLS error
 and linear growth of the minimal Gram eigenvalue).  Every estimator reports
 a Monte-Carlo standard error so thresholds can be stated in those units.
+`run_diagnostics` composes `estimate_constants` (the estimators) and
+`check_trajectory` (the checks); the estimators need no trajectory, so a
+caller can run them while the episodes run.
 
 Memory: an estimator holds one (n_mc, K, d) context pool at a time.  A
 gaussian pool is mapped in place (contexts._MAP_ROWS), directions are
@@ -415,6 +418,18 @@ def empirical_x_max(spec: DistributionSpec, d: int, K: int, n_mc: int,
 
 
 @dataclass
+class ConstantEstimates:
+    """The trajectory-free half of a report: every Monte-Carlo constant of
+    the spec at dimension d (concentration is None for unbounded support)."""
+
+    d: int
+    diversity: DiversityEstimate
+    margin: MarginEstimate
+    concentration: ConcentrationEstimate | None
+    x_max: float
+
+
+@dataclass
 class DiagnosticsReport:
     """All estimated constants and trajectory checks for one experiment."""
 
@@ -432,27 +447,34 @@ class DiagnosticsReport:
     notes: list[str] = field(default_factory=list)
 
 
-def run_diagnostics(spec: DistributionSpec, d: int, K: int, theta_star,
-                    trajectory: Trajectory, rng: np.random.Generator,
-                    n_mc_diversity: int = 10**4, n_mc_margin: int = 10**5,
-                    n_dirs: int = 32, target_p: float = 0.9) -> DiagnosticsReport:
-    """Estimate every constant for the spec and check the trajectory against
-    the estimated diversity floor."""
+def estimate_constants(spec: DistributionSpec, d: int, K: int, theta_star,
+                       rng: np.random.Generator, n_mc_diversity: int = 10**4,
+                       n_mc_margin: int = 10**5, n_dirs: int = 32,
+                       target_p: float = 0.9) -> ConstantEstimates:
+    """Run the four estimators, in this order, on one generator.  They need
+    no trajectory, so they can run while the episodes do."""
     d = resolve_dim(spec, d)
     div = estimate_diversity_constant(spec, d, K, n_mc_diversity, n_dirs, rng)
     margin = estimate_margin_constant(spec, theta_star, d, K, n_mc_margin, rng=rng)
-    notes = ["x_max_hat is the empirical 1-1e-4 tail quantile of the max arm "
-             "norm, not a closed-form bound"]
     try:
         conc = estimate_concentration_params(spec, d, K, max(n_mc_diversity, 1000),
                                              n_dirs, target_p, rng=rng)
-        c_star, p_star = conc.c_star, conc.p_star
     except UnboundedSupportError:
-        c_star, p_star = None, None
-        notes.append("concentration parameters undefined: unbounded support")
+        conc = None
     x_max = empirical_x_max(spec, d, K, n_mc_diversity, rng)
-    growth = gram_growth_check(trajectory, div.value, t0=growth_burn_in(d))
-    cons = consistency_check(trajectory, t_max=len(trajectory))
+    return ConstantEstimates(d=d, diversity=div, margin=margin,
+                             concentration=conc, x_max=x_max)
+
+
+def check_trajectory(constants: ConstantEstimates,
+                     trajectory: Trajectory) -> DiagnosticsReport:
+    """Check the trajectory against the estimated diversity floor and
+    assemble the report."""
+    div, margin, conc = constants.diversity, constants.margin, constants.concentration
+    notes = ["x_max_hat is the empirical 1-1e-4 tail quantile of the max arm "
+             "norm, not a closed-form bound"]
+    if conc is None:
+        notes.append("concentration parameters undefined: unbounded support")
     return DiagnosticsReport(
         lambda_star_hat=div.value,
         lambda_star_se=div.std_error,
@@ -460,13 +482,25 @@ def run_diagnostics(spec: DistributionSpec, d: int, K: int, theta_star,
         c_delta_se=margin.slope_se,
         margin_intercept=margin.intercept,
         margin_intercept_se=margin.intercept_se,
-        c_star_hat=c_star,
-        p_star_hat=p_star,
-        x_max_hat=x_max,
-        growth=growth,
-        consistency=cons,
+        c_star_hat=None if conc is None else conc.c_star,
+        p_star_hat=None if conc is None else conc.p_star,
+        x_max_hat=constants.x_max,
+        growth=gram_growth_check(trajectory, div.value,
+                                 t0=growth_burn_in(constants.d)),
+        consistency=consistency_check(trajectory, t_max=len(trajectory)),
         notes=notes,
     )
+
+
+def run_diagnostics(spec: DistributionSpec, d: int, K: int, theta_star,
+                    trajectory: Trajectory, rng: np.random.Generator,
+                    n_mc_diversity: int = 10**4, n_mc_margin: int = 10**5,
+                    n_dirs: int = 32, target_p: float = 0.9) -> DiagnosticsReport:
+    """Estimate every constant for the spec and check the trajectory against
+    the estimated diversity floor."""
+    constants = estimate_constants(spec, d, K, theta_star, rng, n_mc_diversity,
+                                   n_mc_margin, n_dirs, target_p)
+    return check_trajectory(constants, trajectory)
 
 
 def format_report(report: DiagnosticsReport) -> str:

@@ -8,7 +8,9 @@ process pool), and an episode's bytes depend on its stream alone, so results
 are byte-identical no matter how episodes are blocked or scheduled.  Every
 block runs at one OpenBLAS thread in the process that runs it (see env), so
 a pool of N workers uses N cores instead of oversubscribing them, and the
-caller's thread counts are back once the block returns.
+caller's thread counts are back once the block returns.  With diagnostics,
+the Monte-Carlo estimators, which need no trajectory, run on one extra
+thread, also at one OpenBLAS thread, while the blocks run.
 Outputs are a raw per-round CSV, an aggregate CSV (mean and sample std of
 cumulative regret per policy), an optional SVG regret plot, and an optional
 diagnostics text sidecar, each written through a temporary file that
@@ -29,6 +31,7 @@ from itertools import repeat
 
 import numpy as np
 
+from . import blas
 from . import diagnostics as diag
 from .contexts import (DistributionSpec, box, cauchy_spec, gaussian_spec,
                        laplace_spec, exponential_spec, resolve_dim,
@@ -84,6 +87,8 @@ class ExperimentConfig:
         check(self.sigma >= 0, "experiment.sigma", "must be non-negative")
         check(isinstance(self.jobs, int) and self.jobs >= 1,
               "experiment.jobs", "must be an int >= 1")
+        check(not self.diagnostics or self.K >= 2, "experiment.diagnostics",
+              "needs K >= 2: the margin estimate compares the best two arms")
         check(isinstance(self.spec, DistributionSpec), "spec", "must be a DistributionSpec")
         try:
             resolve_dim(self.spec, self.d)
@@ -110,6 +115,8 @@ class ResultsTable:
     theta_star: np.ndarray
     theta0: np.ndarray
     trajectories: dict[tuple[str, int], Trajectory]
+    # The diagnostics report, when the config asks for one.
+    diagnostics: diag.DiagnosticsReport | None = None
 
     @property
     def policy_names(self) -> list[str]:
@@ -183,19 +190,42 @@ def run_experiment(config: ExperimentConfig) -> ResultsTable:
             blocks.append((policy, reps, seeds))
 
     trajectories: dict[tuple[str, int], Trajectory] = {}
-    if config.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=config.jobs) as pool:
+    report = None
+    with contextlib.ExitStack() as stack:
+        if config.jobs > 1:
+            pool = stack.enter_context(
+                concurrent.futures.ProcessPoolExecutor(max_workers=config.jobs))
+            # The first submit forks every worker, before the estimator thread
+            # exists, so no worker inherits a lock that thread holds.
             futures = {pool.submit(run_episode, instance, pol, config.T, seeds):
                        (pol.name, reps) for pol, reps, seeds in blocks}
-            for fut in concurrent.futures.as_completed(futures):
-                name, reps = futures[fut]
-                trajectories.update(zip(zip(repeat(name), reps), fut.result()))
-    else:
-        for pol, reps, seeds in blocks:
-            trajectories.update(zip(zip(repeat(pol.name), reps),
-                                    run_episode(instance, pol, config.T, seeds)))
+            results = ((*futures[fut], fut.result())
+                       for fut in concurrent.futures.as_completed(futures))
+        else:
+            # Lazy: the blocks run in the loop below, beside the estimators.
+            results = ((pol.name, reps, run_episode(instance, pol, config.T, seeds))
+                       for pol, reps, seeds in blocks)
+        if config.diagnostics:
+            worker = stack.enter_context(
+                concurrent.futures.ThreadPoolExecutor(max_workers=1))
+            constants = worker.submit(_estimate_constants, config, theta_star)
+        for name, reps, trajs in results:
+            trajectories.update(zip(zip(repeat(name), reps), trajs))
+        if config.diagnostics:
+            name = next((p.name for p in config.policies if p.kind == "greedy"),
+                        config.policies[0].name)
+            report = diag.check_trajectory(constants.result(),
+                                           trajectories[(name, 0)])
     return ResultsTable(config=config, theta_star=theta_star, theta0=theta0,
-                        trajectories=trajectories)
+                        trajectories=trajectories, diagnostics=report)
+
+
+def _estimate_constants(config: ExperimentConfig, theta_star) -> diag.ConstantEstimates:
+    """The diagnostics' Monte-Carlo estimates on their own stream, at one
+    OpenBLAS thread: they run beside the episode blocks."""
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(10**6,)))
+    with blas.one_thread():
+        return diag.estimate_constants(config.spec, config.d, config.K, theta_star, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -397,20 +427,11 @@ def write_outputs(table: ResultsTable) -> dict[str, str]:
         svg_path = os.path.join(cfg.output_dir, "regret.svg")
         render_svg(table, svg_path)
         paths["svg"] = svg_path
-    if cfg.diagnostics:
+    if table.diagnostics is not None:
         diag_path = os.path.join(cfg.output_dir, "diagnostics.txt")
-        _write_text(diag_path, diag.format_report(_diagnostics_for(table)))
+        _write_text(diag_path, diag.format_report(table.diagnostics))
         paths["diagnostics"] = diag_path
     return paths
-
-
-def _diagnostics_for(table: ResultsTable):
-    cfg = table.config
-    greedy = [p.name for p in cfg.policies if p.kind == "greedy"]
-    name = greedy[0] if greedy else cfg.policies[0].name
-    traj = table.trajectories[(name, 0)]
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(10**6,)))
-    return diag.run_diagnostics(cfg.spec, cfg.d, cfg.K, table.theta_star, traj, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,24 @@
 import numpy as np
 import pytest
 
+from greedybandit import blas
+
 ACCEPTANCE_RESULTS = []
+
+
+@pytest.fixture
+def libs():
+    """The OpenBLAS builds the probe finds, each set to two threads for the
+    test and given back its own count afterwards."""
+    found = blas._libraries()
+    if not found:
+        pytest.skip("no OpenBLAS with scipy_openblas thread entry points mapped")
+    saved = blas.thread_counts()
+    for _, set_, _ in found:
+        set_(2)
+    yield found
+    for (_, set_, _), n in zip(found, saved):
+        set_(n)
 
 
 @pytest.fixture

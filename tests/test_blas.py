@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -17,21 +18,6 @@ def tiny_config(tmp_path, **kw):
                 emit_svg=False, diagnostics=False, jobs=1)
     base.update(kw)
     return ExperimentConfig(**base)
-
-
-@pytest.fixture
-def libs():
-    """The OpenBLAS builds the probe finds, each set to two threads for the
-    test and given back its own count afterwards."""
-    found = blas._libraries()
-    if not found:
-        pytest.skip("no OpenBLAS with scipy_openblas thread entry points mapped")
-    saved = blas.thread_counts()
-    for _, set_ in found:
-        set_(2)
-    yield found
-    for (_, set_), n in zip(found, saved):
-        set_(n)
 
 
 def record_counts(monkeypatch, read, sink):
@@ -65,6 +51,39 @@ def test_counts_restored_when_block_raises(libs):
     assert blas.thread_counts() == [2] * len(libs)
 
 
+def test_overlapping_blocks_in_two_threads_share_one_pin(libs):
+    # A enters, B enters, A exits while B's block still runs, B exits.
+    a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+    seen = {}
+
+    def a():
+        with blas.one_thread():
+            a_in.set()
+            b_in.wait(10)
+        a_out.set()
+
+    def b():
+        a_in.wait(10)
+        with blas.one_thread():
+            b_in.set()
+            a_out.wait(10)
+            seen["after A exits"] = blas.thread_counts()
+
+    threads = [threading.Thread(target=f) for f in (a, b)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert seen["after A exits"] == [1] * len(libs)
+    assert blas.thread_counts() == [2] * len(libs)
+
+
+def test_configs_name_each_build(libs):
+    configs = blas.configs()
+    assert len(configs) == len(libs)
+    assert all(c.startswith("OpenBLAS ") for c in configs)
+
+
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                     reason="workers see the patched policy_step only when forked")
 def test_pool_worker_runs_at_one_thread(libs, tmp_path, monkeypatch):
@@ -92,7 +111,7 @@ def test_unreadable_maps_pins_nothing(libs, tmp_path, monkeypatch):
             assert blas._libraries() == []
             # Read the real libraries' getters: the block keeps the caller's
             # counts.
-            record_counts(patch, lambda: [get() for get, _ in libs], seen.append)
+            record_counts(patch, lambda: [get() for get, _, _ in libs], seen.append)
             rows = list(run_experiment(tiny_config(tmp_path)).raw_rows())
         finally:
             blas._libraries.cache_clear()

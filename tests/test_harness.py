@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 import greedybandit
-from greedybandit import cli, harness
+from greedybandit import blas, cli, harness
+from greedybandit import diagnostics as diag
 from greedybandit.contexts import (gaussian_spec, laplace_spec,
-                                   sample_context_set, spec_to_config)
+                                   sample_context_set, spec_to_config,
+                                   uniform_ball_spec)
 from greedybandit.harness import (AGGREGATE_COLUMNS, ConfigError,
                                   ExperimentConfig, RAW_COLUMNS, ResultsTable,
                                   config_from_ini, config_to_ini,
@@ -51,6 +53,11 @@ class TestValidation:
         pols = [PolicyConfig("greedy", theta0=np.zeros(5))]
         with pytest.raises(ConfigError, match=r"policies\[0\].theta0"):
             tiny_config(tmp_path, policies=pols).validate()
+
+    def test_diagnostics_need_two_arms(self, tmp_path):
+        with pytest.raises(ConfigError, match="experiment.diagnostics: needs K >= 2"):
+            tiny_config(tmp_path, K=1, diagnostics=True).validate()
+        tiny_config(tmp_path, K=1).validate()
 
     def test_duplicate_names(self, tmp_path):
         pols = [PolicyConfig("greedy", theta0=np.zeros(2), name="a"),
@@ -341,6 +348,49 @@ class TestOutputs:
             assert open(p1[key], "rb").read() == open(p2[key], "rb").read()
 
 
+class TestDiagnosticsOverlap:
+    """The Monte-Carlo estimators run on a worker thread beside the blocks."""
+
+    @pytest.mark.parametrize("spec", [gaussian_spec(cov=1.0, rho=0.7),
+                                      uniform_ball_spec(radius=2.0)],
+                             ids=["gaussian", "uniform-ball"])
+    def test_report_matches_serial_run_diagnostics(self, tmp_path, spec):
+        cfg = tiny_config(tmp_path, d=4, K=5, T=60, spec=spec, diagnostics=True)
+        table = run_experiment(cfg)
+        rng = np.random.default_rng(
+            np.random.SeedSequence(cfg.seed, spawn_key=(10**6,)))
+        serial = diag.run_diagnostics(cfg.spec, cfg.d, cfg.K, table.theta_star,
+                                      table.trajectories[("greedy", 0)], rng)
+        assert diag.format_report(table.diagnostics) == diag.format_report(serial)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_estimator_error_raises_and_writes_nothing(self, tmp_path,
+                                                       monkeypatch, jobs):
+        def broken(*args, **kwargs):
+            raise RuntimeError("margin estimator broke")
+
+        monkeypatch.setattr(diag, "estimate_margin_constant", broken)
+        cfg = tiny_config(tmp_path, T=10, diagnostics=True, jobs=jobs)
+        with pytest.raises(RuntimeError, match="margin estimator broke"):
+            run_experiment(cfg)
+        out = tmp_path / "out"
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_thread_counts_restored(self, tmp_path, monkeypatch, libs, jobs):
+        seen = []
+        estimate = diag.estimate_diversity_constant
+
+        def recording(*args, **kwargs):
+            seen.append(blas.thread_counts())
+            return estimate(*args, **kwargs)
+
+        monkeypatch.setattr(diag, "estimate_diversity_constant", recording)
+        run_experiment(tiny_config(tmp_path, T=10, diagnostics=True, jobs=jobs))
+        assert seen == [[1] * len(libs)]
+        assert blas.thread_counts() == [2] * len(libs)
+
+
 class TestPresets:
     def test_shapes(self):
         cfg = preset_config("d100-k20", "laplace", T=10, reps=1)
@@ -484,6 +534,14 @@ class TestCli:
         out = tmp_path / "o"
         assert cli.main(["--T", "1", "--reps", "1", "--out", str(out)]) == 0
         assert len(load_raw_csv(out / "raw.csv")) == 3
+
+    def test_diagnostics_with_one_arm_exit_1_before_any_episode(self, tmp_path,
+                                                                 capsys):
+        out = tmp_path / "o"
+        assert cli.main(["--K", "1", "--diagnostics", "--T", "5", "--reps", "1",
+                         "--out", str(out)]) == 1
+        assert "experiment.diagnostics" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_list_presets(self, capsys):
         assert cli.main(["--list-presets"]) == 0
