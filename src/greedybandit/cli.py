@@ -46,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="experiment config file (INI); flags override it")
     parser.add_argument("--preset", type=_names(sorted(PRESET_SHAPES)),
                         metavar="SHAPE",
-                        help="experiment shape when no config file is given "
+                        help="preset experiment shape, not with a config file "
                              "(default d20-k20; a comma list with --matrix)")
     parser.add_argument("--dist", type=_names(PRESET_DISTS), metavar="DIST",
                         help="context distribution preset (default gaussian; "
@@ -84,6 +84,8 @@ def _config_from_args(args, shape=None, dist=None) -> ExperimentConfig:
                 if getattr(args, name) is not None}
     dist = dist or (args.dist[0] if args.dist else None)
     if args.config is not None:
+        if args.preset:
+            raise ConfigError("--preset names a preset shape and takes no config file")
         config = config_from_ini(args.config, **settings)
         if dist is not None:
             # Preset specs can depend on d, so they are built for the final d.

@@ -6,9 +6,10 @@ lambda_star, margin slope c_delta, bounded-context concentration pair
 checks run on recorded trajectories (sqrt(t)-consistency of the OLS error
 and linear growth of the minimal Gram eigenvalue).  Every estimator reports
 a Monte-Carlo standard error so thresholds can be stated in those units.
-`run_diagnostics` composes `estimate_constants` (the estimators) and
-`check_trajectory` (the checks); the estimators need no trajectory, so a
-caller can run them while the episodes run.
+`run_diagnostics` composes `estimate_constants` (the estimators, at the
+fixed Monte-Carlo sizes below) and `check_trajectory` (the checks); the
+estimators need no trajectory, so a caller can run them while the episodes
+run.  The report holds the estimates themselves; `format_report` reads them.
 
 Memory: an estimator holds one (n_mc, K, d) context pool at a time.  A
 gaussian pool is mapped in place (contexts._MAP_ROWS), directions are
@@ -23,12 +24,22 @@ rejection sampling still allocate pool-sized temporaries while drawing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .contexts import DistributionSpec, _sample_block, resolve_dim
 from .env import Trajectory
+
+# A report's Monte-Carlo sizes, which are also the estimators' floors:
+# context sets for the diversity, concentration and x_max pools and for the
+# margin gaps, and sphere directions (the 2d signed axes are added to them).
+N_MC_DIVERSITY = 10**4
+N_MC_MARGIN = 10**5
+N_DIRS = 32
+# The concentration estimate's quantile level, its p_star.
+TARGET_P = 0.9
+_EPS_GRID = np.round(np.linspace(0.01, 0.10, 10), 10)
 
 _N_BATCHES = 20
 # Context sets per draw in the margin estimator: its 1e5-set pool is only
@@ -91,10 +102,6 @@ class DiversityEstimate:
     std_error: float
     worst_direction: np.ndarray
     n_dirs_used: int
-    n_mc: int
-
-    def __float__(self) -> float:
-        return self.value
 
 
 def estimate_diversity_constant(spec: DistributionSpec, d: int, K: int,
@@ -110,10 +117,10 @@ def estimate_diversity_constant(spec: DistributionSpec, d: int, K: int,
     standard error linearizes lambda_min at the bottom eigenvector v:
     batch means of (x_a^T v)^2.
     """
-    if n_mc < 10**4:
-        raise ValueError("n_mc must be >= 1e4")
-    if n_dirs < 32:
-        raise ValueError("n_dirs must be >= 32")
+    if n_mc < N_MC_DIVERSITY:
+        raise ValueError(f"n_mc must be >= {N_MC_DIVERSITY}")
+    if n_dirs < N_DIRS:
+        raise ValueError(f"n_dirs must be >= {N_DIRS}")
     d = resolve_dim(spec, d)
     pool = _sample_pool(spec, d, K, n_mc, rng)
     dirs = _direction_set(d, n_dirs, rng)
@@ -132,7 +139,7 @@ def estimate_diversity_constant(spec: DistributionSpec, d: int, K: int,
             best = (lam, se, theta)
     lam, se, theta = best
     return DiversityEstimate(value=lam, std_error=se, worst_direction=theta,
-                             n_dirs_used=dirs.shape[0], n_mc=n)
+                             n_dirs_used=dirs.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -147,40 +154,25 @@ class MarginEstimate:
     slope_se: float
     intercept: float
     intercept_se: float
-    residual_rms: float
     degenerate: bool
-    eps_grid: np.ndarray
     probs: np.ndarray
-
-    def __float__(self) -> float:
-        return self.slope
-
-
-DEFAULT_EPS_GRID = tuple(np.round(np.linspace(0.01, 0.10, 10), 10))
 
 
 def estimate_margin_constant(spec: DistributionSpec, theta_star, d: int, K: int,
-                             n_mc: int, eps_grid=DEFAULT_EPS_GRID,
-                             rng: np.random.Generator | None = None) -> MarginEstimate:
+                             n_mc: int, rng: np.random.Generator) -> MarginEstimate:
     """Estimate the small-gap slope of the best-vs-runner-up score gap.
 
     The gap of a context set is the difference between the two largest
-    values of x_i^T theta_star.  P[gap <= eps] is estimated on a grid and a
+    values of x_i^T theta_star.  P[gap <= eps] is estimated on _EPS_GRID and a
     line through the origin is fitted; its slope is the margin constant.  A
     free (affine) fit provides the intercept, whose distance from zero is a
     sanity check for continuous densities.  Standard errors come from batch
     means over the Monte-Carlo pool, which is drawn in chunks of
     _MARGIN_CHUNK context sets so that only the (n_mc,) gaps are held.
     """
-    if n_mc < 10**5:
-        raise ValueError("n_mc must be >= 1e5")
-    eps = np.asarray(eps_grid, dtype=float)
-    if eps.ndim != 1 or eps.size < 2:
-        raise ValueError("eps_grid needs at least two points")
-    if np.any(eps <= 0.0) or np.any(eps >= 0.5):
-        raise ValueError("eps_grid must lie in (0, 0.5)")
-    if rng is None:
-        rng = np.random.default_rng()
+    if n_mc < N_MC_MARGIN:
+        raise ValueError(f"n_mc must be >= {N_MC_MARGIN}")
+    eps = _EPS_GRID
     theta_star = np.asarray(theta_star, dtype=float)
     d = resolve_dim(spec, d)
     if K < 2:
@@ -219,17 +211,9 @@ def estimate_margin_constant(spec: DistributionSpec, theta_star, d: int, K: int,
     slope_se = float(chunk_slopes.std(ddof=1) / math.sqrt(_N_BATCHES))
     intercept_se = float(chunk_coefs[1].std(ddof=1) / math.sqrt(_N_BATCHES))
 
-    resid = probs - slope * eps
-    return MarginEstimate(
-        slope=slope,
-        slope_se=slope_se,
-        intercept=intercept,
-        intercept_se=intercept_se,
-        residual_rms=float(np.sqrt(np.mean(resid**2))),
-        degenerate=degenerate,
-        eps_grid=eps,
-        probs=probs,
-    )
+    return MarginEstimate(slope=slope, slope_se=slope_se, intercept=intercept,
+                          intercept_se=intercept_se, degenerate=degenerate,
+                          probs=probs)
 
 
 # ---------------------------------------------------------------------------
@@ -250,10 +234,6 @@ class ConcentrationEstimate:
     raw_c_star: float
     quantile_se: float
     n_dirs_used: int
-    n_mc: int
-
-    def __iter__(self):
-        return iter((self.c_star, self.p_star))
 
 
 def support_radius(spec: DistributionSpec, d: int) -> float:
@@ -270,8 +250,7 @@ def support_radius(spec: DistributionSpec, d: int) -> float:
 
 def estimate_concentration_params(spec: DistributionSpec, d: int, K: int,
                                   n_mc: int, n_dirs: int, target_p: float,
-                                  rng: np.random.Generator | None = None,
-                                  ) -> ConcentrationEstimate:
+                                  rng: np.random.Generator) -> ConcentrationEstimate:
     """Estimate the (c_star, p_star) pair of a bounded context distribution.
 
     For each unit direction eta the empirical target_p-quantile of
@@ -285,8 +264,6 @@ def estimate_concentration_params(spec: DistributionSpec, d: int, K: int,
         raise ValueError("target_p must lie in (0, 1)")
     if n_mc < 1000:
         raise ValueError("n_mc must be >= 1000")
-    if rng is None:
-        rng = np.random.default_rng()
     d = resolve_dim(spec, d)
     R = support_radius(spec, d)
     pool = _sample_pool(spec, d, K, n_mc, rng)
@@ -308,7 +285,6 @@ def estimate_concentration_params(spec: DistributionSpec, d: int, K: int,
         raw_c_star=float(raw),
         quantile_se=worst_se / R,
         n_dirs_used=dirs.shape[0],
-        n_mc=n,
     )
 
 
@@ -316,11 +292,17 @@ def estimate_concentration_params(spec: DistributionSpec, d: int, K: int,
 # Trajectory checks
 
 
-def consistency_curve(trajectory: Trajectory) -> list[tuple[int, float]]:
-    """(t, sqrt(t) * ||theta_hat_t - theta_star||) for rounds with an estimate."""
+def _scaled_error(trajectory: Trajectory) -> tuple[np.ndarray, np.ndarray]:
+    """(t, sqrt(t) * ||theta_hat_t - theta_star||) over rounds with an estimate."""
     scaled = np.sqrt(trajectory.t) * trajectory.est_error_l2
     known = ~np.isnan(scaled)
-    return list(zip(trajectory.t[known].tolist(), scaled[known].tolist()))
+    return trajectory.t[known], scaled[known]
+
+
+def consistency_curve(trajectory: Trajectory) -> list[tuple[int, float]]:
+    """(t, sqrt(t) * ||theta_hat_t - theta_star||) for rounds with an estimate."""
+    t, scaled = _scaled_error(trajectory)
+    return list(zip(t.tolist(), scaled.tolist()))
 
 
 @dataclass
@@ -329,17 +311,17 @@ class ConsistencyReport:
 
     passed: bool
     max_over_median: float
+    max_ratio: float
     window: tuple[int, int]
     n_points: int
 
 
 def consistency_check(trajectory: Trajectory, t_min: int = 100,
                       t_max: int = 1000, max_ratio: float = 5.0) -> ConsistencyReport:
-    t = trajectory.t
-    arr = np.sqrt(t) * trajectory.est_error_l2
-    arr = arr[(t >= t_min) & (t <= t_max) & ~np.isnan(arr)]
+    t, arr = _scaled_error(trajectory)
+    arr = arr[(t >= t_min) & (t <= t_max)]
     if not arr.size:
-        return ConsistencyReport(False, math.inf, (t_min, t_max), 0)
+        return ConsistencyReport(False, math.inf, max_ratio, (t_min, t_max), 0)
     med = float(np.median(arr))
     if arr.max() <= 1e-9:
         ratio = 1.0  # exact recovery: the whole curve is roundoff noise
@@ -349,6 +331,7 @@ def consistency_check(trajectory: Trajectory, t_min: int = 100,
         ratio = float(arr.max() / med)
     return ConsistencyReport(passed=bool(ratio <= max_ratio),
                              max_over_median=ratio,
+                             max_ratio=max_ratio,
                              window=(t_min, t_max),
                              n_points=int(arr.size))
 
@@ -359,6 +342,7 @@ class GrowthReport:
 
     passed: bool
     fraction: float
+    min_fraction: float
     threshold_slope: float
     t0: int
     n_checked: int
@@ -376,21 +360,22 @@ def growth_burn_in(d: int) -> int:
     return max(50, 4 * d)
 
 
-def gram_growth_check(trajectory: Trajectory, lambda_star_hat: float,
-                      t0: int = 50, min_fraction: float = 0.95) -> GrowthReport:
-    """Fraction of rounds t >= t0 with lambda_min(Sigma(t)) >= (lambda/4) t."""
-    lam = float(lambda_star_hat)
-    slope = lam / 4.0
+def gram_growth_check(trajectory: Trajectory, lambda_star_hat: float, t0: int,
+                      min_fraction: float = 0.95) -> GrowthReport:
+    """Fraction of rounds t >= t0 with lambda_min(Sigma(t)) >= (lambda/4) t;
+    production callers start the window at growth_burn_in(d)."""
+    slope = float(lambda_star_hat) / 4.0
     t = trajectory.t
     window = t >= t0
     if not window.any():
-        return GrowthReport(False, 0.0, slope, t0, 0, None)
+        return GrowthReport(False, 0.0, min_fraction, slope, t0, 0, None)
     t = t[window]
     ok = trajectory.gram_min_eig[window] >= slope * t
     violations = t[~ok]
     frac = float(ok.mean())
     return GrowthReport(passed=bool(frac >= min_fraction),
                         fraction=frac,
+                        min_fraction=min_fraction,
                         threshold_slope=slope,
                         t0=t0,
                         n_checked=int(t.size),
@@ -431,104 +416,78 @@ class ConstantEstimates:
 
 @dataclass
 class DiagnosticsReport:
-    """All estimated constants and trajectory checks for one experiment."""
+    """The estimated constants and the trajectory checks of one experiment."""
 
-    lambda_star_hat: float
-    lambda_star_se: float
-    c_delta_hat: float
-    c_delta_se: float
-    margin_intercept: float
-    margin_intercept_se: float
-    c_star_hat: float | None
-    p_star_hat: float | None
-    x_max_hat: float
+    constants: ConstantEstimates
     growth: GrowthReport
     consistency: ConsistencyReport
-    notes: list[str] = field(default_factory=list)
 
 
 def estimate_constants(spec: DistributionSpec, d: int, K: int, theta_star,
-                       rng: np.random.Generator, n_mc_diversity: int = 10**4,
-                       n_mc_margin: int = 10**5, n_dirs: int = 32,
-                       target_p: float = 0.9) -> ConstantEstimates:
+                       rng: np.random.Generator) -> ConstantEstimates:
     """Run the four estimators, in this order, on one generator.  They need
     no trajectory, so they can run while the episodes do."""
     d = resolve_dim(spec, d)
-    div = estimate_diversity_constant(spec, d, K, n_mc_diversity, n_dirs, rng)
-    margin = estimate_margin_constant(spec, theta_star, d, K, n_mc_margin, rng=rng)
+    div = estimate_diversity_constant(spec, d, K, N_MC_DIVERSITY, N_DIRS, rng)
+    margin = estimate_margin_constant(spec, theta_star, d, K, N_MC_MARGIN, rng)
     try:
-        conc = estimate_concentration_params(spec, d, K, max(n_mc_diversity, 1000),
-                                             n_dirs, target_p, rng=rng)
+        conc = estimate_concentration_params(spec, d, K, N_MC_DIVERSITY, N_DIRS,
+                                             TARGET_P, rng)
     except UnboundedSupportError:
         conc = None
-    x_max = empirical_x_max(spec, d, K, n_mc_diversity, rng)
+    x_max = empirical_x_max(spec, d, K, N_MC_DIVERSITY, rng)
     return ConstantEstimates(d=d, diversity=div, margin=margin,
                              concentration=conc, x_max=x_max)
 
 
 def check_trajectory(constants: ConstantEstimates,
                      trajectory: Trajectory) -> DiagnosticsReport:
-    """Check the trajectory against the estimated diversity floor and
-    assemble the report."""
-    div, margin, conc = constants.diversity, constants.margin, constants.concentration
-    notes = ["x_max_hat is the empirical 1-1e-4 tail quantile of the max arm "
-             "norm, not a closed-form bound"]
-    if conc is None:
-        notes.append("concentration parameters undefined: unbounded support")
+    """Check the trajectory against the estimated diversity floor."""
     return DiagnosticsReport(
-        lambda_star_hat=div.value,
-        lambda_star_se=div.std_error,
-        c_delta_hat=margin.slope,
-        c_delta_se=margin.slope_se,
-        margin_intercept=margin.intercept,
-        margin_intercept_se=margin.intercept_se,
-        c_star_hat=None if conc is None else conc.c_star,
-        p_star_hat=None if conc is None else conc.p_star,
-        x_max_hat=constants.x_max,
-        growth=gram_growth_check(trajectory, div.value,
-                                 t0=growth_burn_in(constants.d)),
-        consistency=consistency_check(trajectory, t_max=len(trajectory)),
-        notes=notes,
-    )
+        constants=constants,
+        growth=gram_growth_check(trajectory, constants.diversity.value,
+                                 growth_burn_in(constants.d)),
+        consistency=consistency_check(trajectory, t_max=len(trajectory)))
 
 
 def run_diagnostics(spec: DistributionSpec, d: int, K: int, theta_star,
-                    trajectory: Trajectory, rng: np.random.Generator,
-                    n_mc_diversity: int = 10**4, n_mc_margin: int = 10**5,
-                    n_dirs: int = 32, target_p: float = 0.9) -> DiagnosticsReport:
+                    trajectory: Trajectory, rng: np.random.Generator) -> DiagnosticsReport:
     """Estimate every constant for the spec and check the trajectory against
     the estimated diversity floor."""
-    constants = estimate_constants(spec, d, K, theta_star, rng, n_mc_diversity,
-                                   n_mc_margin, n_dirs, target_p)
-    return check_trajectory(constants, trajectory)
+    return check_trajectory(estimate_constants(spec, d, K, theta_star, rng),
+                            trajectory)
 
 
 def format_report(report: DiagnosticsReport) -> str:
     """Human-readable text block for the experiment's diagnostics sidecar."""
+    div, margin = report.constants.diversity, report.constants.margin
+    conc = report.constants.concentration
     lines = [
         "diagnostics",
         "===========",
-        f"lambda_star_hat   {report.lambda_star_hat:.6f} (se {report.lambda_star_se:.2e})",
-        f"c_delta_hat       {report.c_delta_hat:.6f} (se {report.c_delta_se:.2e})",
-        f"margin_intercept  {report.margin_intercept:+.6f} (se {report.margin_intercept_se:.2e})",
+        f"lambda_star_hat   {div.value:.6f} (se {div.std_error:.2e})",
+        f"c_delta_hat       {margin.slope:.6f} (se {margin.slope_se:.2e})",
+        f"margin_intercept  {margin.intercept:+.6f} (se {margin.intercept_se:.2e})",
     ]
-    if report.c_star_hat is None:
+    if conc is None:
         lines.append("c_star/p_star     undefined (unbounded support)")
     else:
-        lines.append(f"c_star_hat        {report.c_star_hat:.6f}")
-        lines.append(f"p_star_hat        {report.p_star_hat:.6f}")
-    lines.append(f"x_max_hat         {report.x_max_hat:.6f} (empirical tail quantile)")
+        lines.append(f"c_star_hat        {conc.c_star:.6f}")
+        lines.append(f"p_star_hat        {conc.p_star:.6f}")
+    lines.append(f"x_max_hat         {report.constants.x_max:.6f} (empirical tail quantile)")
     g = report.growth
     lines.append(
         f"gram growth       {'pass' if g.passed else 'FAIL'}: fraction {g.fraction:.4f} "
-        f"(need >= 0.95 of the {g.n_checked} rounds t >= {g.t0} above "
+        f"(need >= {g.min_fraction:g} of the {g.n_checked} rounds t >= {g.t0} above "
         f"{g.threshold_slope:.6f}*t; "
-        f"slack {g.fraction - 0.95:+.4f})")
+        f"slack {g.fraction - g.min_fraction:+.4f})")
     c = report.consistency
     lines.append(
         f"sqrt(t) error     {'pass' if c.passed else 'FAIL'}: max/median "
-        f"{c.max_over_median:.3f} over t in {c.window} (need <= 5; "
-        f"slack {5.0 - c.max_over_median:+.3f})")
-    for note in report.notes:
-        lines.append(f"note: {note}")
+        f"{c.max_over_median:.3f} over t in {c.window} (need <= {c.max_ratio:g}; "
+        f"slack {c.max_ratio - c.max_over_median:+.3f})")
+    lines.append("note: x_max_hat is the empirical 1-1e-4 tail quantile of the max "
+                 "arm norm, not a closed-form bound")
+    if conc is None:
+        lines.append("note: concentration parameters undefined: unbounded support")
     return "\n".join(lines) + "\n"

@@ -416,21 +416,25 @@ def render_svg(table: ResultsTable, path) -> None:
 
 
 def write_outputs(table: ResultsTable) -> dict[str, str]:
-    """Write raw/aggregate CSVs and optional SVG and diagnostics sidecar."""
+    """Write raw/aggregate CSVs and optional SVG and diagnostics sidecar.
+    A plot or sidecar that this run does not write is removed once the CSVs
+    are in place: an earlier run's would describe another experiment."""
     cfg = table.config
     os.makedirs(cfg.output_dir, exist_ok=True)
-    raw_path = os.path.join(cfg.output_dir, "raw.csv")
-    agg_path = os.path.join(cfg.output_dir, "aggregate.csv")
+    raw_path, agg_path, svg_path, diag_path = (
+        os.path.join(cfg.output_dir, name)
+        for name in ("raw.csv", "aggregate.csv", "regret.svg", "diagnostics.txt"))
     write_csv(table, raw_path, agg_path)
     paths = {"raw": raw_path, "aggregate": agg_path}
     if cfg.emit_svg:
-        svg_path = os.path.join(cfg.output_dir, "regret.svg")
         render_svg(table, svg_path)
         paths["svg"] = svg_path
     if table.diagnostics is not None:
-        diag_path = os.path.join(cfg.output_dir, "diagnostics.txt")
         _write_text(diag_path, diag.format_report(table.diagnostics))
         paths["diagnostics"] = diag_path
+    for path in {svg_path, diag_path} - set(paths.values()):
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(path)
     return paths
 
 

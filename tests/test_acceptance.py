@@ -10,6 +10,7 @@ records one [PASS]/[FAIL] line, printed in the terminal summary.
 import dataclasses
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -291,7 +292,7 @@ def test_criterion_11_byte_identical_csv(preset_tables, tmp_path):
     agg_a = write_csv(table_a, raw_a)
     agg_b = write_csv(table_b, raw_b)
     same_raw = raw_a.read_bytes() == raw_b.read_bytes()
-    same_agg = open(agg_a, "rb").read() == open(agg_b, "rb").read()
+    same_agg = Path(agg_a).read_bytes() == Path(agg_b).read_bytes()
     ok = same_raw and same_agg
     _report(11, "identical seed reproduces byte-identical raw and aggregate CSV",
             ok, f"raw match={same_raw}, aggregate match={same_agg}, "

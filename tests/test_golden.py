@@ -3,8 +3,10 @@
 Criterion 11 and the parallel-vs-serial tests compare two runs of the same
 code; this test compares the outputs with the digests committed in
 tests/golden/digests.json, so any change that moves an output byte fails
-here.  A change that moves outputs on purpose regenerates the file in the
-same commit, so its diff shows which files moved:
+here.  The diagnostics sidecar prints 6 digits, so each diagnostics run also
+digests `float.hex` of every number in its constant estimates.  A change
+that moves outputs on purpose regenerates the file in the same commit, so
+its diff shows which digests moved:
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -15,13 +17,16 @@ on; on a mismatch the message names both builds and the files that differ.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
 import sys
 import tempfile
 
-from greedybandit import blas
+import numpy as np
+
+from greedybandit import blas, cli
 from greedybandit.harness import (PRESET_DISTS, preset_config, run_experiment,
                                   write_outputs)
 
@@ -30,7 +35,8 @@ DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden",
 COMMAND = "PYTHONPATH=src python tests/test_golden.py"
 
 # run name -> (preset shape, preset dist, ExperimentConfig settings).  Every
-# run has all three policies, T = 200 and 2 replications.
+# run has all three policies and T = 200; runs have 2 replications unless
+# their settings say otherwise.
 RUNS = {
     **{f"d20-k20-{dist}": ("d20-k20", dist, {}) for dist in PRESET_DISTS},
     "d20-k100-trunc-cauchy": ("d20-k100", "trunc-cauchy", {}),
@@ -39,20 +45,48 @@ RUNS = {
         "d20-k20", "gaussian", {"d": 8, "K": 6, "diagnostics": True}),
     "d6-k5-uniform-ball-diagnostics-jobs2": (
         "d20-k20", "uniform-ball", {"d": 6, "K": 5, "diagnostics": True, "jobs": 2}),
+    "d100-k20-gaussian": ("d100-k20", "gaussian", {"reps": 1}),
 }
+# One `greedybandit --matrix` cell, with its summary.csv.
+MATRIX = ["--matrix", "--preset", "d20-k20", "--dist", "laplace", "--seed", "3",
+          "--T", "200", "--reps", "2"]
+
+
+def constants_digest(constants) -> str:
+    """SHA-256 of `float.hex` of every number in a ConstantEstimates, in
+    field order (None for an undefined estimate)."""
+    def numbers(value):
+        if dataclasses.is_dataclass(value):
+            for f in dataclasses.fields(value):
+                yield from numbers(getattr(value, f.name))
+        elif isinstance(value, np.ndarray):
+            for v in value.ravel().tolist():
+                yield from numbers(v)
+        else:
+            yield "None" if value is None else float(value).hex()
+    return hashlib.sha256(" ".join(numbers(constants)).encode()).hexdigest()
 
 
 def run_digests(root) -> dict[str, str]:
-    """'<run>/<file>' -> SHA-256 of every output file of every run."""
+    """'<run>/<file>' -> SHA-256 of every output file of every run, and
+    '<run>/constants' -> the constants digest of every diagnostics run."""
     digests = {}
     for name, (shape, dist, settings) in RUNS.items():
-        out = os.path.join(root, name)
-        config = preset_config(shape, dist, T=200, reps=2, output_dir=out,
-                               **settings)
-        for path in sorted(write_outputs(run_experiment(config)).values()):
+        config = preset_config(shape, dist, **{"T": 200, "reps": 2, **settings},
+                               output_dir=os.path.join(root, name))
+        table = run_experiment(config)
+        write_outputs(table)
+        if table.diagnostics is not None:
+            digests[f"{name}/constants"] = constants_digest(
+                table.diagnostics.constants)
+    if cli.main([*MATRIX, "--out", os.path.join(root, "matrix")]) != 0:
+        raise RuntimeError(f"greedybandit {' '.join(MATRIX)} failed")
+    for top, _, files in os.walk(root):
+        for file in files:
+            path = os.path.join(top, file)
             with open(path, "rb") as fh:
                 digest = hashlib.sha256(fh.read()).hexdigest()
-            digests[f"{name}/{os.path.basename(path)}"] = digest
+            digests[os.path.relpath(path, root).replace(os.sep, "/")] = digest
     return digests
 
 
@@ -63,7 +97,7 @@ def test_outputs_match_golden_digests(tmp_path):
     differ = sorted(k for k in golden["digests"].keys() | digests.keys()
                     if golden["digests"].get(k) != digests.get(k))
     assert not differ, (
-        f"{len(differ)} output files differ from {DIGESTS}: {', '.join(differ)}.\n"
+        f"{len(differ)} digests differ from {DIGESTS}: {', '.join(differ)}.\n"
         f"Digests made on OpenBLAS {golden['openblas']}; this run used "
         f"{blas.configs()}.\nIf the change moves these outputs on purpose, "
         f"regenerate the file with `{COMMAND}`.")

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import os
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -140,7 +141,7 @@ class TestCsv:
         lines = raw.read_text(encoding="utf-8").splitlines()
         assert lines[0] == ",".join(RAW_COLUMNS)
         assert len(lines) == 1 + 3 * 3
-        agg_lines = open(agg_path, encoding="utf-8").read().splitlines()
+        agg_lines = Path(agg_path).read_text(encoding="utf-8").splitlines()
         assert agg_lines[0] == ",".join(AGGREGATE_COLUMNS)
         parsed = load_raw_csv(raw)
         assert parsed == list(table.raw_rows())
@@ -162,7 +163,7 @@ class TestCsv:
         raw = tmp_path / "empty.csv"
         agg = write_csv(table, raw)
         assert raw.read_text(encoding="utf-8") == ",".join(RAW_COLUMNS) + "\n"
-        assert open(agg, encoding="utf-8").read() == ",".join(AGGREGATE_COLUMNS) + "\n"
+        assert Path(agg).read_text(encoding="utf-8") == ",".join(AGGREGATE_COLUMNS) + "\n"
 
     def test_missing_estimate_is_empty_cell(self, tmp_path):
         # Early greedy rounds have no OLS estimate: empty est_error_l2 cells.
@@ -331,12 +332,12 @@ class TestOutputs:
         paths = write_outputs(run_experiment(cfg))
         assert set(paths) == {"raw", "aggregate", "svg"}
         for p in paths.values():
-            assert open(p, "rb").read()
+            assert Path(p).read_bytes()
 
     def test_diagnostics_sidecar(self, tmp_path):
         cfg = tiny_config(tmp_path, T=60, reps=1, diagnostics=True)
         paths = write_outputs(run_experiment(cfg))
-        text = open(paths["diagnostics"], encoding="utf-8").read()
+        text = Path(paths["diagnostics"]).read_text(encoding="utf-8")
         assert "lambda_star_hat" in text and "gram growth" in text
 
     def test_byte_identical_rerun(self, tmp_path):
@@ -345,7 +346,22 @@ class TestOutputs:
         p1 = write_outputs(run_experiment(cfg1))
         p2 = write_outputs(run_experiment(cfg2))
         for key in ("raw", "aggregate", "svg"):
-            assert open(p1[key], "rb").read() == open(p2[key], "rb").read()
+            assert Path(p1[key]).read_bytes() == Path(p2[key]).read_bytes()
+
+    def test_rerun_without_svg_removes_earlier_plot(self, tmp_path):
+        write_outputs(run_experiment(tiny_config(tmp_path, T=10)))
+        paths = write_outputs(run_experiment(tiny_config(tmp_path, T=10,
+                                                         emit_svg=False)))
+        assert set(paths) == {"raw", "aggregate"}
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == \
+            ["aggregate.csv", "raw.csv"]
+
+    def test_rerun_without_diagnostics_removes_earlier_sidecar(self, tmp_path):
+        write_outputs(run_experiment(tiny_config(tmp_path, T=60, reps=1,
+                                                 diagnostics=True)))
+        paths = write_outputs(run_experiment(tiny_config(tmp_path, T=60, reps=1)))
+        assert set(paths) == {"raw", "aggregate", "svg"}
+        assert not (tmp_path / "out" / "diagnostics.txt").exists()
 
 
 class TestDiagnosticsOverlap:
@@ -662,6 +678,14 @@ class TestCli:
         config_to_ini(preset_config("d20-k20", "laplace"), ini)
         assert cli.main([str(ini), "--matrix"]) == 1
         assert "invalid config" in capsys.readouterr().err
+
+    def test_preset_with_config_file_exit_1(self, tmp_path, capsys):
+        ini = tmp_path / "exp.ini"
+        config_to_ini(preset_config("d20-k20", "laplace", d=5, T=5, reps=1,
+                                    output_dir=str(tmp_path / "o")), ini)
+        assert cli.main([str(ini), "--preset", "d100-k20"]) == 1
+        assert "--preset" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_list_without_matrix_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
