@@ -27,12 +27,24 @@ into a two-sided density decay bound on bounded regions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache, partial
 
 import numpy as np
 
-KINDS = ("gaussian", "laplace", "uniform_ball", "exponential", "student_t", "cauchy")
+# The parameters each family reads, in config order.  A spec sets only its
+# family's fields; every other field keeps its default.
+PARAMS = {
+    "gaussian": ("mean", "cov", "rho"),
+    "laplace": ("loc", "scale"),
+    "uniform_ball": ("radius",),
+    "exponential": ("rate",),
+    "student_t": ("df",),
+    "cauchy": ("loc", "scale"),
+}
+KINDS = tuple(PARAMS)
+_SCALAR_PARAMS = ("rho", "radius", "df")
+_POSITIVE_PARAMS = ("scale", "radius", "rate", "df")
 
 # Kinds whose coordinates can be independent, so that a box truncation
 # factorizes and each coordinate is drawn exactly by its inverse CDF.
@@ -161,11 +173,12 @@ def box(lo, hi) -> Region:
 class DistributionSpec:
     """Closed description of one arm's context distribution.
 
-    Parameters are kind-specific; scalars broadcast over coordinates, so a
-    spec with scalar parameters works at any dimension, while vector/matrix
-    parameters pin the dimension.  `rho` is an equicorrelation shortcut for
-    gaussian specs with scalar `cov`: the covariance resolves to
-    cov * ((1 - rho) I + rho * ones) at sampling time.
+    A spec sets only the parameters its family reads (PARAMS); setting any
+    other away from its default raises.  Scalars broadcast over coordinates,
+    so a spec with scalar parameters works at any dimension, while
+    vector/matrix parameters pin the dimension.  `rho` is an equicorrelation
+    shortcut for gaussian specs with scalar `cov`: the covariance resolves
+    to cov * ((1 - rho) I + rho * ones) at sampling time.
 
     Specs are immutable after construction and safe to share; every sampling
     call takes its own random generator.
@@ -185,23 +198,21 @@ class DistributionSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown distribution kind {self.kind!r}")
-        for name in ("mean", "cov", "loc", "scale", "rate"):
-            v = getattr(self, name)
-            if np.ndim(v) > 0:
-                object.__setattr__(self, name, np.asarray(v, dtype=float))
+        for field in fields(self)[1:-1]:  # the parameters between kind and truncation
+            name, v = field.name, getattr(self, field.name)
+            if name not in PARAMS[self.kind]:
+                if np.ndim(v) > 0 or v != field.default:
+                    raise ValueError(f"{self.kind} spec does not read {name!r}")
+                continue
+            if np.ndim(v) == 0:
+                v = float(v)
+            elif name in _SCALAR_PARAMS:
+                raise ValueError(f"{self.kind} {name} must be a scalar")
             else:
-                object.__setattr__(self, name, float(v))
-        self.radius = float(self.radius)
-        self.df = float(self.df)
-        self.rho = float(self.rho)
-        if self.kind == "uniform_ball" and self.radius <= 0:
-            raise ValueError("uniform_ball radius must be positive")
-        if self.kind == "student_t" and self.df <= 0:
-            raise ValueError("student_t df must be positive")
-        if self.kind in ("laplace", "cauchy") and np.any(np.asarray(self.scale) <= 0):
-            raise ValueError("scale must be strictly positive")
-        if self.kind == "exponential" and np.any(np.asarray(self.rate) <= 0):
-            raise ValueError("rate must be strictly positive")
+                v = np.asarray(v, dtype=float)
+            if name in _POSITIVE_PARAMS and np.any(v <= 0):
+                raise ValueError(f"{self.kind} {name} must be strictly positive")
+            object.__setattr__(self, name, v)
         if self.kind == "gaussian":
             self._validate_gaussian()
         if self.truncation is not None and not isinstance(self.truncation, Region):
@@ -259,15 +270,8 @@ def cauchy_spec(loc=0.0, scale=1.0, truncation=None) -> DistributionSpec:
 
 def pinned_dim(spec: DistributionSpec) -> int | None:
     """Dimension fixed by vector/matrix parameters, or None if d-agnostic."""
-    dims = set()
-    for name in ("mean", "loc", "scale", "rate"):
-        v = getattr(spec, name)
-        if np.ndim(v) > 0:
-            dims.add(len(v))
-    if np.ndim(spec.cov) == 1:
-        dims.add(len(spec.cov))
-    elif np.ndim(spec.cov) == 2:
-        dims.add(spec.cov.shape[0])
+    dims = {np.shape(v)[0] for v in (getattr(spec, name) for name in PARAMS[spec.kind])
+            if np.ndim(v) > 0}
     if spec.truncation is not None:
         rd = spec.truncation.pinned_dim()
         if rd is not None:
@@ -374,7 +378,9 @@ def _map(spec: DistributionSpec, d: int, P: np.ndarray) -> np.ndarray:
         norms = np.linalg.norm(z, axis=-1, keepdims=True)
         norms[norms == 0.0] = 1.0
         r = spec.radius * P[..., d] ** (1.0 / d)
-        return z / norms * r[..., None]
+        out = np.divide(z, norms)
+        out *= r[..., None]
+        return out
     if spec.kind == "exponential":
         P *= 1.0 / spec.rate
     elif spec.kind != "student_t":
@@ -475,31 +481,31 @@ def _box_inverse_cdf(spec: DistributionSpec, d: int):
 
 @lru_cache(maxsize=512)
 def _check_feasible(spec: DistributionSpec, d: int) -> None:
-    """Monte-Carlo probe that the truncation region has usable mass.
+    """Check that the truncation region has the mass sampling relies on.
 
-    Uses a fixed private generator so caller streams are untouched and
-    results do not depend on whether the (cached) check already ran.
-    The probe checks the mass that sampling relies on: each coordinate's
-    interval for factorizing box truncations (drawn by inverse CDF), the
-    whole region otherwise (drawn by rejection).
+    A factorizing box truncation (drawn by inverse CDF) needs each
+    coordinate's interval mass, which its inverse CDF already holds
+    exactly.  A region drawn by rejection needs the whole region's mass,
+    read off a Monte-Carlo probe with a fixed private generator, so caller
+    streams are untouched and results do not depend on whether the
+    (cached) check already ran.
     """
     region = spec.truncation
     if region is None:
         return
+    if _coordwise_box(spec, d):
+        w = _box_inverse_cdf(spec, d)[5]
+        if np.any(w < MIN_REGION_MASS):
+            j = int(np.argmin(w))
+            raise InfeasibleTruncationError(
+                f"coordinate {j} mass {w[j]:.2e} below {MIN_REGION_MASS:.0e}")
+        return
     probe = np.random.default_rng(181081)
     X = _sample_raw(spec, d, _FEASIBILITY_PROBE, (probe,))[0]
-    if _coordwise_box(spec, d):
-        lo, hi = region._bounds(d)
-        acc = np.mean((X >= lo) & (X <= hi), axis=0)
-        if np.any(acc < MIN_REGION_MASS):
-            j = int(np.argmin(acc))
-            raise InfeasibleTruncationError(
-                f"coordinate {j} acceptance {acc[j]:.2e} below {MIN_REGION_MASS:.0e}")
-    else:
-        acc = float(np.mean(region.contains(X)))
-        if acc < MIN_REGION_MASS:
-            raise InfeasibleTruncationError(
-                f"region acceptance {acc:.2e} below {MIN_REGION_MASS:.0e}")
+    acc = float(np.mean(region.contains(X)))
+    if acc < MIN_REGION_MASS:
+        raise InfeasibleTruncationError(
+            f"region acceptance {acc:.2e} below {MIN_REGION_MASS:.0e}")
 
 
 def _sample_reject_vectors(spec: DistributionSpec, d: int, rng: np.random.Generator,
@@ -924,25 +930,17 @@ def _parse_region(s: str) -> Region:
 def spec_to_config(spec: DistributionSpec) -> dict[str, str]:
     """Flat key-value block describing the spec (round-trips exactly)."""
     block = {"kind": spec.kind}
-    if spec.kind == "gaussian":
-        block["mean"] = _fmt_param(spec.mean)
-        if np.ndim(spec.cov) == 2:
-            block["cov_matrix"] = ";".join(_fmt_param(row) for row in spec.cov)
-        elif np.ndim(spec.cov) == 1:
-            block["cov_diag"] = _fmt_param(spec.cov)
-        else:
-            block["var"] = repr(float(spec.cov))
-            if spec.rho != 0.0:
-                block["rho"] = repr(float(spec.rho))
-    elif spec.kind in ("laplace", "cauchy"):
-        block["loc"] = _fmt_param(spec.loc)
-        block["scale"] = _fmt_param(spec.scale)
-    elif spec.kind == "uniform_ball":
-        block["radius"] = repr(float(spec.radius))
-    elif spec.kind == "exponential":
-        block["rate"] = _fmt_param(spec.rate)
-    else:
-        block["df"] = repr(float(spec.df))
+    for name in PARAMS[spec.kind]:
+        v = getattr(spec, name)
+        if name == "cov":
+            if np.ndim(v) == 2:
+                block["cov_matrix"] = ";".join(_fmt_param(row) for row in v)
+            elif np.ndim(v) == 1:
+                block["cov_diag"] = _fmt_param(v)
+            else:
+                block["var"] = _fmt_param(v)
+        elif name != "rho" or v != 0.0:
+            block[name] = _fmt_param(v)
     if spec.truncation is not None:
         block["truncation"] = _fmt_region(spec.truncation)
     return block
@@ -955,35 +953,27 @@ def spec_from_config(block) -> DistributionSpec:
         kind = block.pop("kind")
     except KeyError:
         raise ValueError("spec block needs a 'kind' key") from None
+    if kind not in PARAMS:
+        raise ValueError(f"unknown distribution kind {kind!r}")
     trunc = block.pop("truncation", None)
     region = _parse_region(trunc) if trunc is not None else None
     # Arms are always drawn independently; arm_coupling, a former key that
     # never changed the draws, is ignored so older files still parse.
     block.pop("arm_coupling", None)
     kwargs = {}
-    if kind == "gaussian":
-        kwargs["mean"] = _parse_param(block.pop("mean", "0.0"))
-        if "cov_matrix" in block:
-            rows = [np.atleast_1d(_parse_param(r)) for r in block.pop("cov_matrix").split(";")]
-            kwargs["cov"] = np.vstack(rows)
-        elif "cov_diag" in block:
-            kwargs["cov"] = np.atleast_1d(_parse_param(block.pop("cov_diag")))
-        else:
-            kwargs["cov"] = float(block.pop("var", "1.0"))
-            kwargs["rho"] = float(block.pop("rho", "0.0"))
-    elif kind in ("laplace", "cauchy"):
-        kwargs["loc"] = _parse_param(block.pop("loc", "0.0"))
-        kwargs["scale"] = _parse_param(block.pop("scale", "1.0"))
-    elif kind == "uniform_ball":
-        kwargs["radius"] = float(block.pop("radius", "1.0"))
-    elif kind == "exponential":
-        kwargs["rate"] = _parse_param(block.pop("rate", "1.0"))
-    elif kind == "student_t":
-        if "df" not in block:
+    for name in PARAMS[kind]:
+        if name == "cov":
+            if "cov_matrix" in block:
+                rows = [np.atleast_1d(_parse_param(r)) for r in block.pop("cov_matrix").split(";")]
+                kwargs["cov"] = np.vstack(rows)
+            elif "cov_diag" in block:
+                kwargs["cov"] = np.atleast_1d(_parse_param(block.pop("cov_diag")))
+            elif "var" in block:
+                kwargs["cov"] = float(block.pop("var"))
+        elif name in block:
+            kwargs[name] = _parse_param(block.pop(name))
+        elif name == "df":
             raise ValueError("student_t spec needs a 'df' key")
-        kwargs["df"] = float(block.pop("df"))
-    else:
-        raise ValueError(f"unknown distribution kind {kind!r}")
     if block:
         raise ValueError(f"unknown spec keys: {sorted(block)}")
     return DistributionSpec(kind, truncation=region, **kwargs)

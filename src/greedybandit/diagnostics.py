@@ -316,8 +316,8 @@ class ConsistencyReport:
     n_points: int
 
 
-def consistency_check(trajectory: Trajectory, t_min: int = 100,
-                      t_max: int = 1000, max_ratio: float = 5.0) -> ConsistencyReport:
+def consistency_check(trajectory: Trajectory, *, t_max: int, t_min: int = 100,
+                      max_ratio: float = 5.0) -> ConsistencyReport:
     t, arr = _scaled_error(trajectory)
     arr = arr[(t >= t_min) & (t <= t_max)]
     if not arr.size:

@@ -449,26 +449,24 @@ PRESET_SHAPES = {
 }
 
 
+# Context distribution of each named preset, built at dimension d.
+PRESETS = {
+    "gaussian": lambda d: gaussian_spec(cov=1.0, rho=0.7),
+    "uniform-ball": lambda d: uniform_ball_spec(radius=math.sqrt(d)),
+    "laplace": lambda d: laplace_spec(loc=0.0, scale=1.0),
+    "exponential": lambda d: exponential_spec(rate=1.0),
+    "trunc-student-t": lambda d: student_t_spec(df=2.0, truncation=box(-5.0, 5.0)),
+    "trunc-cauchy": lambda d: cauchy_spec(loc=0.0, scale=1.0, truncation=box(-5.0, 5.0)),
+}
+PRESET_DISTS = tuple(PRESETS)
+
+
 def preset_spec(dist: str, d: int) -> DistributionSpec:
     """Context distribution of a named preset at dimension d."""
-    if dist == "gaussian":
-        return gaussian_spec(cov=1.0, rho=0.7)
-    if dist == "uniform-ball":
-        return uniform_ball_spec(radius=math.sqrt(d))
-    if dist == "laplace":
-        return laplace_spec(loc=0.0, scale=1.0)
-    if dist == "exponential":
-        return exponential_spec(rate=1.0)
-    if dist == "trunc-student-t":
-        return student_t_spec(df=2.0, truncation=box(-5.0, 5.0))
-    if dist == "trunc-cauchy":
-        return cauchy_spec(loc=0.0, scale=1.0, truncation=box(-5.0, 5.0))
-    raise ConfigError(f"experiment.dist: unknown preset {dist!r} "
-                      f"(choose from {sorted(PRESET_DISTS)})")
-
-
-PRESET_DISTS = ("gaussian", "uniform-ball", "laplace", "exponential",
-                "trunc-student-t", "trunc-cauchy")
+    if dist not in PRESETS:
+        raise ConfigError(f"experiment.dist: unknown preset {dist!r} "
+                          f"(choose from {sorted(PRESET_DISTS)})")
+    return PRESETS[dist](d)
 
 
 def default_policies(sigma: float, algos=POLICY_KINDS) -> list[PolicyConfig]:

@@ -91,6 +91,21 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             DistributionSpec("gaussian", cov=np.ones(3), rho=0.5)
 
+    @pytest.mark.parametrize("kind,name", [
+        (kind, name) for kind, reads in [("gaussian", "mean cov rho"),
+                                         ("laplace", "loc scale"),
+                                         ("uniform_ball", "radius"),
+                                         ("exponential", "rate"),
+                                         ("student_t", "df"),
+                                         ("cauchy", "loc scale")]
+        for name in ("mean", "cov", "rho", "loc", "scale", "radius", "rate", "df")
+        if name not in reads.split()])
+    @pytest.mark.parametrize("value", [0.5, np.full(3, 0.5)], ids=["scalar", "vector"])
+    def test_fields_the_family_does_not_read_rejected(self, kind, name, value):
+        # An unread field would change nothing, yet a vector one pinned d.
+        with pytest.raises(ValueError, match=f"{kind}.*{name}"):
+            DistributionSpec(kind, **{name: value})
+
 
 # ---------------------------------------------------------------------------
 # Sampling
@@ -134,6 +149,13 @@ class TestSampling:
         spec = gaussian_spec(truncation=box(8.0, 9.0))
         with pytest.raises(InfeasibleTruncationError):
             sample_context_set(spec, 2, 4, [rng])
+
+    def test_box_feasibility_uses_exact_mass(self, rng):
+        # Mass 1.006e-3 per coordinate, just above MIN_REGION_MASS: a
+        # 2000-draw probe would see about two hits and reject it.
+        spec = laplace_spec(truncation=box(5.75, 6.75))
+        cs = sample_context_set(spec, 1, 50, [rng])[0]
+        assert np.all((cs >= 5.75) & (cs <= 6.75))
 
     def test_whole_vector_rejection_ball(self, rng):
         spec = laplace_spec(truncation=ball(1.5))

@@ -173,7 +173,7 @@ class TestConsistency:
         inst = make_instance(gaussian_spec(), 5, 5, 0.5, rng)
         traj = run_episode(inst, PolicyConfig("greedy", theta0=np.ones(5)),
                            1000, [5])[0]
-        rep = consistency_check(traj)
+        rep = consistency_check(traj, t_max=1000)
         assert rep.passed, rep.max_over_median
 
     def test_sigma_doubling_doubles_plateau(self):
@@ -196,7 +196,7 @@ class TestConsistency:
 
     def test_empty_window_fails(self):
         traj = synthetic_trajectory([1.0] * 10)
-        rep = consistency_check(traj)
+        rep = consistency_check(traj, t_max=1000)
         assert not rep.passed and rep.n_points == 0
 
 
@@ -387,3 +387,16 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < 1.3 * n_mc * K * d * 8, f"peak {peak / (n_mc * K * d * 8):.2f} pools"
+
+    def test_uniform_ball_peak_below_2_3_pools(self):
+        # The primitive draw holds a pool plus one radius column, and the map
+        # writes one more pool of vectors; a temporary of the map's reaches 3x.
+        spec, d, K, n_mc = uniform_ball_spec(math.sqrt(20)), 20, 20, 10**4
+        tracemalloc.start()
+        try:
+            estimate_concentration_params(spec, d, K, n_mc, 32, 0.9,
+                                          rng=np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.3 * n_mc * K * d * 8, f"peak {peak / (n_mc * K * d * 8):.2f} pools"
