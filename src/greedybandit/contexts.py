@@ -900,14 +900,17 @@ def decay_rate_check(spec: DistributionSpec, region: Region | None,
 
 
 def _fmt_param(v) -> str:
+    """A scalar as its repr, a vector comma-separated; a one-element vector
+    keeps a trailing comma so that it parses back as a vector."""
     if np.ndim(v) == 0:
         return repr(float(v))
-    return ",".join(repr(float(x)) for x in np.asarray(v).ravel())
+    text = ",".join(repr(float(x)) for x in np.asarray(v).ravel())
+    return text + "," if np.size(v) == 1 else text
 
 
 def _parse_param(s: str):
     parts = [p for p in s.split(",") if p.strip()]
-    if len(parts) == 1:
+    if len(parts) == 1 and "," not in s:
         return float(parts[0])
     return np.array([float(p) for p in parts])
 

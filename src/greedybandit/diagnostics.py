@@ -11,18 +11,26 @@ fixed Monte-Carlo sizes below) and `check_trajectory` (the checks); the
 estimators need no trajectory, so a caller can run them while the episodes
 run.  The report holds the estimates themselves; `format_report` reads them.
 
-Memory: an estimator holds one (n_mc, K, d) context pool at a time.  A
-gaussian pool is mapped in place (contexts._MAP_ROWS), directions are
-scored in blocks of max(1, d // 8), so a score block is at most 1/8 of the
-pool for d >= 8, and row norms and margin gaps are taken chunk by chunk.
-On d20-k20 gaussian each of the diversity, margin and x_max estimators
-peaks at 1.13-1.16 pools under tracemalloc (2.0-2.1 when the map copied
-the pool and directions were scored one by one).  The uniform-ball map and
-rejection sampling still allocate pool-sized temporaries while drawing.
+Memory: an estimator draws its (n_mc, K, d) pool as consecutive chunks of
+at most _CHUNK_FLOATS float64s (4 MB; one context set when K d exceeds
+that), reduces each chunk and drops it before the next is drawn, so one
+chunk is resident, never the pool.  Beside it stay only the reductions:
+diversity's (directions, d, d) second moments, concentration's
+(directions, n_mc) score maxima, and the (n_mc,) margin gaps and x_max
+norms.  Diversity and concentration draw the pool twice from one saved
+generator state (diversity three times when a sphere direction is its
+worst), which keeps the random stream of a one-shot pool.  On d20-k20
+gaussian the diversity, margin and x_max estimators peak at 1.3-2.0 chunks
+under tracemalloc, the same at 4x n_mc (TestMemory).  Peak RSS on 2 vCPUs
+(AVX-512 Xeon, OpenBLAS 0.3.31), against one resident pool: perfbench
+preset-d20 99.1 -> 71.9 MB; a --diagnostics preset run (10 reps,
+T = 1000) 264.8 -> 89.9 MB on d100-k20 gaussian and 156.2 -> 81.3 MB on
+d20-k20 uniform-ball.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -42,9 +50,10 @@ TARGET_P = 0.9
 _EPS_GRID = np.round(np.linspace(0.01, 0.10, 10), 10)
 
 _N_BATCHES = 20
-# Context sets per draw in the margin estimator: its 1e5-set pool is only
-# needed for one gap per set, so it is drawn and reduced in pieces.
-_MARGIN_CHUNK = 10**4
+# Float64s per chunk of a Monte-Carlo pool (4 MB): a pool is drawn and
+# reduced as consecutive chunks of at most this many floats, or of one
+# context set when K d exceeds it.
+_CHUNK_FLOATS = 2**19
 
 
 def _sample_pool(spec: DistributionSpec, d: int, K: int, n_mc: int,
@@ -52,6 +61,29 @@ def _sample_pool(spec: DistributionSpec, d: int, K: int, n_mc: int,
     """(n_mc, K, d) stack of context sets drawn in one vectorized pass."""
     flat = _sample_block(spec, d, int(n_mc) * int(K), (rng,))[0]
     return flat.reshape(int(n_mc), int(K), d)
+
+
+def _pool_chunks(spec: DistributionSpec, d: int, K: int, n_mc: int,
+                 rng: np.random.Generator):
+    """Yield an (n_mc, K, d) pool as consecutive _sample_pool chunks: the
+    fewest chunks of at most m = max(1, _CHUNK_FLOATS // (K d)) context sets,
+    their sizes differing by at most one set.  A consumer that drops each
+    chunk before asking for the next, as map(f, chunks) does, holds one
+    chunk at a time; a for loop's variable would keep the last chunk alive
+    through the next draw.
+
+    A family whose primitive draw is one sequential stream (every family
+    but the uniform ball, drawn untruncated or in a factorizing box) yields
+    chunks that concatenate to the one-shot _sample_pool byte for byte and
+    leave rng where it leaves it; a gaussian map of at most
+    contexts._MAP_MAX_WIDTH columns rounds every chunk's rows like the
+    one-call product.
+    """
+    n_mc = int(n_mc)
+    count = -(-n_mc // max(1, _CHUNK_FLOATS // (K * d)))
+    stops = [i * n_mc // count for i in range(1, count + 1)]
+    for start, stop in zip([0, *stops], stops):
+        yield _sample_pool(spec, d, K, stop - start, rng)
 
 
 def _batch_se(values: np.ndarray, n_batches: int = _N_BATCHES) -> float:
@@ -73,21 +105,72 @@ def _direction_set(d: int, n_dirs: int, rng: np.random.Generator) -> np.ndarray:
     return stacked[np.sort(idx)]
 
 
-def _per_direction(pool: np.ndarray, dirs: np.ndarray, reduce):
-    """Yield (theta, reduce over arms of the scores x_i^T theta) for each
-    direction, as an (n,) array over the pool's context sets.
+def _block_step(d: int) -> int:
+    """Directions per scoring block: a block's scores are at most 1/8 of
+    its chunk for d >= 8."""
+    return max(1, d // 8)
 
-    Directions are scored in blocks of B = max(1, d // 8) by one
-    (B, d) @ (d, n K) GEMM each, and reduced on the contiguous (B, n, K)
-    result; for d >= 8 the score block is at most 1/8 of the pool, and it is
-    released before the block's directions are handed out.
-    """
-    n, K, d = pool.shape
-    flat = pool.reshape(n * K, d)
-    step = max(1, d // 8)
-    for start in range(0, dirs.shape[0], step):
-        block = dirs[start:start + step]
-        yield from zip(block, reduce((block @ flat.T).reshape(-1, n, K), axis=2))
+
+def _reduced_scores(chunk: np.ndarray, block: np.ndarray, reduce) -> np.ndarray:
+    """(B, m): reduce over arms of the scores x_i^T theta of the chunk's m
+    context sets for the B directions of block, by one (B, d) @ (d, m K)
+    GEMM reduced on its contiguous (B, m, K) result."""
+    m, K, d = chunk.shape
+    return reduce((block @ chunk.reshape(m * K, d).T).reshape(-1, m, K), axis=2)
+
+
+def _direction_blocks(chunk: np.ndarray, dirs: np.ndarray, reduce):
+    """Yield (j, _reduced_scores of dirs[j:j + B]) over blocks of dirs."""
+    step = _block_step(chunk.shape[2])
+    for j in range(0, dirs.shape[0], step):
+        yield j, _reduced_scores(chunk, dirs[j:j + step], reduce)
+
+
+def _axis_blocks(chunk: np.ndarray, reduce):
+    """Yield (j, reduced scores) like _direction_blocks for the signed axes
+    e_1 .. e_d, -e_1 .. -e_d (rows j and d + j for coordinate j).  A signed
+    axis scores an arm by one coordinate, which is also what the GEMM gives
+    it, exactly: every other term is a zero."""
+    d = chunk.shape[2]
+    step = _block_step(d)
+    for j in range(0, d, step):
+        coords = chunk[:, :, j:j + step]
+        yield j, reduce(coords, axis=1).T
+        yield d + j, reduce(-coords, axis=1).T
+
+
+def _axis_slots(dirs: np.ndarray) -> np.ndarray:
+    """Each direction's row among the signed axes (j for e_j, d + j for
+    -e_j), or -1 for a direction off the axes."""
+    d = dirs.shape[1]
+    slot = np.abs(dirs).argmax(axis=1) + d * (dirs.min(axis=1) < 0)
+    return np.where(np.count_nonzero(dirs, axis=1) == 1, slot, -1)
+
+
+def _second_moments(chunks, n_rows: int, d: int, blocks, probe=None):
+    """(M, values): for each of n_rows directions the mean over the chunks'
+    context sets of x_a x_a^T, the arms a of rows j.. given by the (j, arms)
+    pairs of blocks(chunk); and, for probe = (arms(chunk), v), the per-set
+    (x_a^T v)^2 of one more direction."""
+    M, values = np.zeros((n_rows, d, d)), []
+
+    def add(chunk):
+        rows = np.arange(chunk.shape[0])
+        for j, arms in blocks(chunk):
+            chosen = chunk[rows, arms]
+            M[j:j + len(chosen)] += chosen.mT @ chosen
+        if probe is not None:
+            values.append((chunk[rows, probe[0](chunk)] @ probe[1]) ** 2)
+        return chunk.shape[0]
+
+    M /= sum(map(add, chunks))
+    return M, values
+
+
+def _bottom(M: np.ndarray) -> tuple[float, np.ndarray]:
+    """The smallest eigenvalue of a symmetric M and its eigenvector."""
+    eigvals, eigvecs = np.linalg.eigh(M)
+    return float(eigvals[0]), eigvecs[:, 0].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -116,30 +199,59 @@ def estimate_diversity_constant(spec: DistributionSpec, d: int, K: int,
     cross-direction comparisons are not washed out by sampling noise.  The
     standard error linearizes lambda_min at the bottom eigenvector v:
     batch means of (x_a^T v)^2.
+
+    The pool is drawn chunk by chunk, twice: the signed axes need nothing
+    from rng, so their x_a^T x_a are summed on the pass that advances rng to
+    the sphere directions, and the sphere directions' on a replay of the
+    pool from a copy of rng saved before it.  The replay also records the
+    error of the worst axis; a third pass records it for a worst sphere
+    direction, scored by the same GEMM block.
     """
     if n_mc < N_MC_DIVERSITY:
         raise ValueError(f"n_mc must be >= {N_MC_DIVERSITY}")
     if n_dirs < N_DIRS:
         raise ValueError(f"n_dirs must be >= {N_DIRS}")
     d = resolve_dim(spec, d)
-    pool = _sample_pool(spec, d, K, n_mc, rng)
+    saved = copy.deepcopy(rng)
+    axes = [_bottom(M) for M in _second_moments(
+        _pool_chunks(spec, d, K, n_mc, rng), 2 * d, d,
+        lambda chunk: _axis_blocks(chunk, np.argmax))[0]]
     dirs = _direction_set(d, n_dirs, rng)
-    n = pool.shape[0]
-    rows = np.arange(n)
+    slots = _axis_slots(dirs)
+    sphere, step = dirs[slots < 0], _block_step(d)
+    # (lambda_min, v) by direction; a tie goes to the earlier direction.
+    bottoms = {i: axes[s] for i, s in enumerate(slots.tolist()) if s >= 0}
 
-    best = None
-    for theta, arms in _per_direction(pool, dirs, np.argmax):
-        chosen = pool[rows, arms]
-        M = chosen.T @ chosen / n
-        eigvals, eigvecs = np.linalg.eigh(M)
-        lam = float(eigvals[0])
-        if best is None or lam < best[0]:
-            v = eigvecs[:, 0]
-            se = _batch_se((chosen @ v) ** 2)
-            best = (lam, se, theta)
-    lam, se, theta = best
-    return DiversityEstimate(value=lam, std_error=se, worst_direction=theta,
-                             n_dirs_used=dirs.shape[0])
+    def worst():
+        return min(bottoms, key=lambda i: (bottoms[i][0], i))
+
+    def arms(i):
+        """Direction i's arms in a chunk, scored as its own pass scored them."""
+        if slots[i] >= 0:
+            j, sign = slots[i] % d, 1.0 if slots[i] < d else -1.0
+            return lambda chunk: np.argmax(sign * chunk[:, :, j], axis=1)
+        k = int(np.count_nonzero(slots[:i] < 0))
+        b = k - k % step
+        return lambda chunk: _reduced_scores(chunk, sphere[b:b + step], np.argmax)[k - b]
+
+    def replay(n_rows, blocks, i):
+        """The moments of blocks on a replay of the pool, and direction i's
+        (x_a^T v)^2 per set."""
+        return _second_moments(_pool_chunks(spec, d, K, n_mc, copy.deepcopy(saved)),
+                               n_rows, d, blocks, probe=(arms(i), bottoms[i][1]))
+
+    def sphere_blocks(chunk):
+        return _direction_blocks(chunk, sphere, np.argmax)
+
+    axis_worst = worst()
+    sphere_M, values = replay(len(sphere), sphere_blocks, axis_worst)
+    bottoms.update(zip(np.flatnonzero(slots < 0).tolist(), map(_bottom, sphere_M)))
+    w = worst()
+    if w != axis_worst:
+        values = replay(0, lambda chunk: (), w)[1]
+    return DiversityEstimate(value=bottoms[w][0],
+                             std_error=_batch_se(np.concatenate(values)),
+                             worst_direction=dirs[w], n_dirs_used=dirs.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +279,7 @@ def estimate_margin_constant(spec: DistributionSpec, theta_star, d: int, K: int,
     line through the origin is fitted; its slope is the margin constant.  A
     free (affine) fit provides the intercept, whose distance from zero is a
     sanity check for continuous densities.  Standard errors come from batch
-    means over the Monte-Carlo pool, which is drawn in chunks of
-    _MARGIN_CHUNK context sets so that only the (n_mc,) gaps are held.
+    means over the Monte-Carlo pool, whose gaps are taken chunk by chunk.
     """
     if n_mc < N_MC_MARGIN:
         raise ValueError(f"n_mc must be >= {N_MC_MARGIN}")
@@ -178,17 +289,11 @@ def estimate_margin_constant(spec: DistributionSpec, theta_star, d: int, K: int,
     if K < 2:
         raise ValueError("gap needs K >= 2")
 
-    gaps = np.empty(int(n_mc))
-    for start in range(0, gaps.size, _MARGIN_CHUNK):
-        m = min(_MARGIN_CHUNK, gaps.size - start)
-        chunk = _sample_pool(spec, d, K, m, rng)
-        scores = chunk @ theta_star
-        part = np.partition(scores, (K - 2, K - 1), axis=1)
-        gaps[start:start + m] = part[:, K - 1] - part[:, K - 2]
-        # Release the chunk's arrays before the next draw, which would
-        # otherwise sit beside this chunk, and together: freeing the chunk
-        # before the partition copy let the next draw grow the heap.
-        del chunk, scores, part
+    def gap(chunk):
+        part = np.partition(chunk @ theta_star, (K - 2, K - 1), axis=1)
+        return part[:, K - 1] - part[:, K - 2]
+
+    gaps = np.concatenate(list(map(gap, _pool_chunks(spec, d, K, n_mc, rng))))
 
     indic = gaps[:, None] <= eps[None, :]          # (n, n_eps)
     probs = indic.mean(axis=0)
@@ -236,6 +341,23 @@ class ConcentrationEstimate:
     n_dirs_used: int
 
 
+def _maxima(chunks, n_rows: int, n_mc: int, blocks) -> np.ndarray:
+    """(n_rows, n_mc): the chunks' reduced scores, rows j.. given by the
+    (j, scores) pairs of blocks(chunk)."""
+    def reduced(chunk):
+        out = np.empty((n_rows, chunk.shape[0]))
+        for j, scores in blocks(chunk):
+            out[j:j + len(scores)] = scores
+        return out
+
+    maxima = np.empty((n_rows, int(n_mc)))
+    start = 0
+    for part in map(reduced, chunks):
+        maxima[:, start:start + part.shape[1]] = part
+        start += part.shape[1]
+    return maxima
+
+
 def support_radius(spec: DistributionSpec, d: int) -> float:
     """Radius of an origin-centered l2 ball certain to contain the support."""
     bounds = []
@@ -266,15 +388,24 @@ def estimate_concentration_params(spec: DistributionSpec, d: int, K: int,
         raise ValueError("n_mc must be >= 1000")
     d = resolve_dim(spec, d)
     R = support_radius(spec, d)
-    pool = _sample_pool(spec, d, K, n_mc, rng)
+    saved = copy.deepcopy(rng)
+    # As in the diversity estimate, the axes are scored on the pass that
+    # advances rng to the sphere directions.
+    axis_max = _maxima(_pool_chunks(spec, d, K, n_mc, rng), 2 * d, n_mc,
+                       lambda chunk: _axis_blocks(chunk, np.max))
     dirs = _direction_set(d, n_dirs, rng)
+    slots = _axis_slots(dirs)
+    sphere_max = iter(_maxima(_pool_chunks(spec, d, K, n_mc, copy.deepcopy(saved)),
+                              int(np.count_nonzero(slots < 0)), n_mc,
+                              lambda chunk: _direction_blocks(chunk, dirs[slots < 0],
+                                                              np.max)))
 
-    n = pool.shape[0]
-    half = math.sqrt(target_p * (1.0 - target_p) / n)
+    half = math.sqrt(target_p * (1.0 - target_p) / n_mc)
     worst_q, worst_se = -np.inf, 0.0
     probs = [target_p, max(target_p - half, 0.0), min(target_p + half, 1.0)]
-    for _, maxima in _per_direction(pool, dirs, np.max):
-        q, lo, hi = np.quantile(maxima, probs).tolist()
+    for s in slots:
+        row = axis_max[s] if s >= 0 else next(sphere_max)
+        q, lo, hi = np.quantile(row, probs).tolist()
         if q > worst_q:
             worst_q, worst_se = q, 0.5 * (hi - lo)
     raw = worst_q / R
@@ -390,11 +521,14 @@ def empirical_x_max(spec: DistributionSpec, d: int, K: int, n_mc: int,
     tailed families have no finite closed-form bound, so the report labels
     this value as an empirical quantile, not a guarantee.
     """
+    if n_mc < N_MC_DIVERSITY:
+        raise ValueError(f"n_mc must be >= {N_MC_DIVERSITY}")
     d = resolve_dim(spec, d)
-    pool = _sample_pool(spec, d, K, n_mc, rng)
-    # Row norms an eighth of the pool at a time: norm squares a copy.
-    max_norms = np.concatenate([np.linalg.norm(part, axis=2).max(axis=1)
-                                for part in np.array_split(pool, 8)])
+
+    def max_norm(chunk):
+        return np.linalg.norm(chunk, axis=2).max(axis=1)
+
+    max_norms = np.concatenate(list(map(max_norm, _pool_chunks(spec, d, K, n_mc, rng))))
     return float(np.quantile(max_norms, 1.0 - 1e-4))
 
 

@@ -12,7 +12,7 @@ from greedybandit.contexts import (DegenerateInputError, DistributionSpec,
                                    ball, box, cauchy_spec, decay_rate_check,
                                    exponential_spec, gaussian_spec,
                                    grad_log_density, lac_function, laplace_spec,
-                                   log_density, sample_context_set,
+                                   log_density, pinned_dim, sample_context_set,
                                    spec_from_config, spec_to_config,
                                    student_t_spec, truncate, uniform_ball_spec,
                                    verify_lac)
@@ -668,14 +668,19 @@ def test_truncation_closure(kind, bound, seed):
     exponential_spec(rate=np.array([1.0, 2.0])),
     student_t_spec(df=2.0, truncation=box(-5.0, 5.0)),
     cauchy_spec(truncation=ball(4.0)),
+    # A one-element vector pins d = 1 and must come back a vector.
+    laplace_spec(loc=np.array([0.5])),
+    exponential_spec(rate=np.array([2.0])),
+    laplace_spec(truncation=box([0.0], [1.0])),
 ])
 def test_spec_config_round_trip(spec):
     back = spec_from_config(spec_to_config(spec))
     assert back.kind == spec.kind
     assert back.truncation == spec.truncation
+    assert pinned_dim(back) == pinned_dim(spec)
     for name in ("mean", "cov", "loc", "scale", "rate"):
         np.testing.assert_array_equal(np.asarray(getattr(back, name)),
-                                      np.asarray(getattr(spec, name)))
+                                      np.asarray(getattr(spec, name)), strict=True)
     assert (back.radius, back.df, back.rho) == (spec.radius, spec.df, spec.rho)
 
 

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from greedybandit import diagnostics as diag
-from greedybandit.contexts import (ball, box, cauchy_spec, gaussian_spec,
-                                   laplace_spec, truncate, uniform_ball_spec)
+from greedybandit.contexts import (ball, box, cauchy_spec, exponential_spec,
+                                   gaussian_spec, laplace_spec, student_t_spec,
+                                   truncate, uniform_ball_spec)
 from greedybandit.diagnostics import (UnboundedSupportError, consistency_check,
                                       consistency_curve,
                                       estimate_concentration_params,
@@ -263,6 +264,13 @@ class TestComposite:
         xm = empirical_x_max(spec, 3, 4, 10**4, rng)
         assert 1.5 < xm <= 2.0 + 1e-9
 
+    @pytest.mark.parametrize("n_mc", [0, 10**4 - 1])
+    def test_empirical_x_max_floor(self, rng, n_mc):
+        # Its 1 - 1e-4 quantile needs 10^4 sets; n_mc = 0 used to raise a
+        # bare IndexError from np.quantile.
+        with pytest.raises(ValueError, match="n_mc must be >= 10000"):
+            empirical_x_max(uniform_ball_spec(2.0), 3, 4, n_mc, rng)
+
     def test_run_diagnostics_and_format(self, rng):
         spec = uniform_ball_spec(2.0)
         inst = make_instance(spec, 2, 3, 0.5, rng)
@@ -295,37 +303,82 @@ class TestComposite:
 
 
 # ---------------------------------------------------------------------------
+# Pool chunks
+
+
+STREAM_SPECS = {
+    "correlated-gaussian": gaussian_spec(cov=1.0, rho=0.7),
+    "laplace": laplace_spec(loc=0.5, scale=2.0),
+    "exponential": exponential_spec(rate=1.5),
+    "student-t": student_t_spec(3.0),
+    "cauchy": cauchy_spec(),
+    "box-cauchy": cauchy_spec(truncation=box(-5.0, 5.0)),
+}
+
+
+def chunk_sets(d, K):
+    """Context sets in a full chunk of a (n, K, d) pool."""
+    return max(1, diag._CHUNK_FLOATS // (K * d))
+
+
+class TestPoolStream:
+    # Each family's primitive draw is one sequential stream, so the chunks
+    # of a pool are its one-shot draw cut at chunk boundaries.  n_mc is one
+    # set more than two full chunks hold, so it takes three, of unequal size.
+    @pytest.mark.parametrize("K", [1, 3, 20])
+    @pytest.mark.parametrize("d", [1, 5, 20, 100])
+    @pytest.mark.parametrize("name", sorted(STREAM_SPECS))
+    def test_chunks_concatenate_to_one_shot_pool(self, name, d, K):
+        spec, m = STREAM_SPECS[name], chunk_sets(d, K)
+        n_mc = 2 * m + 1
+        one_shot, chunked = np.random.default_rng(d * K), np.random.default_rng(d * K)
+        pool = diag._sample_pool(spec, d, K, n_mc, one_shot)
+        chunks = list(diag._pool_chunks(spec, d, K, n_mc, chunked))
+        sizes = [c.shape[0] for c in chunks]
+        assert len(sizes) == 3 and sum(sizes) == n_mc and max(sizes) <= m
+        assert np.concatenate(chunks).tobytes() == pool.tobytes()
+        assert chunked.random() == one_shot.random()
+
+
+# ---------------------------------------------------------------------------
 # Block scorer against the per-direction loop it replaced
 
 
+def whole_pool(spec, d, K, n_mc, rng):
+    """The estimators' pool held at once: its chunks concatenated, which is
+    _sample_pool's one-shot draw for every family TestPoolStream covers."""
+    return np.concatenate(list(diag._pool_chunks(spec, d, K, n_mc, rng)))
+
+
 def loop_diversity(spec, d, K, n_mc, n_dirs, rng):
-    """(lambda, se, theta) of the worst direction, scoring one direction at a
-    time with pool @ theta."""
-    pool = diag._sample_pool(spec, d, K, n_mc, rng)
+    """(lambda, se, theta, M) of the worst direction, scoring one direction
+    at a time with pool @ theta on the whole pool."""
+    pool = whole_pool(spec, d, K, n_mc, rng)
     dirs = diag._direction_set(d, n_dirs, rng)
     n = pool.shape[0]
     rows = np.arange(n)
     best = None
     for theta in dirs:
         chosen = pool[rows, np.argmax(pool @ theta, axis=1)]
-        eigvals, eigvecs = np.linalg.eigh(chosen.T @ chosen / n)
+        M = chosen.T @ chosen / n
+        eigvals, eigvecs = np.linalg.eigh(M)
         lam = float(eigvals[0])
         if best is None or lam < best[0]:
-            best = (lam, diag._batch_se((chosen @ eigvecs[:, 0]) ** 2), theta)
+            best = (lam, diag._batch_se((chosen @ eigvecs[:, 0]) ** 2), theta, M)
     return best
 
 
 def loop_raw_c_star(spec, d, K, n_mc, n_dirs, target_p, rng):
     """Worst target_p-quantile of max_i x_i^T eta over the radius, one
     direction at a time."""
-    pool = diag._sample_pool(spec, d, K, n_mc, rng)
+    pool = whole_pool(spec, d, K, n_mc, rng)
     dirs = diag._direction_set(d, n_dirs, rng)
     worst = max(np.quantile(np.max(pool @ eta, axis=1), target_p) for eta in dirs)
     return worst / diag.support_radius(spec, d)
 
 
 def loop_x_max(spec, d, K, n_mc, rng):
-    pool = diag._sample_pool(spec, d, K, n_mc, rng)
+    pool = whole_pool(spec, d, K, n_mc, rng)
     return float(np.quantile(np.linalg.norm(pool, axis=2).max(axis=1), 1.0 - 1e-4))
 
 
@@ -338,7 +391,8 @@ SCORER_SPECS = {
 
 class TestBlockScorer:
     # d = 1 has the two axis directions, scored in one block; at d = 20 the
-    # 72 directions fall into blocks of 2.
+    # 72 directions fall into blocks of 2.  Only the d = 20 pools at K = 3
+    # and K = 20 span more than one chunk (2 and 8).
     @pytest.mark.parametrize("K", [1, 3, 20])
     @pytest.mark.parametrize("d", [1, 20])
     @pytest.mark.parametrize("name", sorted(SCORER_SPECS))
@@ -347,56 +401,99 @@ class TestBlockScorer:
         seed = 1000 * d + K
         div = estimate_diversity_constant(spec, d, K, 10**4, 32,
                                           np.random.default_rng(seed))
-        lam, se, theta = loop_diversity(spec, d, K, 10**4, 32,
-                                        np.random.default_rng(seed))
+        lam, se, theta, M = loop_diversity(spec, d, K, 10**4, 32,
+                                           np.random.default_rng(seed))
         # The GEMM rounds some sphere-direction scores differently from
-        # pool @ theta, but no argmax moves, so diversity is bit-equal.
-        assert (div.value, div.std_error) == (lam, se)
+        # pool @ theta, but no argmax moves, so the worst direction is the
+        # same and a one-chunk pool gives a bit-equal value and error.  Each
+        # further chunk adds one rounding of a partial sum of x_a x_a^T, at
+        # most eps * sum_s |x_si x_sj| / n <= eps * sqrt(M_ii M_jj) per entry
+        # (Cauchy-Schwarz), so ||dM||_F <= (c - 1) eps tr(M).  Weyl bounds
+        # the eigenvalue's move by that, and Davis-Kahan the bottom
+        # eigenvector's angle by it over the gap lambda_2 - lambda_1, which
+        # bounds the relative move of the error (x_a^T v)^2 is averaged from.
+        c = -(-10**4 // chunk_sets(d, K))
+        eigvals = np.linalg.eigvalsh(M)
+        bound = (c - 1) * np.finfo(float).eps * np.trace(M)
+        assert abs(div.value - lam) <= bound
+        gap = eigvals[1] - eigvals[0] if d > 1 else np.inf
+        assert abs(div.std_error - se) <= bound / gap * se
         assert div.worst_direction.tobytes() == theta.tobytes()
         assert empirical_x_max(spec, d, K, 10**4, np.random.default_rng(seed)) == \
             loop_x_max(spec, d, K, 10**4, np.random.default_rng(seed))
         if name == "gaussian":
             return
-        conc = estimate_concentration_params(spec, d, K, 2000, 32, 0.9,
+        conc = estimate_concentration_params(spec, d, K, 10**4, 32, 0.9,
                                              rng=np.random.default_rng(seed))
-        raw = loop_raw_c_star(spec, d, K, 2000, 32, 0.9, np.random.default_rng(seed))
+        raw = loop_raw_c_star(spec, d, K, 10**4, 32, 0.9, np.random.default_rng(seed))
         # Concentration reads the score maxima themselves: a d-term dot
         # product summed in another order moves by a few ulps at most.
         assert conc.raw_c_star == pytest.approx(raw, rel=8 * d * np.finfo(float).eps,
                                                 abs=0.0)
 
 
-class TestMemory:
-    # d20-k20 gaussian: one (n_mc, K, d) pool is 32 MB.  Each estimator holds
-    # it once, with score blocks, norm chunks and margin chunks far smaller;
-    # a map that copies the draw, or a full-pool temporary, reaches 2x.
-    @pytest.mark.parametrize("name", ["diversity", "margin", "x_max"])
-    def test_peak_below_one_and_a_third_pools(self, name):
-        spec, d, K, n_mc = gaussian_spec(cov=1.0, rho=0.7), 20, 20, 10**4
-        theta = np.full(d, 1.0 / math.sqrt(d))
-        calls = {
-            "diversity": lambda rng: estimate_diversity_constant(spec, d, K, n_mc, 32, rng),
-            "margin": lambda rng: estimate_margin_constant(spec, theta, d, K, 10 * n_mc,
-                                                           rng=rng),
-            "x_max": lambda rng: empirical_x_max(spec, d, K, n_mc, rng),
-        }
-        tracemalloc.start()
-        try:
-            calls[name](np.random.default_rng(0))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.3 * n_mc * K * d * 8, f"peak {peak / (n_mc * K * d * 8):.2f} pools"
+CHUNK_BYTES = diag._CHUNK_FLOATS * 8
 
-    def test_uniform_ball_peak_below_2_3_pools(self):
-        # The primitive draw holds a pool plus one radius column, and the map
-        # writes one more pool of vectors; a temporary of the map's reaches 3x.
-        spec, d, K, n_mc = uniform_ball_spec(math.sqrt(20)), 20, 20, 10**4
-        tracemalloc.start()
-        try:
-            estimate_concentration_params(spec, d, K, n_mc, 32, 0.9,
-                                          rng=np.random.default_rng(0))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.3 * n_mc * K * d * 8, f"peak {peak / (n_mc * K * d * 8):.2f} pools"
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        call(np.random.default_rng(0))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def estimator_calls(spec, d, K, n_mc):
+    """Each estimator at n_mc pool sets (the margin at 10 n_mc gaps)."""
+    theta = np.full(d, 1.0 / math.sqrt(d))
+    return {
+        "diversity": lambda rng: estimate_diversity_constant(spec, d, K, n_mc, 32, rng),
+        "margin": lambda rng: estimate_margin_constant(spec, theta, d, K, 10 * n_mc,
+                                                       rng=rng),
+        "concentration": lambda rng: estimate_concentration_params(
+            spec, d, K, n_mc, 32, 0.9, rng=rng),
+        "x_max": lambda rng: empirical_x_max(spec, d, K, n_mc, rng),
+    }
+
+
+class TestMemory:
+    # An estimator holds one chunk of its pool (4 MB) and chunk-sized
+    # temporaries, never the pool: on d20-k20 a 10^4-set pool is 7.6 chunks,
+    # on d100-k20 38.  Concentration also keeps its (directions, n_mc) score
+    # maxima, and diversity its signed axes' (2d, d, d) second moments.
+    @pytest.mark.parametrize("name", ["diversity", "margin", "x_max"])
+    def test_gaussian_peak_in_chunks(self, name):
+        call = estimator_calls(gaussian_spec(cov=1.0, rho=0.7), 20, 20, 10**4)[name]
+        peak = traced_peak(call)
+        assert peak < 2.5 * CHUNK_BYTES, f"peak {peak / CHUNK_BYTES:.2f} chunks"
+
+    def test_uniform_ball_concentration_peak_in_chunks(self):
+        # The ball's map allocates chunk-sized temporaries while drawing.
+        d, K, n_mc = 20, 20, 10**4
+        call = estimator_calls(uniform_ball_spec(math.sqrt(d)), d, K, n_mc)
+        maxima = (32 + 2 * d) * n_mc * 8
+        peak = traced_peak(call["concentration"])
+        assert peak < maxima + 3 * CHUNK_BYTES, \
+            f"peak {(peak - maxima) / CHUNK_BYTES:.2f} chunks beside the maxima"
+
+    def test_d100_diversity_peak_in_chunks(self):
+        d, K, n_mc = 100, 20, 10**4
+        call = estimator_calls(gaussian_spec(cov=1.0, rho=0.7), d, K, n_mc)
+        moments = 2 * d * d * d * 8
+        peak = traced_peak(call["diversity"])
+        assert peak < moments + 3 * CHUNK_BYTES, \
+            f"peak {(peak - moments) / CHUNK_BYTES:.2f} chunks beside the moments"
+
+    # d20-k5: pools of 1.9 and 7.6 chunks.  Only the concentration's maxima
+    # grow with n_mc.
+    @pytest.mark.parametrize("name", ["diversity", "margin", "concentration", "x_max"])
+    def test_peak_flat_in_n_mc(self, name):
+        d, K, n_mc = 20, 5, 10**4
+        spec = (uniform_ball_spec(math.sqrt(d)) if name == "concentration"
+                else gaussian_spec(cov=1.0, rho=0.7))
+        small, large = (traced_peak(estimator_calls(spec, d, K, n)[name])
+                        for n in (n_mc, 4 * n_mc))
+        growth = (32 + 2 * d) * 3 * n_mc * 8 if name == "concentration" else 0
+        assert large < small + growth + 2 * CHUNK_BYTES, \
+            f"peak grew {(large - small - growth) / CHUNK_BYTES:.2f} chunks"

@@ -45,6 +45,9 @@ RUNS = {
         "d20-k20", "gaussian", {"d": 8, "K": 6, "diagnostics": True}),
     "d6-k5-uniform-ball-diagnostics-jobs2": (
         "d20-k20", "uniform-ball", {"d": 6, "K": 5, "diagnostics": True, "jobs": 2}),
+    # Its diagnostics pools span several chunks (d6-k5 and d8-k6 fit in one).
+    "d20-k20-gaussian-diagnostics": (
+        "d20-k20", "gaussian", {"reps": 1, "diagnostics": True}),
     "d100-k20-gaussian": ("d100-k20", "gaussian", {"reps": 1}),
 }
 # One `greedybandit --matrix` cell, with its summary.csv.
