@@ -591,7 +591,7 @@ def _log_density_batch(spec: DistributionSpec, X: np.ndarray) -> np.ndarray:
     if spec.kind == "gaussian":
         mean, C, L, Cinv, _ = _gauss_resolved(spec, d)
         delta = X - mean
-        quad = np.einsum("ij,jk,ik->i", delta, Cinv, delta)
+        quad = np.einsum("ij,ij->i", delta @ Cinv, delta)
         logdet = 2.0 * np.sum(np.log(np.diagonal(L)))
         return -0.5 * (quad + d * math.log(2.0 * math.pi) + logdet)
     if spec.kind == "laplace":

@@ -15,22 +15,21 @@ Memory: an estimator draws its (n_mc, K, d) pool as consecutive chunks of
 at most _CHUNK_FLOATS float64s (4 MB; one context set when K d exceeds
 that), reduces each chunk and drops it before the next is drawn, so one
 chunk is resident, never the pool.  Beside it stay only the reductions:
-diversity's (directions, d, d) second moments, concentration's
-(directions, n_mc) score maxima, and the (n_mc,) margin gaps and x_max
-norms.  Diversity and concentration draw the pool twice from one saved
-generator state (diversity three times when a sphere direction is its
-worst), which keeps the random stream of a one-shot pool.  On d20-k20
-gaussian the diversity, margin and x_max estimators peak at 1.3-2.0 chunks
-under tracemalloc, the same at 4x n_mc (TestMemory).  Peak RSS on 2 vCPUs
-(AVX-512 Xeon, OpenBLAS 0.3.31), against one resident pool: perfbench
-preset-d20 99.1 -> 71.9 MB; a --diagnostics preset run (10 reps,
-T = 1000) 264.8 -> 89.9 MB on d100-k20 gaussian and 156.2 -> 81.3 MB on
-d20-k20 uniform-ball.
+diversity's (directions, d, d) second moments (18.6 MB at d = 100),
+concentration's (directions, n_mc) score maxima, and the (n_mc,) margin
+gaps and x_max norms.  Diversity and concentration draw their direction
+set before the pool, so every direction is scored as the pool is drawn;
+diversity draws its pool twice from one seed, the second time only for the
+worst direction's standard error.  On d20-k20 gaussian the diversity,
+margin and x_max estimators peak at 1.3-2.0 chunks under tracemalloc, the
+same at 4x n_mc (TestMemory).  Peak RSS on 2 vCPUs (AVX-512 Xeon, OpenBLAS
+0.3.31), against one resident pool: perfbench preset-d20 99.1 -> 71.9 MB;
+a --diagnostics preset run (10 reps, T = 1000) 264.8 -> 89.9 MB on
+d100-k20 gaussian and 156.2 -> 81.3 MB on d20-k20 uniform-ball.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
@@ -139,32 +138,42 @@ def _axis_blocks(chunk: np.ndarray, reduce):
         yield d + j, reduce(-coords, axis=1).T
 
 
-def _axis_slots(dirs: np.ndarray) -> np.ndarray:
-    """Each direction's row among the signed axes (j for e_j, d + j for
-    -e_j), or -1 for a direction off the axes."""
+def _direction_rows(dirs: np.ndarray) -> np.ndarray:
+    """Each direction's row among _scored_blocks' rows: j for e_j, d + j
+    for -e_j, and 2d, 2d + 1, ... for the directions off the axes, in
+    order."""
     d = dirs.shape[1]
-    slot = np.abs(dirs).argmax(axis=1) + d * (dirs.min(axis=1) < 0)
-    return np.where(np.count_nonzero(dirs, axis=1) == 1, slot, -1)
+    rows = np.abs(dirs).argmax(axis=1) + d * (dirs.min(axis=1) < 0)
+    sphere = np.count_nonzero(dirs, axis=1) != 1
+    rows[sphere] = 2 * d + np.arange(np.count_nonzero(sphere))
+    return rows
 
 
-def _second_moments(chunks, n_rows: int, d: int, blocks, probe=None):
-    """(M, values): for each of n_rows directions the mean over the chunks'
-    context sets of x_a x_a^T, the arms a of rows j.. given by the (j, arms)
-    pairs of blocks(chunk); and, for probe = (arms(chunk), v), the per-set
-    (x_a^T v)^2 of one more direction."""
-    M, values = np.zeros((n_rows, d, d)), []
+def _scored_blocks(chunk: np.ndarray, sphere: np.ndarray, reduce):
+    """Yield (j, reduced scores) like _direction_blocks for every direction:
+    the signed axes by _axis_blocks in rows 0 .. 2d - 1, then the sphere
+    directions from row 2d on."""
+    d = chunk.shape[2]
+    yield from _axis_blocks(chunk, reduce)
+    for j, scores in _direction_blocks(chunk, sphere, reduce):
+        yield 2 * d + j, scores
+
+
+def _second_moments(chunks, n_rows: int, d: int, blocks) -> np.ndarray:
+    """(n_rows, d, d): for each direction the mean over the chunks' context
+    sets of x_a x_a^T, the arms a of rows j.. given by the (j, arms) pairs
+    of blocks(chunk)."""
+    M = np.zeros((n_rows, d, d))
 
     def add(chunk):
         rows = np.arange(chunk.shape[0])
         for j, arms in blocks(chunk):
             chosen = chunk[rows, arms]
             M[j:j + len(chosen)] += chosen.mT @ chosen
-        if probe is not None:
-            values.append((chunk[rows, probe[0](chunk)] @ probe[1]) ** 2)
         return chunk.shape[0]
 
     M /= sum(map(add, chunks))
-    return M, values
+    return M
 
 
 def _bottom(M: np.ndarray) -> tuple[float, np.ndarray]:
@@ -200,57 +209,44 @@ def estimate_diversity_constant(spec: DistributionSpec, d: int, K: int,
     standard error linearizes lambda_min at the bottom eigenvector v:
     batch means of (x_a^T v)^2.
 
-    The pool is drawn chunk by chunk, twice: the signed axes need nothing
-    from rng, so their x_a^T x_a are summed on the pass that advances rng to
-    the sphere directions, and the sphere directions' on a replay of the
-    pool from a copy of rng saved before it.  The replay also records the
-    error of the worst axis; a third pass records it for a worst sphere
-    direction, scored by the same GEMM block.
+    The direction set is drawn from rng first, then one seed for the pool.
+    The pool is drawn chunk by chunk, twice from that seed: the first pass
+    sums x_a x_a^T for every direction, the second records the worst
+    direction's (x_a^T v)^2, its arms scored as the first pass scored them.
     """
     if n_mc < N_MC_DIVERSITY:
         raise ValueError(f"n_mc must be >= {N_MC_DIVERSITY}")
     if n_dirs < N_DIRS:
         raise ValueError(f"n_dirs must be >= {N_DIRS}")
     d = resolve_dim(spec, d)
-    saved = copy.deepcopy(rng)
-    axes = [_bottom(M) for M in _second_moments(
-        _pool_chunks(spec, d, K, n_mc, rng), 2 * d, d,
-        lambda chunk: _axis_blocks(chunk, np.argmax))[0]]
     dirs = _direction_set(d, n_dirs, rng)
-    slots = _axis_slots(dirs)
-    sphere, step = dirs[slots < 0], _block_step(d)
-    # (lambda_min, v) by direction; a tie goes to the earlier direction.
-    bottoms = {i: axes[s] for i, s in enumerate(slots.tolist()) if s >= 0}
+    seed = int(rng.integers(2**63))
+    rows = _direction_rows(dirs)
+    sphere, step = dirs[rows >= 2 * d], _block_step(d)
 
-    def worst():
-        return min(bottoms, key=lambda i: (bottoms[i][0], i))
+    def pool():
+        return _pool_chunks(spec, d, K, n_mc, np.random.default_rng(seed))
 
-    def arms(i):
-        """Direction i's arms in a chunk, scored as its own pass scored them."""
-        if slots[i] >= 0:
-            j, sign = slots[i] % d, 1.0 if slots[i] < d else -1.0
-            return lambda chunk: np.argmax(sign * chunk[:, :, j], axis=1)
-        k = int(np.count_nonzero(slots[:i] < 0))
+    M = _second_moments(pool(), len(rows), d,
+                        lambda chunk: _scored_blocks(chunk, sphere, np.argmax))
+    bottoms = [_bottom(M[r]) for r in rows]
+    w = min(range(len(rows)), key=lambda i: bottoms[i][0])  # earliest on ties
+    # Score the worst direction's arms as the first pass did: a signed axis
+    # exactly, by any GEMM; a sphere direction by its own GEMM block.
+    k = int(rows[w]) - 2 * d
+    if k < 0:
+        block, k = dirs[w:w + 1], 0
+    else:
         b = k - k % step
-        return lambda chunk: _reduced_scores(chunk, sphere[b:b + step], np.argmax)[k - b]
+        block, k = sphere[b:b + step], k - b
+    v = bottoms[w][1]
 
-    def replay(n_rows, blocks, i):
-        """The moments of blocks on a replay of the pool, and direction i's
-        (x_a^T v)^2 per set."""
-        return _second_moments(_pool_chunks(spec, d, K, n_mc, copy.deepcopy(saved)),
-                               n_rows, d, blocks, probe=(arms(i), bottoms[i][1]))
+    def probe(chunk):
+        arms = _reduced_scores(chunk, block, np.argmax)[k]
+        return (chunk[np.arange(chunk.shape[0]), arms] @ v) ** 2
 
-    def sphere_blocks(chunk):
-        return _direction_blocks(chunk, sphere, np.argmax)
-
-    axis_worst = worst()
-    sphere_M, values = replay(len(sphere), sphere_blocks, axis_worst)
-    bottoms.update(zip(np.flatnonzero(slots < 0).tolist(), map(_bottom, sphere_M)))
-    w = worst()
-    if w != axis_worst:
-        values = replay(0, lambda chunk: (), w)[1]
-    return DiversityEstimate(value=bottoms[w][0],
-                             std_error=_batch_se(np.concatenate(values)),
+    values = np.concatenate(list(map(probe, pool())))
+    return DiversityEstimate(value=bottoms[w][0], std_error=_batch_se(values),
                              worst_direction=dirs[w], n_dirs_used=dirs.shape[0])
 
 
@@ -381,6 +377,9 @@ def estimate_concentration_params(spec: DistributionSpec, d: int, K: int,
     in raw_c_star).  p_star equals target_p by construction.  The quantile
     standard error is read off the order-statistic window of half-width
     sqrt(p(1-p)/n) around the target rank.
+
+    The direction set is drawn from rng first, then the pool, chunk by
+    chunk, on the one pass that scores every direction.
     """
     if not 0.0 < target_p < 1.0:
         raise ValueError("target_p must lie in (0, 1)")
@@ -388,24 +387,16 @@ def estimate_concentration_params(spec: DistributionSpec, d: int, K: int,
         raise ValueError("n_mc must be >= 1000")
     d = resolve_dim(spec, d)
     R = support_radius(spec, d)
-    saved = copy.deepcopy(rng)
-    # As in the diversity estimate, the axes are scored on the pass that
-    # advances rng to the sphere directions.
-    axis_max = _maxima(_pool_chunks(spec, d, K, n_mc, rng), 2 * d, n_mc,
-                       lambda chunk: _axis_blocks(chunk, np.max))
     dirs = _direction_set(d, n_dirs, rng)
-    slots = _axis_slots(dirs)
-    sphere_max = iter(_maxima(_pool_chunks(spec, d, K, n_mc, copy.deepcopy(saved)),
-                              int(np.count_nonzero(slots < 0)), n_mc,
-                              lambda chunk: _direction_blocks(chunk, dirs[slots < 0],
-                                                              np.max)))
+    rows = _direction_rows(dirs)
+    maxima = _maxima(_pool_chunks(spec, d, K, n_mc, rng), len(rows), n_mc,
+                     lambda chunk: _scored_blocks(chunk, dirs[rows >= 2 * d], np.max))
 
     half = math.sqrt(target_p * (1.0 - target_p) / n_mc)
     worst_q, worst_se = -np.inf, 0.0
     probs = [target_p, max(target_p - half, 0.0), min(target_p + half, 1.0)]
-    for s in slots:
-        row = axis_max[s] if s >= 0 else next(sphere_max)
-        q, lo, hi = np.quantile(row, probs).tolist()
+    for r in rows:
+        q, lo, hi = np.quantile(maxima[r], probs).tolist()
         if q > worst_q:
             worst_q, worst_se = q, 0.5 * (hi - lo)
     raw = worst_q / R
@@ -559,17 +550,19 @@ class DiagnosticsReport:
 
 def estimate_constants(spec: DistributionSpec, d: int, K: int, theta_star,
                        rng: np.random.Generator) -> ConstantEstimates:
-    """Run the four estimators, in this order, on one generator.  They need
+    """Run the four estimators, each on its own child of rng (rng.spawn(4),
+    in this order), so no estimate's stream depends on another's.  They need
     no trajectory, so they can run while the episodes do."""
     d = resolve_dim(spec, d)
-    div = estimate_diversity_constant(spec, d, K, N_MC_DIVERSITY, N_DIRS, rng)
-    margin = estimate_margin_constant(spec, theta_star, d, K, N_MC_MARGIN, rng)
+    div_rng, margin_rng, conc_rng, x_max_rng = rng.spawn(4)
+    div = estimate_diversity_constant(spec, d, K, N_MC_DIVERSITY, N_DIRS, div_rng)
+    margin = estimate_margin_constant(spec, theta_star, d, K, N_MC_MARGIN, margin_rng)
     try:
         conc = estimate_concentration_params(spec, d, K, N_MC_DIVERSITY, N_DIRS,
-                                             TARGET_P, rng)
+                                             TARGET_P, conc_rng)
     except UnboundedSupportError:
         conc = None
-    x_max = empirical_x_max(spec, d, K, N_MC_DIVERSITY, rng)
+    x_max = empirical_x_max(spec, d, K, N_MC_DIVERSITY, x_max_rng)
     return ConstantEstimates(d=d, diversity=div, margin=margin,
                              concentration=conc, x_max=x_max)
 

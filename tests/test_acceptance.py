@@ -239,7 +239,6 @@ def test_criterion_8_estimator_oracle_equivalence():
 
 
 def test_criterion_9_gram_growth(preset_tables, growth_tables):
-    rng = np.random.default_rng(9)
     cells = []
     for dist, (table, _) in preset_tables.items():
         cells.append(("d20-k20", dist, table))
@@ -248,14 +247,12 @@ def test_criterion_9_gram_growth(preset_tables, growth_tables):
 
     details = []
     ok = True
-    lam_cache = {}
-    for shape, dist, table in cells:
+    # One spawned generator per cell, so no cell's estimate depends on
+    # another's draws.
+    rngs = np.random.default_rng(9).spawn(len(cells))
+    for (shape, dist, table), rng in zip(cells, rngs):
         cfg = table.config
-        key = (dist, cfg.d, cfg.K)
-        if key not in lam_cache:
-            lam_cache[key] = estimate_diversity_constant(
-                cfg.spec, cfg.d, cfg.K, 10**4, 32, rng).value
-        lam = lam_cache[key]
+        lam = estimate_diversity_constant(cfg.spec, cfg.d, cfg.K, 10**4, 32, rng).value
         worst = 1.0
         for rep in range(cfg.reps):
             rep_frac = gram_growth_check(table.trajectories[("greedy", rep)],

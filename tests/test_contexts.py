@@ -359,6 +359,15 @@ class TestLogDensity:
         assert log_density(gaussian_spec(), [0.0]) == pytest.approx(
             -0.5 * math.log(2 * math.pi))
 
+    @pytest.mark.parametrize("d", [2, 20, 100])
+    def test_correlated_gaussian_matches_scipy(self, d):
+        spec = gaussian_spec(mean=np.linspace(-1.0, 1.0, d), cov=1.5, rho=0.7)
+        mean, C = ctx._gauss_resolved(spec, d)[:2]
+        X = np.random.default_rng(d).multivariate_normal(mean, C, size=200)
+        np.testing.assert_allclose(ctx._log_density_batch(spec, X),
+                                   stats.multivariate_normal(mean, C).logpdf(X),
+                                   rtol=1e-12)
+
     def test_out_of_support(self):
         with pytest.raises(OutOfSupportError):
             log_density(exponential_spec(), [-0.1])

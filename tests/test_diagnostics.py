@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -341,6 +342,68 @@ class TestPoolStream:
 
 
 # ---------------------------------------------------------------------------
+# Random streams
+
+
+@pytest.fixture
+def pool_sets(monkeypatch):
+    """The sizes of every _sample_pool draw, in context sets."""
+    drawn, sample = [], diag._sample_pool
+
+    def counted(spec, d, K, n_mc, rng):
+        drawn.append(n_mc)
+        return sample(spec, d, K, n_mc, rng)
+
+    monkeypatch.setattr(diag, "_sample_pool", counted)
+    return drawn
+
+
+class TestPassCount:
+    # At d2-k3 and n_mc = 10^4 the worst direction of the correlated
+    # gaussian at seed 0 is a sphere draw, that of the laplace at seed 1 an
+    # axis.  Either way diversity draws its pool twice.
+    @pytest.mark.parametrize("spec,seed,on_axis", [
+        (gaussian_spec(cov=1.0, rho=0.7), 0, False),
+        (laplace_spec(), 1, True),
+    ], ids=["sphere-worst", "axis-worst"])
+    def test_diversity_draws_two_pools(self, pool_sets, spec, seed, on_axis):
+        est = estimate_diversity_constant(spec, 2, 3, 10**4, 32,
+                                          np.random.default_rng(seed))
+        assert (np.count_nonzero(est.worst_direction) == 1) == on_axis
+        assert sum(pool_sets) == 2 * 10**4
+
+    @pytest.mark.parametrize("name", ["margin", "concentration", "x_max"])
+    def test_other_estimators_draw_one_pool(self, pool_sets, name):
+        estimator_calls(uniform_ball_spec(1.0), 2, 3, 10**4)[name](
+            np.random.default_rng(0))
+        assert sum(pool_sets) == (10**5 if name == "margin" else 10**4)
+
+
+def float_hexes(estimate):
+    """float.hex of every number in an estimate, field by field."""
+    values = dataclasses.astuple(estimate) if dataclasses.is_dataclass(estimate) \
+        else (estimate,)
+    return [float(x).hex() for v in values for x in np.ravel(v)]
+
+
+def test_each_estimator_on_its_own_child():
+    spec, d, K, theta = uniform_ball_spec(1.0), 3, 4, np.full(3, 1.0 / math.sqrt(3))
+    together = diag.estimate_constants(spec, d, K, theta, np.random.default_rng(5))
+    div_rng, margin_rng, conc_rng, x_max_rng = np.random.default_rng(5).spawn(4)
+    alone = {
+        "diversity": estimate_diversity_constant(spec, d, K, diag.N_MC_DIVERSITY,
+                                                 diag.N_DIRS, div_rng),
+        "margin": estimate_margin_constant(spec, theta, d, K, diag.N_MC_MARGIN,
+                                           margin_rng),
+        "concentration": estimate_concentration_params(
+            spec, d, K, diag.N_MC_DIVERSITY, diag.N_DIRS, diag.TARGET_P, conc_rng),
+        "x_max": empirical_x_max(spec, d, K, diag.N_MC_DIVERSITY, x_max_rng),
+    }
+    for name, estimate in alone.items():
+        assert float_hexes(getattr(together, name)) == float_hexes(estimate), name
+
+
+# ---------------------------------------------------------------------------
 # Block scorer against the per-direction loop it replaced
 
 
@@ -352,9 +415,11 @@ def whole_pool(spec, d, K, n_mc, rng):
 
 def loop_diversity(spec, d, K, n_mc, n_dirs, rng):
     """(lambda, se, theta, M) of the worst direction, scoring one direction
-    at a time with pool @ theta on the whole pool."""
-    pool = whole_pool(spec, d, K, n_mc, rng)
+    at a time with pool @ theta on the whole pool, drawn from the seed that
+    follows the directions."""
     dirs = diag._direction_set(d, n_dirs, rng)
+    seed = int(rng.integers(2**63))
+    pool = whole_pool(spec, d, K, n_mc, np.random.default_rng(seed))
     n = pool.shape[0]
     rows = np.arange(n)
     best = None
@@ -371,8 +436,8 @@ def loop_diversity(spec, d, K, n_mc, n_dirs, rng):
 def loop_raw_c_star(spec, d, K, n_mc, n_dirs, target_p, rng):
     """Worst target_p-quantile of max_i x_i^T eta over the radius, one
     direction at a time."""
-    pool = whole_pool(spec, d, K, n_mc, rng)
     dirs = diag._direction_set(d, n_dirs, rng)
+    pool = whole_pool(spec, d, K, n_mc, rng)
     worst = max(np.quantile(np.max(pool @ eta, axis=1), target_p) for eta in dirs)
     return worst / diag.support_radius(spec, d)
 
@@ -461,7 +526,10 @@ class TestMemory:
     # An estimator holds one chunk of its pool (4 MB) and chunk-sized
     # temporaries, never the pool: on d20-k20 a 10^4-set pool is 7.6 chunks,
     # on d100-k20 38.  Concentration also keeps its (directions, n_mc) score
-    # maxima, and diversity its signed axes' (2d, d, d) second moments.
+    # maxima, and diversity every direction's (2d + 32, d, d) second
+    # moments, 18.6 MB at d = 100: the d100 bound allows for the signed
+    # axes' (2d, d, d), so the sphere directions' 2.6 MB come out of its
+    # three chunks.
     @pytest.mark.parametrize("name", ["diversity", "margin", "x_max"])
     def test_gaussian_peak_in_chunks(self, name):
         call = estimator_calls(gaussian_spec(cov=1.0, rho=0.7), 20, 20, 10**4)[name]
