@@ -12,8 +12,8 @@ from .diagnostics import (ConcentrationEstimate, ConsistencyReport,
                           estimate_concentration_params,
                           estimate_diversity_constant, estimate_margin_constant,
                           gram_growth_check, run_diagnostics)
-from .env import (BanditInstance, Trajectory, instantaneous_regret,
-                  make_instance, reward, run_episode)
+from .env import (BanditInstance, Trajectory, instantaneous_regret, reward,
+                  run_episode)
 from .estimator import GramState, NotIdentifiedError
 from .harness import (ConfigError, ExperimentConfig, ResultsTable,
                       config_from_ini, preset_config, render_svg,
@@ -33,7 +33,7 @@ __all__ = [
     "estimate_diversity_constant", "estimate_margin_constant",
     "exponential_spec", "gaussian_spec", "grad_log_density", "gram_growth_check",
     "greedy_select", "instantaneous_regret", "lac_function", "laplace_spec",
-    "log_density", "make_instance", "policy_step", "preset_config",
+    "log_density", "policy_step", "preset_config",
     "render_svg", "reward", "run_diagnostics", "run_episode", "run_experiment",
     "sample_context_set", "spec_from_config", "spec_to_config",
     "student_t_spec", "truncate", "uniform_ball_spec", "verify_lac",

@@ -24,10 +24,34 @@ contends with the other library's pool and with other workers (on 2 cores,
 d = 100 with 4 reps ran 2-7x slower at --jobs 2 than at --jobs 1 without
 the pin).  The counts are process-global, so threads of one process running
 blocks at once share them.
+
+The gram_min_eig record feeds no decision of the loop, and at d = 100 it is
+about half of an episode's time.  In a block whose d is at least
+OFFLOAD_MIN_DIM it runs on one worker thread beside the loop: each round the
+loop copies the Gram stack into a small ring of snapshot batches, and the
+worker solves each full batch with blas.min_eigenvalue_solver, scipy's
+dsyevr called through ctypes.  That call releases the GIL, which scipy's
+own wrapper holds, so the solves overlap the loop on a second core; it
+gives the bits of the inline record.  The worker is joined inside the
+block's one_thread pin.  Blocks below the floor record inline with
+estimator.min_eigenvalue, because there a GIL handoff per solve costs more
+than the solve; so does any block where blas finds no binding.
+run_experiment times on 2 cores
+(T = 1000, three policies, minimum of 3; inline -> offloaded) set the
+floor:
+
+    R = 1:   d = 20  0.204 -> 0.247 s    d = 32  0.262 -> 0.277 s
+             d = 40  0.316 -> 0.299 s    d = 48  0.364 -> 0.305 s
+             d = 64  0.509 -> 0.372 s    d = 100 0.999 -> 0.594 s
+    R = 10:  d = 20  0.950 -> 1.050 s    d = 32  1.539 -> 1.365 s
+             d = 48  2.583 -> 2.026 s
 """
 
 from __future__ import annotations
 
+import contextlib
+import queue
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +59,18 @@ import numpy as np
 from . import blas, estimator, policies
 from .contexts import DistributionSpec, resolve_dim, sample_context_set
 from .policies import PolicyConfig
+
+# A block whose d is at least this records gram_min_eig on a worker thread
+# (see the module docstring for the measured grid).
+OFFLOAD_MIN_DIM = 48
+# The loop hands the worker Sigma snapshots in RING_BATCHES batches of as
+# many rounds as fit in RING_BYTES together (at least one round): six at
+# d = 100 and R = 1, three at R = 2.  Each handoff wakes the worker, which
+# costs most where every core is busy: at --jobs 2 (d = 100, 4 reps, 2
+# cores) batches of two rounds ran 3% slower than the inline record, and
+# batches of three as fast.  Every byte of the ring adds to peak memory.
+RING_BYTES = 1 << 20
+RING_BATCHES = 2
 
 
 @dataclass
@@ -119,14 +155,6 @@ def sphere_vector(d: int, rng: np.random.Generator) -> np.ndarray:
     return z / norm
 
 
-def make_instance(spec: DistributionSpec, d: int, K: int, sigma: float,
-                  rng: np.random.Generator) -> BanditInstance:
-    """Instance with theta_star drawn uniformly from the unit sphere."""
-    d = resolve_dim(spec, d)
-    return BanditInstance(theta_star=sphere_vector(d, rng), sigma=float(sigma),
-                          spec=spec, d=d, K=K)
-
-
 def run_episode(instance: BanditInstance, config: PolicyConfig, T: int,
                 seeds: list[int]) -> list[Trajectory]:
     """Simulate T rounds of one replication per seed, in lockstep.  Each
@@ -147,7 +175,7 @@ def run_episode(instance: BanditInstance, config: PolicyConfig, T: int,
     rows = np.arange(R)
     arms, best_arms = np.empty((2, T, R), dtype=np.intp)
     rewards, regrets, errors, eigs, norms = np.full((5, T, R), np.nan)
-    with blas.one_thread():
+    with blas.one_thread(), _gram_record(state, eigs) as record:
         for i in range(T):
             X = sample_context_set(instance.spec, d, K, rngs)
             arm = policies.policy_step(state, config, X, rngs)
@@ -160,7 +188,7 @@ def run_episode(instance: BanditInstance, config: PolicyConfig, T: int,
             # the rows not identified yet are NaN.
             errors[i] = np.sqrt(np.vecdot(diff, diff))
             arms[i], rewards[i] = arm, y
-            eigs[i] = estimator.min_eigenvalue(state)
+            record(i)
             # sqrt is monotone, so the root of the largest square is the max
             # norm.
             norms[i] = np.sqrt(np.vecdot(X, X).max(axis=-1))
@@ -168,3 +196,72 @@ def run_episode(instance: BanditInstance, config: PolicyConfig, T: int,
     columns = [np.ascontiguousarray(c.T)
                for c in (arms, best_arms, rewards, regrets, errors, eigs, norms)]
     return [Trajectory(*(c[r] for c in columns)) for r in range(R)]
+
+
+@contextlib.contextmanager
+def _gram_record(state: estimator.GramState, eigs: np.ndarray):
+    """Yield record(i), which fills eigs[i] (R,) with the smallest eigenvalue
+    of each of the state's Gram matrices as they are now.
+
+    Below OFFLOAD_MIN_DIM, or where blas has no GIL-free solver, record
+    solves inline.  Otherwise it copies the stack into a ring of snapshot
+    batches, and one worker thread solves each full batch and writes its
+    rows of eigs; the block ends when the worker has written every row.  A
+    worker error is raised in the loop at the next batch, or at the end;
+    an error in the loop stops the worker before it propagates.
+    """
+    R, d = state.reps, state.dim
+    solve = blas.min_eigenvalue_solver(d) if d >= OFFLOAD_MIN_DIM else None
+    if solve is None:
+        def record(i):
+            eigs[i] = estimator.min_eigenvalue(state)
+
+        yield record
+        return
+
+    rounds = max(1, RING_BYTES // (RING_BATCHES * state.sigma.nbytes))
+    ring = np.empty((RING_BATCHES, rounds) + state.sigma.shape)
+    free, full = queue.SimpleQueue(), queue.SimpleQueue()
+    for slot in range(RING_BATCHES):
+        free.put(slot)
+    errors = []
+
+    def work():
+        while (batch := full.get()) is not None:
+            slot, first, n = batch
+            if not errors:
+                try:
+                    for k in range(n):
+                        for r in range(R):
+                            # update keeps Sigma exactly symmetric, so the
+                            # transposed view is Sigma in Fortran order.
+                            eigs[first + k, r] = solve(ring[slot, k, r].T)
+                except Exception as exc:
+                    errors.append(exc)
+            # After an error the worker only hands slots back, so the loop
+            # never waits for one.
+            free.put(slot)
+
+    slot, n = free.get(), 0
+
+    def record(i):
+        nonlocal slot, n
+        ring[slot, n] = state.sigma
+        n += 1
+        if n == rounds:
+            full.put((slot, i + 1 - n, n))
+            if errors:
+                raise errors[0]
+            slot, n = free.get(), 0
+
+    worker = threading.Thread(target=work, name="gram-min-eig")
+    worker.start()
+    try:
+        yield record
+        if n:
+            full.put((slot, len(eigs) - n, n))
+    finally:
+        full.put(None)
+        worker.join()
+    if errors:
+        raise errors[0]

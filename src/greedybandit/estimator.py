@@ -16,6 +16,10 @@ dpotrf/dpotrs.  Eigenvalues come from dsyevr: the identification gate
 reads all of them, and update runs it only once t >= d, because a sum of
 t < d rank-one terms is singular; the per-round minimal-eigenvalue record
 asks for the smallest alone, which skips the full tridiagonal QR sweep.
+min_eigenvalue is that record for blocks below env.OFFLOAD_MIN_DIM; wider
+blocks solve it on a worker thread through blas.min_eigenvalue_solver, the
+same dsyevr with the same arguments called without the GIL, to the same
+bits.
 Like any backward-stable solver dsyevr is within p(d) * eps * |Sigma|_2 of
 the exact eigenvalues (Weyl).  numpy links its own BLAS with its own thread
 pool, and alternating the two libraries every round makes their pools

@@ -298,21 +298,6 @@ def write_csv(table: ResultsTable, path, aggregate_path=None) -> str:
     return aggregate_path
 
 
-def load_raw_csv(path):
-    """Parse a raw CSV back into typed rows (inverse of write_csv)."""
-    rows = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader))
-        if header != RAW_COLUMNS:
-            raise ValueError(f"unexpected header {header}")
-        for rec in reader:
-            policy, rep, t, inst, cum, err, eig = rec
-            rows.append((policy, int(rep), int(t), float(inst), float(cum),
-                         None if err == "" else float(err), float(eig)))
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # SVG
 

@@ -1,9 +1,59 @@
+import threading
+
 import numpy as np
 import pytest
 
 from greedybandit import blas
+from greedybandit.contexts import resolve_dim
+from greedybandit.env import BanditInstance, sphere_vector
 
 ACCEPTANCE_RESULTS = []
+
+
+def make_instance(spec, d, K, sigma, rng) -> BanditInstance:
+    """Instance with theta_star drawn uniformly from the unit sphere."""
+    d = resolve_dim(spec, d)
+    return BanditInstance(theta_star=sphere_vector(d, rng), sigma=float(sigma),
+                          spec=spec, d=d, K=K)
+
+
+def solver_or_skip(d):
+    """blas.min_eigenvalue_solver(d), or skip the test where it is absent."""
+    solve = blas.min_eigenvalue_solver(d)
+    if solve is None:
+        pytest.skip("no scipy_dsyevr_ that matches scipy's dsyevr mapped")
+    return solve
+
+
+def counting_solvers(monkeypatch, before=None):
+    """Patch blas.min_eigenvalue_solver so that every solve appends one
+    entry to the returned list, after calling before(count) if given."""
+    make, calls = blas.min_eigenvalue_solver, []
+
+    def counting(n):
+        solve = make(n)
+
+        def counted(a):
+            if before is not None:
+                before(len(calls))
+            calls.append(n)
+            return solve(a)
+
+        return None if solve is None else counted
+
+    monkeypatch.setattr(blas, "min_eigenvalue_solver", counting)
+    return calls
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left():
+    """Fail any test that leaves a thread running that it started: the
+    episodes' gram_min_eig worker and the diagnostics' estimator thread
+    must each end with the work that started them."""
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in threading.enumerate() if t not in before]
+    assert not left, f"threads still running after the test: {left}"
 
 
 @pytest.fixture

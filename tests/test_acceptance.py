@@ -24,11 +24,11 @@ from greedybandit.diagnostics import (consistency_curve,
                                       estimate_diversity_constant,
                                       estimate_margin_constant,
                                       gram_growth_check, growth_burn_in)
-from greedybandit.env import make_instance, run_episode, sphere_vector
+from greedybandit.env import run_episode, sphere_vector
 from greedybandit.harness import (preset_config, run_experiment, write_csv)
 from greedybandit.policies import PolicyConfig
 
-from conftest import ACCEPTANCE_RESULTS
+from conftest import ACCEPTANCE_RESULTS, make_instance
 
 HEADLINE_DISTS = ("gaussian", "uniform-ball", "laplace")
 EXTRA_DISTS = ("exponential", "trunc-student-t", "trunc-cauchy")

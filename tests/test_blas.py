@@ -4,12 +4,15 @@ import threading
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
-from greedybandit import blas, policies
+from greedybandit import blas, env, policies
 from greedybandit.contexts import gaussian_spec
 from greedybandit.env import BanditInstance, run_episode
 from greedybandit.harness import ExperimentConfig, default_policies, run_experiment
 from greedybandit.policies import PolicyConfig
+
+from conftest import counting_solvers, solver_or_skip
 
 
 def tiny_config(tmp_path, **kw):
@@ -117,3 +120,49 @@ def test_unreadable_maps_pins_nothing(libs, tmp_path, monkeypatch):
             blas._libraries.cache_clear()
     assert seen and all(counts == [2] * len(libs) for counts in seen)
     assert rows == expected
+
+
+def test_binding_resolves_where_scipy_dsyevr_is_mapped():
+    # Absent only where no mapped OpenBLAS exports it: a binding that fails
+    # its self-check here would send every wide block back inline.
+    if not any(hasattr(lib, "scipy_dsyevr_") for lib in blas._openblas()):
+        pytest.skip("no OpenBLAS exporting scipy_dsyevr_ mapped")
+    assert blas.min_eigenvalue_solver(5) is not None
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, env.OFFLOAD_MIN_DIM - 1,
+                               env.OFFLOAD_MIN_DIM, 64, 100])
+def test_min_eigenvalue_solver_matches_scipy(d):
+    # Random Gram matrices of full rank, rank d - 1 and rank d // 2, and the
+    # zero matrix: the bits of scipy's wrapper in every case.
+    solve = solver_or_skip(d)
+    rng = np.random.default_rng(d)
+    for rows in (2 * d, 2 * d, d + 1, d, d - 1, d // 2, 0):
+        x = rng.standard_normal((rows, d))
+        sigma = x.T @ x
+        w, _, m, _, info = lapack.dsyevr(sigma, compute_v=0, lower=1, range="I",
+                                         il=1, iu=1)
+        assert (m, info) == (1, 0)
+        got = solve(np.asfortranarray(sigma))
+        assert np.float64(got).tobytes() == w[0].tobytes(), rows
+
+
+def test_min_eigenvalue_solver_checks_its_argument():
+    solve = solver_or_skip(5)
+    for bad in (np.eye(5), np.eye(4, order="F"), np.eye(5, dtype=np.float32, order="F")):
+        with pytest.raises(ValueError):
+            solve(bad)
+
+
+def test_record_worker_runs_at_one_thread(libs, monkeypatch):
+    # The worker solves inside the block's pin and is joined before the
+    # block gives the counts back.
+    d = env.OFFLOAD_MIN_DIM
+    solver_or_skip(d)
+    seen = []
+    counting_solvers(monkeypatch, before=lambda _: seen.append(blas.thread_counts()))
+    inst = BanditInstance(theta_star=np.eye(d)[0], sigma=0.5,
+                          spec=gaussian_spec(), d=d, K=4)
+    run_episode(inst, PolicyConfig("linucb"), 20, [1, 2])
+    assert seen == [[1] * len(libs)] * 40
+    assert blas.thread_counts() == [2] * len(libs)

@@ -16,8 +16,10 @@ from greedybandit.diagnostics import (UnboundedSupportError, consistency_check,
                                       estimate_margin_constant, empirical_x_max,
                                       format_report, gram_growth_check,
                                       growth_burn_in, run_diagnostics)
-from greedybandit.env import Trajectory, make_instance, run_episode
+from greedybandit.env import Trajectory, run_episode
 from greedybandit.policies import PolicyConfig
+
+from conftest import make_instance
 
 
 def synthetic_trajectory(eigs, errs=None):

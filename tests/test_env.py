@@ -1,19 +1,23 @@
+import dataclasses
 import math
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import lapack
 
-from greedybandit import env, policies
+from greedybandit import blas, env, estimator, policies
 from greedybandit.contexts import gaussian_spec, uniform_ball_spec
 from greedybandit.env import (BanditInstance, Trajectory, instantaneous_regret,
-                              make_instance, reward, run_episode, sphere_vector)
+                              reward, run_episode, sphere_vector)
 from greedybandit.harness import preset_spec
 from greedybandit.policies import PolicyConfig
+
+from conftest import counting_solvers, make_instance, solver_or_skip
 
 
 def small_instance(d=2, K=3, sigma=0.5, theta=None):
@@ -241,8 +245,42 @@ def test_one_eigensolve_per_round(kind, monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["greedy", "linucb", "lints"])
+def test_one_eigensolve_per_round_offloaded(kind, monkeypatch):
+    # Above the dimension floor the record runs on the worker: R T binding
+    # calls and no subset dsyevr through scipy.  The identification gates
+    # stay in the loop, one per round from d up to identification.
+    d = env.OFFLOAD_MIN_DIM
+    solver_or_skip(d)
+    T = d + 12
+    inst = small_instance(d=d, K=4)
+    cfg = PolicyConfig(kind, theta0=np.ones(d) if kind == "greedy" else None)
+    driver, update = lapack.dsyevr, estimator.update
+    for seeds in ([11], [11, 12, 13]):
+        rounds, gates = [0], {"A": [], "I": []}
+
+        def counted(*args, **kwargs):
+            gates[kwargs["range"]].append(rounds[0])
+            return driver(*args, **kwargs)
+
+        def counted_update(state, x, y):
+            rounds[0] = state.t + 1
+            return update(state, x, y)
+
+        solves = counting_solvers(monkeypatch)
+        monkeypatch.setattr(lapack, "dsyevr", counted)
+        monkeypatch.setattr(estimator, "update", counted_update)
+        trajs = run_episode(inst, cfg, T, seeds)
+        monkeypatch.undo()
+        since = [int(np.argmax(~np.isnan(tr.est_error_l2))) + 1 for tr in trajs]
+        assert all(not np.isnan(tr.est_error_l2[-1]) for tr in trajs)
+        assert solves == [d] * (T * len(seeds))
+        assert gates["I"] == []
+        assert gates["A"] == sorted(t for s in since for t in range(d, s + 1))
+
+
+@pytest.mark.parametrize("kind", ["greedy", "linucb", "lints"])
 @pytest.mark.parametrize("dist", ["gaussian", "trunc-cauchy", "uniform-ball"])
-@pytest.mark.parametrize("d", [1, 5, 20])
+@pytest.mark.parametrize("d", [1, 5, 20, env.OFFLOAD_MIN_DIM + 16])
 def test_block_matches_single_runs(kind, dist, d):
     # A lockstep block of R replications gives each replication the bytes of
     # its run alone: every batched score, regret, norm and update row must
@@ -251,8 +289,10 @@ def test_block_matches_single_runs(kind, dist, d):
     # (R K, d) @ theta product rounds some rows differently from the
     # per-replication (K, d) products.  The specs cover the correlated
     # gaussian, a box-truncated Cauchy drawn by inverse CDF and the uniform
-    # ball.
+    # ball.  The block above the record's dimension floor runs past round d,
+    # so its rows are identified.
     spec = preset_spec(dist, d)
+    T = max(40, d + 20)
     rng = np.random.default_rng(d)
     inst = make_instance(spec, d, 7, 0.5, rng)
     cfg = PolicyConfig(kind, theta0=sphere_vector(d, rng) if kind == "greedy"
@@ -260,10 +300,10 @@ def test_block_matches_single_runs(kind, dist, d):
     fields = ("arm", "optimal_arm", "reward", "inst_regret", "est_error_l2",
               "gram_min_eig", "max_ctx_norm")
     for seeds in ([101], [101, 202, 303]):
-        block = run_episode(inst, cfg, 40, seeds)
+        block = run_episode(inst, cfg, T, seeds)
         assert len(block) == len(seeds)
         for seed, traj in zip(seeds, block):
-            alone = run_episode(inst, cfg, 40, [seed])[0]
+            alone = run_episode(inst, cfg, T, [seed])[0]
             for name in fields:
                 assert getattr(traj, name).tobytes() == getattr(alone, name).tobytes(), name
 
@@ -331,3 +371,122 @@ def test_block_round_looks_up_traced_names(monkeypatch):
         assert all(isinstance(g, np.random.Generator) for g in rngs)
     assert len(step_configs) == 5
     assert all(isinstance(c, PolicyConfig) for c in step_configs)
+
+
+def run_bounded(fn, timeout=120):
+    """fn() on a daemon thread, joined with a timeout: (result, exception).
+    Fails if fn has not returned by then, so that a hang fails the test
+    instead of stopping the suite."""
+    out = {}
+
+    def target():
+        try:
+            out["result"] = fn()
+        except Exception as exc:
+            out["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), f"still running after {timeout} s"
+    return out.get("result"), out.get("error")
+
+
+def wide_block(T=60, seeds=(1, 2)):
+    d = env.OFFLOAD_MIN_DIM
+    rng = np.random.default_rng(4)
+    inst = make_instance(gaussian_spec(), d, 5, 0.5, rng)
+    return lambda: run_episode(inst, PolicyConfig("lints"), T, list(seeds))
+
+
+def trajectory_bytes(trajs):
+    return [[getattr(tr, f.name).tobytes() for f in dataclasses.fields(tr)]
+            for tr in trajs]
+
+
+def test_worker_error_surfaces_as_linalg_error(monkeypatch):
+    solver_or_skip(env.OFFLOAD_MIN_DIM)
+
+    def fail(count):
+        if count == 17:
+            raise np.linalg.LinAlgError("dsyevr failed (info 3)")
+
+    counting_solvers(monkeypatch, before=fail)
+    threads = threading.active_count()
+    _, error = run_bounded(wide_block())
+    assert isinstance(error, np.linalg.LinAlgError)
+    assert str(error) == "dsyevr failed (info 3)"
+    assert threading.active_count() == threads
+
+
+def test_loop_error_stops_the_worker(monkeypatch):
+    # Non-finite contexts from round 30 on: the update rejects them, and the
+    # worker stops and is joined before the error leaves run_episode.
+    solver_or_skip(env.OFFLOAD_MIN_DIM)
+    sample, calls = env.sample_context_set, []
+
+    def poisoned(*args):
+        X = sample(*args)
+        calls.append(1)
+        return X * np.nan if len(calls) >= 30 else X
+
+    monkeypatch.setattr(env, "sample_context_set", poisoned)
+    threads = threading.active_count()
+    _, error = run_bounded(wide_block())
+    assert isinstance(error, ValueError) and "finite" in str(error)
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("absent", ["maps", "self-check"])
+def test_episodes_run_inline_without_the_binding(absent, tmp_path, monkeypatch):
+    # With no binding, or one whose self-check differs from scipy by a bit,
+    # the block records inline: one scipy subset dsyevr per round and
+    # replication, the same bytes, and no worker thread.
+    solver_or_skip(env.OFFLOAD_MIN_DIM)
+    T, seeds = 60, (1, 2)
+    offloaded = trajectory_bytes(wide_block(T, seeds)())
+    blas._dsyevr.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            if absent == "maps":
+                patch.setattr(blas, "MAPS", str(tmp_path / "absent"))
+            else:
+                exact = lapack.dsyevr
+
+                def off_by_one_ulp(*args, **kwargs):
+                    w, *rest = exact(*args, **kwargs)
+                    return (np.nextafter(w, np.inf), *rest)
+
+                patch.setattr(lapack, "dsyevr", off_by_one_ulp)
+            assert blas.min_eigenvalue_solver(env.OFFLOAD_MIN_DIM) is None
+        driver, subset = lapack.dsyevr, []
+
+        def counted(*args, **kwargs):
+            if kwargs["range"] == "I":
+                subset.append(threading.active_count())
+            return driver(*args, **kwargs)
+
+        monkeypatch.setattr(lapack, "dsyevr", counted)
+        threads = threading.active_count()
+        inline = trajectory_bytes(wide_block(T, seeds)())
+    finally:
+        blas._dsyevr.cache_clear()
+    assert subset == [threads] * (T * len(seeds))
+    assert inline == offloaded
+
+
+def test_small_blocks_neither_resolve_the_binding_nor_start_a_thread(monkeypatch):
+    blas._dsyevr.cache_clear()
+    counts = []
+    step = policies.policy_step
+
+    def recording(*args, **kwargs):
+        counts.append(threading.active_count())
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(policies, "policy_step", recording)
+    threads = threading.active_count()
+    d = env.OFFLOAD_MIN_DIM - 1
+    run_episode(small_instance(d=d, K=3), PolicyConfig("linucb"), 10, [1, 2])
+    assert counts == [threads] * 10
+    assert blas._dsyevr.cache_info().currsize == 0

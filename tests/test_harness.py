@@ -18,7 +18,7 @@ from greedybandit.contexts import (gaussian_spec, laplace_spec,
 from greedybandit.harness import (AGGREGATE_COLUMNS, ConfigError,
                                   ExperimentConfig, RAW_COLUMNS, ResultsTable,
                                   config_from_ini, config_to_ini,
-                                  default_policies, load_raw_csv, preset_config,
+                                  default_policies, preset_config,
                                   render_svg, run_experiment, write_csv,
                                   write_outputs, _episode_seeds)
 from greedybandit.policies import PolicyConfig
@@ -32,6 +32,21 @@ def tiny_config(tmp_path, **kw):
                 emit_svg=True, diagnostics=False, jobs=1)
     base.update(kw)
     return ExperimentConfig(**base)
+
+
+def load_raw_csv(path):
+    """Parse a raw CSV back into typed rows (inverse of write_csv)."""
+    rows = []
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = tuple(next(reader))
+        if header != RAW_COLUMNS:
+            raise ValueError(f"unexpected header {header}")
+        for rec in reader:
+            policy, rep, t, inst, cum, err, eig = rec
+            rows.append((policy, int(rep), int(t), float(inst), float(cum),
+                         None if err == "" else float(err), float(eig)))
+    return rows
 
 
 class TestValidation:
