@@ -12,8 +12,10 @@ Cholesky solve (authoritative for theta_hat).
 The rank-one updates of Sigma, b and the running inverse are array
 operations over the stack.  Every factorization and eigensolve runs per
 replication and goes straight to scipy's LAPACK drivers.  The OLS solve is
-dpotrf/dpotrs.  Eigenvalues come from dsyevr: the identification gate
-reads all of them, and update runs it only once t >= d, because a sum of
+one dposv call, which runs dpotrf and dpotrs inside and gives their bits;
+an identified replication's round takes that call and the gram_min_eig
+record's.  Eigenvalues come from dsyevr: the identification gate reads all
+of them, and update runs it only once t >= d, because a sum of
 t < d rank-one terms is singular; the per-round minimal-eigenvalue record
 asks for the smallest alone, which skips the full tridiagonal QR sweep.
 min_eigenvalue is that record for blocks below env.OFFLOAD_MIN_DIM; wider
@@ -151,11 +153,10 @@ def update(state: GramState, x, y) -> GramState:
 
 
 def _solve(state: GramState, r: int) -> np.ndarray:
-    L, info = lapack.dpotrf(state.sigma[r], lower=1, clean=0)
+    _, theta, info = lapack.dposv(state.sigma[r], state.b[r], lower=1)
     if info != 0:
         raise NotIdentifiedError(f"Cholesky factorization failed at leading "
                                  f"minor {info} after {state.t} updates")
-    theta, _ = lapack.dpotrs(L, state.b[r], lower=1)
     return theta
 
 

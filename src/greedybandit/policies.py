@@ -4,9 +4,13 @@ The greedy rule scores arms with the raw least squares estimate and never
 adds an exploration term; before the Gram matrix is invertible it falls
 back to a fixed warm-start vector theta0.  The two baselines regularize
 with lambda_reg and need a generator only in the Thompson case.  They
-factor the ridge matrix once per round with scipy's LAPACK dpotrf, and the
-one factor L serves the ridge estimate, LinUCB's log-determinant and
-widths, and LinTS's posterior draw.
+factor the ridge matrix and solve for the ridge estimate once per round in
+one scipy LAPACK dposv call, and its factor L serves LinUCB's
+log-determinant and widths and LinTS's posterior draw: one triangular
+solve dtrtrs each, the widths ||L^-1 x|| for all K arms at once.  So a
+replication's round takes two LAPACK calls in the baselines and none in
+greedy; after identification the estimator's two (see estimator) make it
+2/4/4 for greedy/LinUCB/LinTS.
 
 Every rule acts on the stacked state of R replications (see estimator) and
 their (R, K, d) context sets, and returns R arms; scores and argmax are
@@ -90,14 +94,14 @@ def _ridge(state: GramState, lambda_reg: float):
     """Lower Cholesky factors L (R, d, d) of Sigma + lambda I, each slice
     Fortran-ordered, and the (R, d) ridge estimates."""
     # Sigma is exactly symmetric, so the transposed slices of Sigma + lambda I
-    # are the same matrices in Fortran order: dpotrf factors them in place.
+    # are the same matrices in Fortran order: dposv factors them in place.
     L = (state.sigma + lambda_reg * np.eye(state.dim)).transpose(0, 2, 1)
     theta_tilde = np.empty(state.b.shape)
     for r in range(state.reps):
-        L[r], info = lapack.dpotrf(L[r], lower=1, clean=0, overwrite_a=1)
+        L[r], theta_tilde[r], info = lapack.dposv(L[r], state.b[r], lower=1,
+                                                  overwrite_a=1)
         if info != 0:
             raise ValueError("ridge Gram matrix must be positive definite")
-        theta_tilde[r], _ = lapack.dpotrs(L[r], state.b[r], lower=1)
     return L, theta_tilde
 
 
@@ -114,6 +118,18 @@ def _radius(L: np.ndarray, config: PolicyConfig) -> np.ndarray:
         for s in np.log(np.diagonal(L, axis1=-2, axis2=-1)).sum(axis=-1).tolist()])
 
 
+def _widths(L: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """LinUCB widths sqrt(x . Sigma_bar^-1 x) (R, K) of the contexts X
+    (R, K, d), from the ridge factors L; X is left unmodified."""
+    # x . Sigma_bar^-1 x = |L^-1 x|^2, so row i of V[r] = (L[r]^-1 X[r]^T)^T
+    # has norm width_i.  V[r].T is a Fortran-ordered (d, K) view of a copy
+    # of X, which one dtrtrs solves in place.
+    V = X.copy()
+    for r in range(len(V)):
+        V[r] = lapack.dtrtrs(L[r], V[r].T, lower=1, overwrite_b=1)[0].T
+    return np.sqrt(np.vecdot(V, V))
+
+
 def confidence_radius(state: GramState, config: PolicyConfig) -> np.ndarray:
     """LinUCB bonus multipliers from the determinants of the ridge Gram
     matrices, one per replication."""
@@ -128,13 +144,8 @@ def linucb_select(state: GramState, config: PolicyConfig, contexts,
     L, theta_tilde = _ridge(state, config.lambda_reg)
     if beta is None:
         beta = _radius(L, config)
-    # Row i of W[r] is Sigma_bar_r^-1 x_i, so the width is sqrt(x_i . W[r, i]).
-    W = np.empty_like(X)
-    for r in range(len(X)):
-        W[r] = lapack.dpotrs(L[r], X[r].T, lower=1)[0].T
-    widths = np.sqrt(np.maximum(np.einsum("rij,rij->ri", X, W), 0.0))
     scores = np.matmul(X, theta_tilde[..., None])[..., 0]
-    return (scores + np.asarray(beta)[..., None] * widths).argmax(axis=-1)
+    return (scores + np.asarray(beta)[..., None] * _widths(L, X)).argmax(axis=-1)
 
 
 def lints_select(state: GramState, config: PolicyConfig, contexts,

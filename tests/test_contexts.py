@@ -240,6 +240,32 @@ class TestBoxInverseCdf:
             p = stats.kstest(X[:, j], lambda x: (law.cdf(x) - f_lo) / (f_hi - f_lo)).pvalue
             assert p > 1e-3, f"{name} coordinate {j}: KS p = {p:.2e}"
 
+    def test_student_t_df2_closed_form_is_stdtrit(self):
+        # At df = 2 the inverse CDF is (2u - 1) / sqrt(2u (1 - u)) in closed
+        # form, with the bits of scipy's stdtrit(2, u): on 10^6 uniforms, at
+        # the edges u = a and a + w of several boxes (and one ulp inside),
+        # and at 1/2, its neighbours, 1 and the smallest subnormal.  Other
+        # degrees of freedom keep stdtrit.
+        from scipy.special import stdtrit
+        u = [np.random.default_rng(2).random(10**6),
+             np.array([0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0),
+                       np.nextafter(1.0, 0.0), 1.0, 5e-324])]
+        for lo, hi in ((-5.0, 5.0), (-0.25, 3.0), (1e-3, 2e-3), (-1e4, 1e4)):
+            spec = student_t_spec(df=2.0, truncation=box(lo, hi))
+            _, _, _, _, a, w, icdf = ctx._box_inverse_cdf(spec, 1)
+            assert icdf is ctx._student_t2_icdf
+            u.append(np.array([a[0], np.nextafter(a[0], 1.0), a[0] + w[0],
+                               np.nextafter(a[0] + w[0], 0.0)]))
+        u = np.concatenate(u)
+        with np.errstate(divide="ignore"):
+            ref = stdtrit(2.0, u)
+            got = ctx._student_t2_icdf(u, out=np.empty_like(u))
+            ctx._student_t2_icdf(u, out=u)
+        assert got.tobytes() == ref.tobytes()
+        assert u.tobytes() == ref.tobytes()
+        spec = student_t_spec(df=3.0, truncation=box(-5.0, 5.0))
+        assert ctx._box_inverse_cdf(spec, 1)[6] is not ctx._student_t2_icdf
+
     @pytest.mark.parametrize("spec", [
         cauchy_spec(truncation=box(-5.0, 5.0)),
         student_t_spec(df=2.0, truncation=box(-5.0, 5.0)),

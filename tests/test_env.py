@@ -244,6 +244,49 @@ def test_one_eigensolve_per_round(kind, monkeypatch):
         assert rounds["A"] == sorted(t for s in since for t in range(d, s + 1))
 
 
+@pytest.mark.parametrize("kind, calls", [
+    ("greedy", {"dposv": 1, "dsyevr": 1}),
+    ("linucb", {"dposv": 2, "dtrtrs": 1, "dsyevr": 1}),
+    ("lints", {"dposv": 2, "dtrtrs": 1, "dsyevr": 1}),
+])
+def test_lapack_calls_per_round(kind, calls, monkeypatch):
+    # After identification a replication's round makes 2/4/4 scipy LAPACK
+    # calls: dposv for the OLS estimate and dsyevr for the gram_min_eig
+    # record, and in the baselines one dposv for the ridge factor and
+    # estimate and one dtrtrs for LinUCB's widths or LinTS's draw.  A
+    # factor-and-solve split into two calls fails here.  Every driver of
+    # scipy.linalg.lapack is counted; rounds start at policy_step.
+    d, T = 5, 30
+    inst = small_instance(d=d, K=4)
+    cfg = PolicyConfig(kind, theta0=np.ones(d) if kind == "greedy" else None)
+    drivers = {name: f for name in dir(lapack)
+               if type(f := getattr(lapack, name)).__name__ == "fortran"}
+    step = policies.policy_step
+    for seeds in ([11], [11, 12, 13]):
+        rounds = []
+
+        def counted_step(*args, **kwargs):
+            rounds.append({})
+            return step(*args, **kwargs)
+
+        def counting(name, f):
+            def counted(*args, **kwargs):
+                rounds[-1][name] = rounds[-1].get(name, 0) + 1
+                return f(*args, **kwargs)
+            return counted
+
+        for name, f in drivers.items():
+            monkeypatch.setattr(lapack, name, counting(name, f))
+        monkeypatch.setattr(policies, "policy_step", counted_step)
+        trajs = run_episode(inst, cfg, T, seeds)
+        monkeypatch.undo()
+        since = max(int(np.argmax(~np.isnan(tr.est_error_l2))) + 1 for tr in trajs)
+        assert len(rounds) == T and since < T - 10
+        expected = {name: n * len(seeds) for name, n in calls.items()}
+        assert rounds[since:] == [expected] * (T - since)
+        assert sum(calls.values()) == (2 if kind == "greedy" else 4)
+
+
 @pytest.mark.parametrize("kind", ["greedy", "linucb", "lints"])
 def test_one_eigensolve_per_round_offloaded(kind, monkeypatch):
     # Above the dimension floor the record runs on the worker: R T binding

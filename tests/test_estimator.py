@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, lapack
 
 from greedybandit import estimator as est
 from greedybandit.estimator import GramState, NotIdentifiedError
@@ -165,6 +165,33 @@ class TestLapackDrivers:
             ref = cho_solve(cho_factor(S, lower=True, check_finite=False), b,
                             check_finite=False)
             np.testing.assert_array_equal(est.solve(s)[0], ref)
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 20, 47, 48, 64, 100])
+    def test_dposv_matches_dpotrf_dpotrs(self, d):
+        # The OLS and ridge solves are one dposv call, which runs dpotrf and
+        # dpotrs inside: the same solution bytes, lower-triangle factor and
+        # info as the two calls.  Checked on Gram matrices of random designs,
+        # on one whose smallest eigenvalue barely clears the identification
+        # floor, and on a singular one (zero last column of the design).
+        rng = np.random.default_rng(d)
+        grams = [x.T @ x for x in (rng.standard_normal((rows, d))
+                                   for rows in (d, d + 1, 2 * d, 3 * d + 4))]
+        q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+        barely = (q * np.geomspace(1.5 * est.EPS_INV, 1.0, d)) @ q.T
+        barely = (barely + barely.T) / 2
+        assert est._is_invertible(barely)
+        assert est._eigenvalues(barely, range="A")[0] < 2 * est.EPS_INV
+        x = rng.standard_normal((2 * d, d))
+        x[:, -1] = 0.0
+        for S in grams + [barely, x.T @ x]:
+            b = rng.standard_normal(d)
+            L, info = lapack.dpotrf(S, lower=1, clean=0)
+            c, theta, fused_info = lapack.dposv(S, b, lower=1)
+            assert fused_info == info
+            assert np.tril(c).tobytes() == np.tril(L).tobytes()
+            if info == 0:
+                assert theta.tobytes() == lapack.dpotrs(L, b, lower=1)[0].tobytes()
+        assert info == d
 
     @pytest.mark.parametrize("d", [2, 5, 20])
     def test_psd_singular_not_identified(self, d, rng):

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import lapack
 
 from greedybandit import estimator as est
-from greedybandit.policies import (PolicyConfig, confidence_radius,
-                                   greedy_select, linucb_select, lints_select,
-                                   policy_step)
+from greedybandit.policies import (PolicyConfig, _ridge, _widths,
+                                   confidence_radius, greedy_select,
+                                   linucb_select, lints_select, policy_step)
 
 
 def contexts_of(*rows):
@@ -147,6 +148,43 @@ class TestLinUcb:
         cs = contexts_of([1.0, 0.0], [0.9, 1.0])
         assert linucb_select(s, cfg, cs, beta=0.0) == 0
         assert linucb_select(s, cfg, cs, beta=5.0) == 1
+
+
+@settings(deadline=None, max_examples=60)
+@given(d=st.integers(1, 20), K=st.integers(1, 30), R=st.integers(1, 4),
+       n=st.integers(0, 50), seed=st.integers(0, 10**6))
+def test_widths_from_one_triangular_solve(d, K, R, n, seed):
+    # LinUCB's widths are the row norms of L^-1 X^T, one triangular solve.
+    # sqrt(x . Sigma_bar^-1 x) with Sigma_bar^-1 x from dpotrs (two
+    # triangular solves) gives them to within 1e-12 relative, and the arms
+    # are the ones those widths pick wherever the two best UCB scores are no
+    # near-tie.  The ridge factor and estimate from dposv are the bits of
+    # dpotrf and dpotrs, and the contexts are left unmodified.
+    rng = np.random.default_rng(seed)
+    s = est.init(d, R)
+    for _ in range(n):
+        est.update(s, rng.standard_normal((R, d)), rng.standard_normal(R))
+    cfg = PolicyConfig("linucb", delta=0.1)
+    X = rng.standard_normal((R, K, d))
+    before = X.tobytes()
+    L, theta = _ridge(s, cfg.lambda_reg)
+    widths = _widths(L, X)
+    arms = linucb_select(s, cfg, X)
+    assert X.tobytes() == before
+    beta = confidence_radius(s, cfg)
+    for r in range(R):
+        ref_L, info = lapack.dpotrf(s.sigma[r] + cfg.lambda_reg * np.eye(d),
+                                    lower=1, clean=0)
+        assert info == 0
+        assert np.tril(L[r]).tobytes() == np.tril(ref_L).tobytes()
+        assert theta[r].tobytes() == lapack.dpotrs(ref_L, s.b[r], lower=1)[0].tobytes()
+        W = lapack.dpotrs(ref_L, X[r].T, lower=1)[0].T
+        ref = np.sqrt(np.maximum(np.einsum("ij,ij->i", X[r], W), 0.0))
+        np.testing.assert_allclose(widths[r], ref, rtol=1e-12, atol=0)
+        ucb = X[r] @ theta[r] + beta[r] * ref
+        top = np.sort(ucb)[::-1]
+        if K == 1 or top[0] - top[1] > 1e-9 * abs(top[0]):
+            assert arms[r] == ucb.argmax()
 
 
 class TestLints:
