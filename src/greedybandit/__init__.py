@@ -8,8 +8,7 @@ from .contexts import (DistributionSpec, LacCheckReport, LacFunction, Region,
                        student_t_spec, truncate, uniform_ball_spec, verify_lac)
 from .diagnostics import (ConcentrationEstimate, ConsistencyReport,
                           DiagnosticsReport, DiversityEstimate, GrowthReport,
-                          MarginEstimate, consistency_curve,
-                          estimate_concentration_params,
+                          MarginEstimate, estimate_concentration_params,
                           estimate_diversity_constant, estimate_margin_constant,
                           gram_growth_check, run_diagnostics)
 from .env import (BanditInstance, Trajectory, instantaneous_regret, reward,
@@ -29,7 +28,7 @@ __all__ = [
     "LacCheckReport", "LacFunction", "MarginEstimate", "NotIdentifiedError",
     "PolicyConfig", "Region", "ResultsTable", "Trajectory",
     "ball", "box", "cauchy_spec", "config_from_ini", "confidence_radius",
-    "consistency_curve", "decay_rate_check", "estimate_concentration_params",
+    "decay_rate_check", "estimate_concentration_params",
     "estimate_diversity_constant", "estimate_margin_constant",
     "exponential_spec", "gaussian_spec", "grad_log_density", "gram_growth_check",
     "greedy_select", "instantaneous_regret", "lac_function", "laplace_spec",

@@ -210,6 +210,8 @@ class DistributionSpec:
                 raise ValueError(f"{self.kind} {name} must be a scalar")
             else:
                 v = np.asarray(v, dtype=float)
+            if not np.all(np.isfinite(v)):
+                raise ValueError(f"{self.kind} {name} must be finite")
             if name in _POSITIVE_PARAMS and np.any(v <= 0):
                 raise ValueError(f"{self.kind} {name} must be strictly positive")
             object.__setattr__(self, name, v)

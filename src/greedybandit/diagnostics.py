@@ -20,12 +20,16 @@ concentration's (directions, n_mc) score maxima, and the (n_mc,) margin
 gaps and x_max norms.  Diversity and concentration draw their direction
 set before the pool, so every direction is scored as the pool is drawn;
 diversity draws its pool twice from one seed, the second time only for the
-worst direction's standard error.  On d20-k20 gaussian the diversity,
-margin and x_max estimators peak at 1.3-2.0 chunks under tracemalloc, the
-same at 4x n_mc (TestMemory).  Peak RSS on 2 vCPUs (AVX-512 Xeon, OpenBLAS
-0.3.31), against one resident pool: perfbench preset-d20 99.1 -> 71.9 MB;
-a --diagnostics preset run (10 reps, T = 1000) 264.8 -> 89.9 MB on
-d100-k20 gaussian and 156.2 -> 81.3 MB on d20-k20 uniform-ball.
+worst direction's standard error.  The set lists the directions in the
+order each chunk scores them: the signed axes e_1 .. e_d, -e_1 .. -e_d,
+then the sphere draws in draw order, so a direction's row in the second
+moments and the score maxima is its position in the set.  On d20-k20
+gaussian the diversity, margin and x_max estimators peak at 1.3-2.0 chunks
+under tracemalloc, the same at 4x n_mc (TestMemory).  Peak RSS on 2 vCPUs
+(AVX-512 Xeon, OpenBLAS 0.3.31), against one resident pool: perfbench
+preset-d20 99.1 -> 71.9 MB; a --diagnostics preset run (10 reps, T = 1000)
+264.8 -> 89.9 MB on d100-k20 gaussian and 156.2 -> 81.3 MB on d20-k20
+uniform-ball.
 """
 
 from __future__ import annotations
@@ -40,15 +44,22 @@ from .env import Trajectory
 
 # A report's Monte-Carlo sizes, which are also the estimators' floors:
 # context sets for the diversity, concentration and x_max pools and for the
-# margin gaps, and sphere directions (the 2d signed axes are added to them).
+# margin gaps, and sphere directions (listed after the 2d signed axes).
 N_MC_DIVERSITY = 10**4
 N_MC_MARGIN = 10**5
 N_DIRS = 32
 # The concentration estimate's quantile level, its p_star.
 TARGET_P = 0.9
 _EPS_GRID = np.round(np.linspace(0.01, 0.10, 10), 10)
-
+# Batches of a batch-means standard error.
 _N_BATCHES = 20
+# The trajectory checks' thresholds: sqrt(t) * error over rounds
+# CONSISTENCY_T_MIN .. t_max stays within CONSISTENCY_MAX_RATIO times its
+# median, and at least GROWTH_MIN_FRACTION of the growth window's rounds
+# clear the linear floor.
+CONSISTENCY_T_MIN = 100
+CONSISTENCY_MAX_RATIO = 5.0
+GROWTH_MIN_FRACTION = 0.95
 # Float64s per chunk of a Monte-Carlo pool (4 MB): a pool is drawn and
 # reduced as consecutive chunks of at most this many floats, or of one
 # context set when K d exceeds it.
@@ -85,23 +96,23 @@ def _pool_chunks(spec: DistributionSpec, d: int, K: int, n_mc: int,
         yield _sample_pool(spec, d, K, stop - start, rng)
 
 
-def _batch_se(values: np.ndarray, n_batches: int = _N_BATCHES) -> float:
-    """Standard error of the mean of `values` via batch means."""
+def _batch_se(values: np.ndarray) -> float:
+    """Standard error of the mean of `values` via _N_BATCHES batch means."""
     n = values.shape[0]
-    m = n - n % n_batches
-    chunks = values[:m].reshape(n_batches, -1).mean(axis=1)
-    return float(chunks.std(ddof=1) / math.sqrt(n_batches))
+    m = n - n % _N_BATCHES
+    chunks = values[:m].reshape(_N_BATCHES, -1).mean(axis=1)
+    return float(chunks.std(ddof=1) / math.sqrt(_N_BATCHES))
 
 
 def _direction_set(d: int, n_dirs: int, rng: np.random.Generator) -> np.ndarray:
-    """n_dirs unit sphere draws plus both signs of every coordinate axis,
-    deduplicated (at d=1 all sphere draws collapse onto the two axes)."""
-    dirs = rng.standard_normal((int(n_dirs), d))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    axes = np.vstack([np.eye(d), -np.eye(d)])
-    stacked = np.vstack([dirs, axes])
-    _, idx = np.unique(np.round(stacked, 12), axis=0, return_index=True)
-    return stacked[np.sort(idx)]
+    """The directions in the order _scored_blocks scores them: the signed
+    axes e_1 .. e_d, -e_1 .. -e_d, then those of n_dirs unit sphere draws
+    that are not axes, in draw order (at d = 1 every draw is an axis, so
+    only the two axes remain)."""
+    sphere = rng.standard_normal((int(n_dirs), d))
+    sphere /= np.linalg.norm(sphere, axis=1, keepdims=True)
+    off_axis = np.count_nonzero(sphere, axis=1) > 1
+    return np.vstack([np.eye(d), -np.eye(d), sphere[off_axis]])
 
 
 def _block_step(d: int) -> int:
@@ -118,56 +129,33 @@ def _reduced_scores(chunk: np.ndarray, block: np.ndarray, reduce) -> np.ndarray:
     return reduce((block @ chunk.reshape(m * K, d).T).reshape(-1, m, K), axis=2)
 
 
-def _direction_blocks(chunk: np.ndarray, dirs: np.ndarray, reduce):
-    """Yield (j, _reduced_scores of dirs[j:j + B]) over blocks of dirs."""
-    step = _block_step(chunk.shape[2])
-    for j in range(0, dirs.shape[0], step):
-        yield j, _reduced_scores(chunk, dirs[j:j + step], reduce)
-
-
-def _axis_blocks(chunk: np.ndarray, reduce):
-    """Yield (j, reduced scores) like _direction_blocks for the signed axes
-    e_1 .. e_d, -e_1 .. -e_d (rows j and d + j for coordinate j).  A signed
-    axis scores an arm by one coordinate, which is also what the GEMM gives
-    it, exactly: every other term is a zero."""
+def _scored_blocks(chunk: np.ndarray, dirs: np.ndarray, reduce):
+    """Yield (j, the reduced scores of dirs[j:j + B]) over blocks of at most
+    B = _block_step(d) rows of a _direction_set, each row once.  The signed
+    axes, e_j in row j and -e_j in row d + j, are read off the chunk's
+    coordinates: a signed axis scores an arm by one coordinate, which is
+    also what the GEMM gives it, exactly, as every other term is a zero.
+    The rows from 2d on are scored by _reduced_scores, one GEMM per block."""
     d = chunk.shape[2]
     step = _block_step(d)
     for j in range(0, d, step):
         coords = chunk[:, :, j:j + step]
         yield j, reduce(coords, axis=1).T
         yield d + j, reduce(-coords, axis=1).T
+    for j in range(2 * d, dirs.shape[0], step):
+        yield j, _reduced_scores(chunk, dirs[j:j + step], reduce)
 
 
-def _direction_rows(dirs: np.ndarray) -> np.ndarray:
-    """Each direction's row among _scored_blocks' rows: j for e_j, d + j
-    for -e_j, and 2d, 2d + 1, ... for the directions off the axes, in
-    order."""
-    d = dirs.shape[1]
-    rows = np.abs(dirs).argmax(axis=1) + d * (dirs.min(axis=1) < 0)
-    sphere = np.count_nonzero(dirs, axis=1) != 1
-    rows[sphere] = 2 * d + np.arange(np.count_nonzero(sphere))
-    return rows
-
-
-def _scored_blocks(chunk: np.ndarray, sphere: np.ndarray, reduce):
-    """Yield (j, reduced scores) like _direction_blocks for every direction:
-    the signed axes by _axis_blocks in rows 0 .. 2d - 1, then the sphere
-    directions from row 2d on."""
-    d = chunk.shape[2]
-    yield from _axis_blocks(chunk, reduce)
-    for j, scores in _direction_blocks(chunk, sphere, reduce):
-        yield 2 * d + j, scores
-
-
-def _second_moments(chunks, n_rows: int, d: int, blocks) -> np.ndarray:
-    """(n_rows, d, d): for each direction the mean over the chunks' context
-    sets of x_a x_a^T, the arms a of rows j.. given by the (j, arms) pairs
-    of blocks(chunk)."""
-    M = np.zeros((n_rows, d, d))
+def _second_moments(chunks, dirs: np.ndarray) -> np.ndarray:
+    """(len(dirs), d, d): for each direction theta of dirs the mean over the
+    chunks' context sets of x_a x_a^T, a = argmax_i x_i^T theta as
+    _scored_blocks scores it."""
+    n_dirs, d = dirs.shape
+    M = np.zeros((n_dirs, d, d))
 
     def add(chunk):
         rows = np.arange(chunk.shape[0])
-        for j, arms in blocks(chunk):
+        for j, arms in _scored_blocks(chunk, dirs, np.argmax):
             chosen = chunk[rows, arms]
             M[j:j + len(chosen)] += chosen.mT @ chosen
         return chunk.shape[0]
@@ -221,25 +209,17 @@ def estimate_diversity_constant(spec: DistributionSpec, d: int, K: int,
     d = resolve_dim(spec, d)
     dirs = _direction_set(d, n_dirs, rng)
     seed = int(rng.integers(2**63))
-    rows = _direction_rows(dirs)
-    sphere, step = dirs[rows >= 2 * d], _block_step(d)
 
     def pool():
         return _pool_chunks(spec, d, K, n_mc, np.random.default_rng(seed))
 
-    M = _second_moments(pool(), len(rows), d,
-                        lambda chunk: _scored_blocks(chunk, sphere, np.argmax))
-    bottoms = [_bottom(M[r]) for r in rows]
-    w = min(range(len(rows)), key=lambda i: bottoms[i][0])  # earliest on ties
+    bottoms = [_bottom(M) for M in _second_moments(pool(), dirs)]
+    w = min(range(len(dirs)), key=lambda i: bottoms[i][0])  # earliest on ties
     # Score the worst direction's arms as the first pass did: a signed axis
-    # exactly, by any GEMM; a sphere direction by its own GEMM block.
-    k = int(rows[w]) - 2 * d
-    if k < 0:
-        block, k = dirs[w:w + 1], 0
-    else:
-        b = k - k % step
-        block, k = sphere[b:b + step], k - b
-    v = bottoms[w][1]
+    # exactly, by a one-row GEMM; a sphere direction by its own GEMM block.
+    step = _block_step(d) if w >= 2 * d else 1
+    b = w - (w - 2 * d) % step
+    block, k, v = dirs[b:b + step], w - b, bottoms[w][1]
 
     def probe(chunk):
         arms = _reduced_scores(chunk, block, np.argmax)[k]
@@ -337,16 +317,16 @@ class ConcentrationEstimate:
     n_dirs_used: int
 
 
-def _maxima(chunks, n_rows: int, n_mc: int, blocks) -> np.ndarray:
-    """(n_rows, n_mc): the chunks' reduced scores, rows j.. given by the
-    (j, scores) pairs of blocks(chunk)."""
+def _maxima(chunks, dirs: np.ndarray, n_mc: int) -> np.ndarray:
+    """(len(dirs), n_mc): max_i x_i^T eta over each of the chunks' context
+    sets for each direction eta of dirs, as _scored_blocks scores it."""
     def reduced(chunk):
-        out = np.empty((n_rows, chunk.shape[0]))
-        for j, scores in blocks(chunk):
+        out = np.empty((dirs.shape[0], chunk.shape[0]))
+        for j, scores in _scored_blocks(chunk, dirs, np.max):
             out[j:j + len(scores)] = scores
         return out
 
-    maxima = np.empty((n_rows, int(n_mc)))
+    maxima = np.empty((dirs.shape[0], int(n_mc)))
     start = 0
     for part in map(reduced, chunks):
         maxima[:, start:start + part.shape[1]] = part
@@ -388,15 +368,13 @@ def estimate_concentration_params(spec: DistributionSpec, d: int, K: int,
     d = resolve_dim(spec, d)
     R = support_radius(spec, d)
     dirs = _direction_set(d, n_dirs, rng)
-    rows = _direction_rows(dirs)
-    maxima = _maxima(_pool_chunks(spec, d, K, n_mc, rng), len(rows), n_mc,
-                     lambda chunk: _scored_blocks(chunk, dirs[rows >= 2 * d], np.max))
+    maxima = _maxima(_pool_chunks(spec, d, K, n_mc, rng), dirs, n_mc)
 
     half = math.sqrt(target_p * (1.0 - target_p) / n_mc)
     worst_q, worst_se = -np.inf, 0.0
     probs = [target_p, max(target_p - half, 0.0), min(target_p + half, 1.0)]
-    for r in rows:
-        q, lo, hi = np.quantile(maxima[r], probs).tolist()
+    for scores in maxima:
+        q, lo, hi = np.quantile(scores, probs).tolist()
         if q > worst_q:
             worst_q, worst_se = q, 0.5 * (hi - lo)
     raw = worst_q / R
@@ -414,19 +392,6 @@ def estimate_concentration_params(spec: DistributionSpec, d: int, K: int,
 # Trajectory checks
 
 
-def _scaled_error(trajectory: Trajectory) -> tuple[np.ndarray, np.ndarray]:
-    """(t, sqrt(t) * ||theta_hat_t - theta_star||) over rounds with an estimate."""
-    scaled = np.sqrt(trajectory.t) * trajectory.est_error_l2
-    known = ~np.isnan(scaled)
-    return trajectory.t[known], scaled[known]
-
-
-def consistency_curve(trajectory: Trajectory) -> list[tuple[int, float]]:
-    """(t, sqrt(t) * ||theta_hat_t - theta_star||) for rounds with an estimate."""
-    t, scaled = _scaled_error(trajectory)
-    return list(zip(t.tolist(), scaled.tolist()))
-
-
 @dataclass
 class ConsistencyReport:
     """Boundedness of sqrt(t) * error over a time window."""
@@ -438,12 +403,15 @@ class ConsistencyReport:
     n_points: int
 
 
-def consistency_check(trajectory: Trajectory, *, t_max: int, t_min: int = 100,
-                      max_ratio: float = 5.0) -> ConsistencyReport:
-    t, arr = _scaled_error(trajectory)
-    arr = arr[(t >= t_min) & (t <= t_max)]
+def consistency_check(trajectory: Trajectory, *, t_max: int) -> ConsistencyReport:
+    """Whether sqrt(t) * ||theta_hat_t - theta_star|| over the rounds
+    CONSISTENCY_T_MIN .. t_max with an estimate stays within
+    CONSISTENCY_MAX_RATIO times its median."""
+    t, window = trajectory.t, (CONSISTENCY_T_MIN, t_max)
+    scaled = np.sqrt(t) * trajectory.est_error_l2
+    arr = scaled[(t >= CONSISTENCY_T_MIN) & (t <= t_max) & ~np.isnan(scaled)]
     if not arr.size:
-        return ConsistencyReport(False, math.inf, max_ratio, (t_min, t_max), 0)
+        return ConsistencyReport(False, math.inf, CONSISTENCY_MAX_RATIO, window, 0)
     med = float(np.median(arr))
     if arr.max() <= 1e-9:
         ratio = 1.0  # exact recovery: the whole curve is roundoff noise
@@ -451,10 +419,10 @@ def consistency_check(trajectory: Trajectory, *, t_max: int, t_min: int = 100,
         ratio = math.inf
     else:
         ratio = float(arr.max() / med)
-    return ConsistencyReport(passed=bool(ratio <= max_ratio),
+    return ConsistencyReport(passed=bool(ratio <= CONSISTENCY_MAX_RATIO),
                              max_over_median=ratio,
-                             max_ratio=max_ratio,
-                             window=(t_min, t_max),
+                             max_ratio=CONSISTENCY_MAX_RATIO,
+                             window=window,
                              n_points=int(arr.size))
 
 
@@ -482,22 +450,23 @@ def growth_burn_in(d: int) -> int:
     return max(50, 4 * d)
 
 
-def gram_growth_check(trajectory: Trajectory, lambda_star_hat: float, t0: int,
-                      min_fraction: float = 0.95) -> GrowthReport:
-    """Fraction of rounds t >= t0 with lambda_min(Sigma(t)) >= (lambda/4) t;
-    production callers start the window at growth_burn_in(d)."""
+def gram_growth_check(trajectory: Trajectory, lambda_star_hat: float,
+                      t0: int) -> GrowthReport:
+    """Fraction of rounds t >= t0 with lambda_min(Sigma(t)) >= (lambda/4) t,
+    passed at GROWTH_MIN_FRACTION; production callers start the window at
+    growth_burn_in(d)."""
     slope = float(lambda_star_hat) / 4.0
     t = trajectory.t
     window = t >= t0
     if not window.any():
-        return GrowthReport(False, 0.0, min_fraction, slope, t0, 0, None)
+        return GrowthReport(False, 0.0, GROWTH_MIN_FRACTION, slope, t0, 0, None)
     t = t[window]
     ok = trajectory.gram_min_eig[window] >= slope * t
     violations = t[~ok]
     frac = float(ok.mean())
-    return GrowthReport(passed=bool(frac >= min_fraction),
+    return GrowthReport(passed=bool(frac >= GROWTH_MIN_FRACTION),
                         fraction=frac,
-                        min_fraction=min_fraction,
+                        min_fraction=GROWTH_MIN_FRACTION,
                         threshold_slope=slope,
                         t0=t0,
                         n_checked=int(t.size),

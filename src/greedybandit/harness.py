@@ -84,7 +84,8 @@ class ExperimentConfig:
         check(isinstance(self.reps, int) and self.reps >= 1,
               "experiment.reps", "must be an int >= 1")
         check(isinstance(self.seed, int), "experiment.seed", "must be an int")
-        check(self.sigma >= 0, "experiment.sigma", "must be non-negative")
+        check(0.0 <= self.sigma < math.inf, "experiment.sigma",
+              "must be finite and non-negative")
         check(isinstance(self.jobs, int) and self.jobs >= 1,
               "experiment.jobs", "must be an int >= 1")
         check(not self.diagnostics or self.K >= 2, "experiment.diagnostics",

@@ -58,14 +58,16 @@ class PolicyConfig:
             raise ValueError(f"unknown policy kind {self.kind!r}")
         if self.theta0 is not None:
             self.theta0 = np.asarray(self.theta0, dtype=float)
-        if not self.lambda_reg > 0:
-            raise ValueError("lambda_reg must be positive")
+            if not np.all(np.isfinite(self.theta0)):
+                raise ValueError("theta0 must be finite")
+        if not 0.0 < self.lambda_reg < math.inf:
+            raise ValueError("lambda_reg must be positive and finite")
         if self.delta is not None and not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-        if self.v_scale <= 0:
-            raise ValueError("v_scale must be positive")
-        if self.sigma_assumed < 0:
-            raise ValueError("sigma_assumed must be non-negative")
+        if not 0.0 < self.v_scale < math.inf:
+            raise ValueError("v_scale must be positive and finite")
+        if not 0.0 <= self.sigma_assumed < math.inf:
+            raise ValueError("sigma_assumed must be finite and non-negative")
         if self.name is None:
             self.name = self.kind
 

@@ -17,6 +17,13 @@ def make_instance(spec, d, K, sigma, rng) -> BanditInstance:
                           spec=spec, d=d, K=K)
 
 
+def consistency_curve(trajectory) -> list[tuple[int, float]]:
+    """(t, sqrt(t) * ||theta_hat_t - theta_star||) for rounds with an estimate."""
+    scaled = np.sqrt(trajectory.t) * trajectory.est_error_l2
+    known = ~np.isnan(scaled)
+    return list(zip(trajectory.t[known].tolist(), scaled[known].tolist()))
+
+
 def solver_or_skip(d):
     """blas.min_eigenvalue_solver(d), or skip the test where it is absent."""
     solve = blas.min_eigenvalue_solver(d)

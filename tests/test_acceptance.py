@@ -20,15 +20,14 @@ from greedybandit.contexts import (box, cauchy_spec, exponential_spec,
                                    gaussian_spec, lac_function, laplace_spec,
                                    decay_rate_check, student_t_spec,
                                    uniform_ball_spec, verify_lac)
-from greedybandit.diagnostics import (consistency_curve,
-                                      estimate_diversity_constant,
+from greedybandit.diagnostics import (estimate_diversity_constant,
                                       estimate_margin_constant,
                                       gram_growth_check, growth_burn_in)
 from greedybandit.env import run_episode, sphere_vector
 from greedybandit.harness import (preset_config, run_experiment, write_csv)
 from greedybandit.policies import PolicyConfig
 
-from conftest import ACCEPTANCE_RESULTS, make_instance
+from conftest import ACCEPTANCE_RESULTS, consistency_curve, make_instance
 
 HEADLINE_DISTS = ("gaussian", "uniform-ball", "laplace")
 EXTRA_DISTS = ("exponential", "trunc-student-t", "trunc-cauchy")

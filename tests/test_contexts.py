@@ -106,6 +106,17 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=f"{kind}.*{name}"):
             DistributionSpec(kind, **{name: value})
 
+    @pytest.mark.parametrize("kind,name", [
+        (kind, name) for kind, reads in ctx.PARAMS.items() for name in reads])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameters_rejected(self, kind, name, bad):
+        # exponential rate = inf drew all-zero contexts; laplace scale = nan
+        # failed only at the first round.
+        values = [bad] if name in ctx._SCALAR_PARAMS else [bad, np.array([1.0, bad])]
+        for value in values:
+            with pytest.raises(ValueError, match=f"{kind} {name} must be finite"):
+                DistributionSpec(kind, **{name: value})
+
 
 # ---------------------------------------------------------------------------
 # Sampling

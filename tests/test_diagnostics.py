@@ -10,7 +10,6 @@ from greedybandit.contexts import (ball, box, cauchy_spec, exponential_spec,
                                    gaussian_spec, laplace_spec, student_t_spec,
                                    truncate, uniform_ball_spec)
 from greedybandit.diagnostics import (UnboundedSupportError, consistency_check,
-                                      consistency_curve,
                                       estimate_concentration_params,
                                       estimate_diversity_constant,
                                       estimate_margin_constant, empirical_x_max,
@@ -19,7 +18,7 @@ from greedybandit.diagnostics import (UnboundedSupportError, consistency_check,
 from greedybandit.env import Trajectory, run_episode
 from greedybandit.policies import PolicyConfig
 
-from conftest import make_instance
+from conftest import consistency_curve, make_instance
 
 
 def synthetic_trajectory(eigs, errs=None):
@@ -170,7 +169,7 @@ class TestConsistency:
         inst = make_instance(gaussian_spec(), 3, 3, 0.0, rng)
         traj = run_episode(inst, PolicyConfig("greedy", theta0=np.ones(3)), 150, [5])[0]
         assert all(v < 1e-8 for t, v in consistency_curve(traj))
-        rep = consistency_check(traj, t_min=100, t_max=150)
+        rep = consistency_check(traj, t_max=150)
         assert rep.passed and rep.max_over_median == 1.0
 
     def test_bounded_ratio_gaussian(self, rng):
@@ -454,6 +453,28 @@ SCORER_SPECS = {
     "uniform-ball": lambda d: uniform_ball_spec(radius=math.sqrt(d)),
     "trunc-cauchy": lambda d: cauchy_spec(truncation=box(-5.0, 5.0)),
 }
+
+
+@pytest.mark.parametrize("d", [1, 2, 20, 100])
+def test_direction_set_in_scored_order(d):
+    rng, twin = np.random.default_rng(d), np.random.default_rng(d)
+    dirs = diag._direction_set(d, 32, rng)
+    sphere = twin.standard_normal((32, d))
+    sphere /= np.linalg.norm(sphere, axis=1, keepdims=True)
+    axes = np.vstack([np.eye(d), -np.eye(d)])
+    assert dirs[:2 * d].tobytes() == axes.tobytes()
+    # At d = 1 every sphere draw is one of the two axes.
+    assert dirs[2 * d:].tobytes() == (b"" if d == 1 else sphere.tobytes())
+    assert rng.random() == twin.random()
+    # Row j of _scored_blocks scores dirs[j]: the axes exactly, the sphere
+    # draws up to the GEMM's rounding.
+    chunk = np.random.default_rng(0).standard_normal((50, 3, d))
+    scores = np.full((dirs.shape[0], 50), np.nan)
+    for j, block in diag._scored_blocks(chunk, dirs, np.max):
+        scores[j:j + len(block)] = block
+    direct = np.max(chunk @ dirs.T, axis=1).T
+    assert scores[:2 * d].tobytes() == direct[:2 * d].tobytes()
+    np.testing.assert_allclose(scores, direct, rtol=1e-12, atol=1e-12)
 
 
 class TestBlockScorer:

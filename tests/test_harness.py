@@ -1,4 +1,5 @@
 import builtins
+import configparser
 import csv
 import dataclasses
 import math
@@ -55,8 +56,9 @@ class TestValidation:
             tiny_config(tmp_path, T=0).validate()
         with pytest.raises(ConfigError, match="experiment.reps"):
             tiny_config(tmp_path, reps=0).validate()
-        with pytest.raises(ConfigError, match="experiment.sigma"):
-            tiny_config(tmp_path, sigma=-1.0).validate()
+        for sigma in (-1.0, np.nan, np.inf):
+            with pytest.raises(ConfigError, match="experiment.sigma"):
+                tiny_config(tmp_path, sigma=sigma).validate()
         with pytest.raises(ConfigError, match="policies"):
             tiny_config(tmp_path, policies=[]).validate()
 
@@ -587,6 +589,26 @@ class TestCli:
         # d = 0 gives the uniform-ball preset radius 0, which the spec rejects.
         assert cli.main(["--dist", "uniform-ball", "--d", "0"]) == 1
         assert "invalid config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("policy.linucb", "sigma_assumed", "nan"),
+        ("policy.lints", "v_scale", "inf"),
+        ("experiment", "sigma", "inf"),
+        ("spec", "scale", "nan"),
+    ])
+    def test_non_finite_ini_value_exit_1(self, tmp_path, capsys, section, key, value):
+        # The INI parser reads "nan" and "inf" as floats; the config rejects
+        # them before any episode runs.
+        ini, out = tmp_path / "exp.ini", tmp_path / "o"
+        config_to_ini(preset_config("d20-k20", "laplace", T=5, reps=1), ini)
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read(ini, encoding="utf-8")
+        parser[section][key] = value
+        with open(ini, "w", encoding="utf-8") as fh:
+            parser.write(fh)
+        assert cli.main([str(ini), "--out", str(out)]) == 1
+        assert key in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("d_flag, d", [([], 20), (["--d", "5"], 5)])
     def test_file_with_dist_builds_spec_for_final_d(self, tmp_path, d_flag, d):

@@ -30,6 +30,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             PolicyConfig("linucb", sigma_assumed=-0.1)
 
+    @pytest.mark.parametrize("field", ["theta0", "lambda_reg", "delta", "v_scale",
+                                       "sigma_assumed"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_parameters_rejected(self, field, bad):
+        # A non-finite width or posterior scale made LinUCB and LinTS pick
+        # arm 0 in every round.
+        value = np.array([0.0, bad]) if field == "theta0" else bad
+        with pytest.raises(ValueError, match=field):
+            PolicyConfig("linucb", **{field: value})
+
     def test_delta_resolution(self):
         cfg = PolicyConfig("linucb").with_delta_for_horizon(1000)
         assert cfg.delta == pytest.approx(1e-3)
