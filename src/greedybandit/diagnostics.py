@@ -363,8 +363,10 @@ def estimate_concentration_params(spec: DistributionSpec, d: int, K: int,
     """
     if not 0.0 < target_p < 1.0:
         raise ValueError("target_p must lie in (0, 1)")
-    if n_mc < 1000:
-        raise ValueError("n_mc must be >= 1000")
+    if n_mc < N_MC_DIVERSITY:
+        raise ValueError(f"n_mc must be >= {N_MC_DIVERSITY}")
+    if n_dirs < N_DIRS:
+        raise ValueError(f"n_dirs must be >= {N_DIRS}")
     d = resolve_dim(spec, d)
     R = support_radius(spec, d)
     dirs = _direction_set(d, n_dirs, rng)

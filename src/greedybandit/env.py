@@ -27,10 +27,10 @@ blocks at once share them.
 
 The gram_min_eig record feeds no decision of the loop, and at d = 100 it is
 about half of an episode's time.  In a block whose d is at least
-OFFLOAD_MIN_DIM it runs on one worker thread beside the loop: each round the
-loop copies the Gram stack into a small ring of snapshot batches, and the
-worker solves each full batch with blas.min_eigenvalue_solver, scipy's
-dsyevr called through ctypes.  That call releases the GIL, which scipy's
+OFFLOAD_MIN_DIM it runs on a one-thread executor beside the loop: each round
+the loop copies the Gram stack into a batch of snapshots, and the worker
+solves each full batch with blas.min_eigenvalue_solver, scipy's dsyevr
+called through ctypes.  That call releases the GIL, which scipy's
 own wrapper holds, so the solves overlap the loop on a second core; it
 gives the bits of the inline record.  The worker is joined inside the
 block's one_thread pin.  Blocks below the floor record inline with
@@ -50,8 +50,7 @@ floor:
 from __future__ import annotations
 
 import contextlib
-import queue
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,14 +62,14 @@ from .policies import PolicyConfig
 # A block whose d is at least this records gram_min_eig on a worker thread
 # (see the module docstring for the measured grid).
 OFFLOAD_MIN_DIM = 48
-# The loop hands the worker Sigma snapshots in RING_BATCHES batches of as
-# many rounds as fit in RING_BYTES together (at least one round): six at
-# d = 100 and R = 1, three at R = 2.  Each handoff wakes the worker, which
-# costs most where every core is busy: at --jobs 2 (d = 100, 4 reps, 2
-# cores) batches of two rounds ran 3% slower than the inline record, and
-# batches of three as fast.  Every byte of the ring adds to peak memory.
-RING_BYTES = 1 << 20
-RING_BATCHES = 2
+# The loop hands the worker Sigma snapshots in batches of as many rounds as
+# fit in BATCH_BYTES (at least one round): six at d = 100 and R = 1, three at
+# R = 2.  Each handoff wakes the worker, which costs most where every core is
+# busy: at --jobs 2 (d = 100, 4 reps, 2 cores) batches of two rounds ran 3%
+# slower than the inline record, and batches of three as fast.  The loop
+# fills one batch while the worker solves the other, so the record holds
+# two batches, and each of their bytes adds to peak memory.
+BATCH_BYTES = 2**19
 
 
 @dataclass
@@ -204,13 +203,14 @@ def _gram_record(state: estimator.GramState, eigs: np.ndarray):
     of each of the state's Gram matrices as they are now.
 
     Below OFFLOAD_MIN_DIM, or where blas has no GIL-free solver, record
-    solves inline.  Otherwise it copies the stack into a ring of snapshot
-    batches, and one worker thread solves each full batch and writes its
-    rows of eigs; the block ends when the worker has written every row.  A
-    worker error is raised in the loop at the next batch, or at the end;
-    an error in the loop stops the worker before it propagates.
+    solves inline.  Otherwise it copies the stack into a batch of snapshots
+    and, when the batch is full or at the last round, submits it to a
+    one-thread executor and waits for the previous batch, whose buffer it
+    fills next; the worker writes each batch's rows of eigs.  A worker
+    error is raised in the loop at the next handoff, or at the end; an
+    error in the loop propagates once the worker has finished its batches.
     """
-    R, d = state.reps, state.dim
+    d = state.dim
     solve = blas.min_eigenvalue_solver(d) if d >= OFFLOAD_MIN_DIM else None
     if solve is None:
         def record(i):
@@ -219,49 +219,31 @@ def _gram_record(state: estimator.GramState, eigs: np.ndarray):
         yield record
         return
 
-    rounds = max(1, RING_BYTES // (RING_BATCHES * state.sigma.nbytes))
-    ring = np.empty((RING_BATCHES, rounds) + state.sigma.shape)
-    free, full = queue.SimpleQueue(), queue.SimpleQueue()
-    for slot in range(RING_BATCHES):
-        free.put(slot)
-    errors = []
+    rounds = max(1, BATCH_BYTES // state.sigma.nbytes)
+    batches = np.empty((2, rounds) + state.sigma.shape)
+    last, pending = len(eigs) - 1, None
 
-    def work():
-        while (batch := full.get()) is not None:
-            slot, first, n = batch
-            if not errors:
-                try:
-                    for k in range(n):
-                        for r in range(R):
-                            # update keeps Sigma exactly symmetric, so the
-                            # transposed view is Sigma in Fortran order.
-                            eigs[first + k, r] = solve(ring[slot, k, r].T)
-                except Exception as exc:
-                    errors.append(exc)
-            # After an error the worker only hands slots back, so the loop
-            # never waits for one.
-            free.put(slot)
-
-    slot, n = free.get(), 0
+    def work(batch, first):
+        for i, stack in enumerate(batch, first):
+            for r, sigma in enumerate(stack):
+                # update keeps Sigma exactly symmetric, so the transposed
+                # view is Sigma in Fortran order.
+                eigs[i, r] = solve(sigma.T)
 
     def record(i):
-        nonlocal slot, n
-        ring[slot, n] = state.sigma
-        n += 1
-        if n == rounds:
-            full.put((slot, i + 1 - n, n))
-            if errors:
-                raise errors[0]
-            slot, n = free.get(), 0
+        nonlocal pending
+        n = i % rounds
+        batch = batches[i // rounds % 2]
+        batch[n] = state.sigma
+        if n == rounds - 1 or i == last:
+            # Submitting before waiting lets the worker go from the previous
+            # batch straight to this one (waiting first ran d100-k20 about
+            # 6% slower on 2 cores).
+            previous, pending = pending, worker.submit(work, batch[:n + 1], i - n)
+            if previous is not None:
+                previous.result()
 
-    worker = threading.Thread(target=work, name="gram-min-eig")
-    worker.start()
-    try:
+    with ThreadPoolExecutor(1, thread_name_prefix="gram-min-eig") as worker:
         yield record
-        if n:
-            full.put((slot, len(eigs) - n, n))
-    finally:
-        full.put(None)
-        worker.join()
-    if errors:
-        raise errors[0]
+        if pending is not None:
+            pending.result()

@@ -13,8 +13,8 @@ the Monte-Carlo estimators, which need no trajectory, run on one extra
 thread, also at one OpenBLAS thread, while the blocks run.
 Outputs are a raw per-round CSV, an aggregate CSV (mean and sample std of
 cumulative regret per policy), an optional SVG regret plot, and an optional
-diagnostics text sidecar, each written through a temporary file that
-replaces its target only when complete.
+diagnostics text sidecar, each written to a temporary file; the
+temporaries replace their targets only once every one is complete.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 import concurrent.futures
 import configparser
 import contextlib
+import contextvars
 import csv
 import html
 import math
@@ -183,7 +184,6 @@ def run_experiment(config: ExperimentConfig) -> ResultsTable:
     for p_idx, policy in enumerate(config.policies):
         if policy.kind == "greedy" and policy.theta0 is None:
             policy = replace(policy, theta0=theta0.copy())
-        policy = policy.with_delta_for_horizon(config.T)
         for j in range(n_blocks):
             reps = range(j * config.reps // n_blocks,
                          (j + 1) * config.reps // n_blocks)
@@ -233,43 +233,58 @@ def _estimate_constants(config: ExperimentConfig, theta_star) -> diag.ConstantEs
 # CSV
 
 
+# The (temporary, target) pairs of the outermost replacing block open in
+# this context, or None outside one.
+_staged = contextvars.ContextVar("staged", default=None)
+
+
 @contextlib.contextmanager
 def replacing(*targets):
     """Yield a temporary `<target>.tmp` path beside each target.  When the
-    block completes, each temporary replaces its target (os.replace); if it
-    raises, the targets keep their previous contents.  No temporary file is
-    left behind either way."""
-    targets = [os.fspath(t) for t in targets]
-    tmps = [t + ".tmp" for t in targets]
+    outermost replacing block completes, each temporary of it and of every
+    block nested in it replaces its target (os.replace); if it raises, all
+    those targets keep their previous contents.  No temporary file is left
+    behind either way."""
+    pairs = [(os.fspath(t) + ".tmp", os.fspath(t)) for t in targets]
+    tmps = [tmp for tmp, _ in pairs]
+    staged = _staged.get()
+    if staged is not None:
+        staged.extend(pairs)
+        yield tmps
+        return
+    token = _staged.set(pairs)
     try:
         yield tmps
-        for tmp, target in zip(tmps, targets):
+        for tmp, target in pairs:
             os.replace(tmp, target)
     finally:
-        for tmp in tmps:
+        _staged.reset(token)
+        for tmp, _ in pairs:
             with contextlib.suppress(FileNotFoundError):
                 os.remove(tmp)
 
 
+def _write_file(path, write) -> None:
+    """Write one file through replacing; write(fh) fills it.  An OSError
+    while writing names the target."""
+    with replacing(path) as (tmp,):
+        try:
+            with open(tmp, "w", encoding="utf-8", newline="") as fh:
+                write(fh)
+        except OSError as exc:
+            raise OSError(f"failed writing {path}: {exc}") from exc
+
+
 def write_rows(path, columns, rows) -> None:
     """Write one CSV file atomically: a header and one line per row."""
-    with replacing(path) as (tmp,):
-        _write_rows(tmp, columns, rows)
-
-
-def _write_rows(path: str, columns, rows) -> None:
     # The rows hold Python str, int, float and None cells; the csv module
     # writes a float as its repr and None as an empty cell, and quotes strings.
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    def write(fh):
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(columns)
         w.writerows(rows)
 
-
-def _write_text(path, text: str) -> None:
-    with replacing(path) as (tmp,):
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _write_file(path, write)
 
 
 def write_csv(table: ResultsTable, path, aggregate_path=None) -> str:
@@ -287,15 +302,9 @@ def write_csv(table: ResultsTable, path, aggregate_path=None) -> str:
         stem, ext = os.path.splitext(path)
         aggregate_path = f"{stem}_aggregate{ext or '.csv'}"
     aggregate_path = os.fspath(aggregate_path)
-    outputs = ((path, RAW_COLUMNS, table.raw_rows()),
-               (aggregate_path, AGGREGATE_COLUMNS, table.aggregate_rows()))
-    # A failed move raises os.replace's own error, which names both paths.
-    with replacing(path, aggregate_path) as tmps:
-        for tmp, (target, columns, rows) in zip(tmps, outputs):
-            try:
-                _write_rows(tmp, columns, rows)
-            except OSError as exc:
-                raise OSError(f"failed writing CSV to {target}: {exc}") from exc
+    with replacing():
+        write_rows(path, RAW_COLUMNS, table.raw_rows())
+        write_rows(aggregate_path, AGGREGATE_COLUMNS, table.aggregate_rows())
     return aggregate_path
 
 
@@ -394,7 +403,7 @@ def render_svg(table: ResultsTable, path) -> None:
         out.append(f'<text x="{lx + 24}" y="{yy + 6}" font-size="12">'
                    f'{html.escape(name, quote=False)}</text>')
     out.append("</svg>")
-    _write_text(path, "\n".join(out) + "\n")
+    _write_file(path, lambda fh: fh.write("\n".join(out) + "\n"))
 
 
 # ---------------------------------------------------------------------------
@@ -403,21 +412,25 @@ def render_svg(table: ResultsTable, path) -> None:
 
 def write_outputs(table: ResultsTable) -> dict[str, str]:
     """Write raw/aggregate CSVs and optional SVG and diagnostics sidecar.
-    A plot or sidecar that this run does not write is removed once the CSVs
-    are in place: an earlier run's would describe another experiment."""
+    Every file is written to its temporary first, and the targets are
+    replaced only once all are complete: a failed write leaves the directory
+    as it was.  A plot or sidecar that this run does not write is removed
+    afterwards: an earlier run's would describe another experiment."""
     cfg = table.config
     os.makedirs(cfg.output_dir, exist_ok=True)
     raw_path, agg_path, svg_path, diag_path = (
         os.path.join(cfg.output_dir, name)
         for name in ("raw.csv", "aggregate.csv", "regret.svg", "diagnostics.txt"))
-    write_csv(table, raw_path, agg_path)
     paths = {"raw": raw_path, "aggregate": agg_path}
-    if cfg.emit_svg:
-        render_svg(table, svg_path)
-        paths["svg"] = svg_path
-    if table.diagnostics is not None:
-        _write_text(diag_path, diag.format_report(table.diagnostics))
-        paths["diagnostics"] = diag_path
+    with replacing():
+        write_csv(table, raw_path, agg_path)
+        if cfg.emit_svg:
+            render_svg(table, svg_path)
+            paths["svg"] = svg_path
+        if table.diagnostics is not None:
+            report = diag.format_report(table.diagnostics)
+            _write_file(diag_path, lambda fh: fh.write(report))
+            paths["diagnostics"] = diag_path
     for path in {svg_path, diag_path} - set(paths.values()):
         with contextlib.suppress(FileNotFoundError):
             os.remove(path)

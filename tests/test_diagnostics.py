@@ -266,12 +266,34 @@ class TestComposite:
         xm = empirical_x_max(spec, 3, 4, 10**4, rng)
         assert 1.5 < xm <= 2.0 + 1e-9
 
-    @pytest.mark.parametrize("n_mc", [0, 10**4 - 1])
-    def test_empirical_x_max_floor(self, rng, n_mc):
-        # Its 1 - 1e-4 quantile needs 10^4 sets; n_mc = 0 used to raise a
+    @pytest.mark.parametrize("name,size,floor", [
+        ("diversity", "n_mc", diag.N_MC_DIVERSITY),
+        ("diversity", "n_dirs", diag.N_DIRS),
+        ("margin", "n_mc", diag.N_MC_MARGIN),
+        ("concentration", "n_mc", diag.N_MC_DIVERSITY),
+        ("concentration", "n_dirs", diag.N_DIRS),
+        ("x_max", "n_mc", diag.N_MC_DIVERSITY),
+    ])
+    @pytest.mark.parametrize("below", ["zero", "one-below"])
+    def test_monte_carlo_floors(self, rng, name, size, floor, below):
+        # Every estimator rejects a pool or direction set below the floor
+        # the module states, naming the size.  empirical_x_max's
+        # 1 - 1e-4 quantile needs 10^4 sets; its n_mc = 0 used to raise a
         # bare IndexError from np.quantile.
-        with pytest.raises(ValueError, match="n_mc must be >= 10000"):
-            empirical_x_max(uniform_ball_spec(2.0), 3, 4, n_mc, rng)
+        spec, theta = uniform_ball_spec(2.0), np.full(3, 1.0 / math.sqrt(3))
+        sizes = {"n_mc": diag.N_MC_MARGIN, "n_dirs": diag.N_DIRS,
+                 size: 0 if below == "zero" else floor - 1}
+        n_mc, n_dirs = sizes["n_mc"], sizes["n_dirs"]
+        call = {
+            "diversity": lambda: estimate_diversity_constant(
+                spec, 3, 4, n_mc, n_dirs, rng),
+            "margin": lambda: estimate_margin_constant(spec, theta, 3, 4, n_mc, rng=rng),
+            "concentration": lambda: estimate_concentration_params(
+                spec, 3, 4, n_mc, n_dirs, 0.9, rng=rng),
+            "x_max": lambda: empirical_x_max(spec, 3, 4, n_mc, rng),
+        }[name]
+        with pytest.raises(ValueError, match=f"^{size} must be >= {floor}$"):
+            call()
 
     def test_run_diagnostics_and_format(self, rng):
         spec = uniform_ball_spec(2.0)

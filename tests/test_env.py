@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -480,13 +481,20 @@ def test_loop_error_stops_the_worker(monkeypatch):
     assert threading.active_count() == threads
 
 
+# Rounds per snapshot batch of wide_block's two replications.
+WIDE_BATCH = env.BATCH_BYTES // (2 * env.OFFLOAD_MIN_DIM**2 * 8)
+
+
+@pytest.mark.parametrize("T", [1, WIDE_BATCH - 1, WIDE_BATCH, WIDE_BATCH + 1])
 @pytest.mark.parametrize("absent", ["maps", "self-check"])
-def test_episodes_run_inline_without_the_binding(absent, tmp_path, monkeypatch):
+def test_episodes_run_inline_without_the_binding(absent, T, tmp_path, monkeypatch):
     # With no binding, or one whose self-check differs from scipy by a bit,
     # the block records inline: one scipy subset dsyevr per round and
-    # replication, the same bytes, and no worker thread.
+    # replication, the same bytes, and no worker thread.  The horizons end
+    # inside the first batch, on its last round, and one round into the
+    # second.
     solver_or_skip(env.OFFLOAD_MIN_DIM)
-    T, seeds = 60, (1, 2)
+    seeds = (1, 2)
     offloaded = trajectory_bytes(wide_block(T, seeds)())
     blas._dsyevr.cache_clear()
     try:
@@ -516,6 +524,38 @@ def test_episodes_run_inline_without_the_binding(absent, tmp_path, monkeypatch):
         blas._dsyevr.cache_clear()
     assert subset == [threads] * (T * len(seeds))
     assert inline == offloaded
+
+
+def test_offloaded_record_holds_two_batches(monkeypatch):
+    # An offloaded d = 100, R = 1 block holds the batch the loop fills and
+    # the one the worker solves, six rounds of Sigma each, above what the
+    # inline record holds.  The slack covers the solver's workspace (27 kB)
+    # and the executor; the traced excess over two batches measured 17-43 kB
+    # for the three policies at T = 30 and 120.
+    d, T, slack = 100, 120, 64 * 1024
+    solver_or_skip(d)
+    rng = np.random.default_rng(2)
+    inst = make_instance(gaussian_spec(), d, 5, 0.5, rng)
+    cfg = PolicyConfig("greedy", theta0=sphere_vector(d, rng))
+
+    def peak():
+        # An untraced first run keeps one-time allocations (imports,
+        # caches) out of the peak.
+        run_episode(inst, cfg, 5, [7])
+        tracemalloc.start()
+        try:
+            run_episode(inst, cfg, T, [7])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    offloaded = peak()
+    monkeypatch.setattr(env, "OFFLOAD_MIN_DIM", d + 1)
+    inline = peak()
+    batch = env.BATCH_BYTES // (d * d * 8) * d * d * 8
+    assert batch == 6 * d * d * 8
+    assert offloaded - inline <= 2 * batch + slack, \
+        f"offloaded peak {offloaded} B, inline {inline} B"
 
 
 def test_small_blocks_neither_resolve_the_binding_nor_start_a_thread(monkeypatch):

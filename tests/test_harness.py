@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import math
 import os
+import re
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -280,15 +281,19 @@ def fail_writes_to(monkeypatch, name):
 class TestAtomicOutputs:
     @pytest.mark.parametrize("name", ["regret.svg", "diagnostics.txt"])
     def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, name):
-        table = run_experiment(tiny_config(tmp_path, T=15, diagnostics=True))
-        write_outputs(table)
+        # The second run has another seed, so every file it would write
+        # differs; a failed write of any one leaves all four as they were.
+        write_outputs(run_experiment(tiny_config(tmp_path, T=15, diagnostics=True)))
         out = tmp_path / "out"
-        before = (out / name).read_bytes()
+        files = ("raw.csv", "aggregate.csv", "regret.svg", "diagnostics.txt")
+        before = {f: (out / f).read_bytes() for f in files}
+        table = run_experiment(tiny_config(tmp_path, T=15, diagnostics=True, seed=6))
         fail_writes_to(monkeypatch, name)
-        with pytest.raises(OSError, match="No space"):
+        target = re.escape(str(out / name))
+        with pytest.raises(OSError, match=rf"^failed writing {target}: \[Errno 28\] No space"):
             write_outputs(table)
-        assert (out / name).read_bytes() == before
-        assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
+        assert {f: (out / f).read_bytes() for f in files} == before
+        assert sorted(p.name for p in out.iterdir()) == sorted(files)
 
     def test_failed_matrix_summary_keeps_previous_file(self, tmp_path, monkeypatch):
         out = tmp_path / "matrix"
