@@ -6,11 +6,12 @@ columns.  Regret is measured against the noise-free best arm of the
 realized context set.
 
 The loop advances R replications of one policy in lockstep over the
-stacked Gram state (see estimator): one pass per round serves all R, and a
-single episode is the block R = 1.  Each replication keeps its own
-generator and draws its contexts, posterior sample and reward noise from it
-in the order of a single run; one sample_context_set call per round fills
-the (R, K, d) context block, each replication's slot from its generator.
+stacked Gram state (see estimator), which keeps no running inverse: one
+pass per round serves all R, and a single episode is the block R = 1.
+Each replication keeps its own generator and draws its contexts, posterior
+sample and reward noise from it in the order of a single run; one
+sample_context_set call per round fills the (R, K, d) context block, each
+replication's slot from its generator.
 Scores, regrets and updates are array operations that compute every row
 exactly as a block of one does: a stacked matmul or vecdot makes one BLAS
 gemv or dot call per replication, never one product over the whole stack,
@@ -170,7 +171,7 @@ def run_episode(instance: BanditInstance, config: PolicyConfig, T: int,
         raise ValueError(f"theta0 must have shape ({instance.d},)")
     rngs = [np.random.default_rng(s) for s in seeds]
     R, d, K = len(rngs), instance.d, instance.K
-    state = estimator.init(d, R)
+    state = estimator.GramState(sigma=np.zeros((R, d, d)), b=np.zeros((R, d)))
     rows = np.arange(R)
     arms, best_arms = np.empty((2, T, R), dtype=np.intp)
     rewards, regrets, errors, eigs, norms = np.full((5, T, R), np.nan)

@@ -5,11 +5,13 @@ GramState stacks R replications' sufficient statistics along a leading axis,
 Sigma (R, d, d) = sum x x^T and b (R, d) = sum x y, without any
 regularization.  Each update folds one observation per replication.  Until
 a replication's Gram matrix is invertible its estimate is undefined (NaN);
-once the minimal eigenvalue clears a small numerical floor the state keeps
-both a Sherman-Morrison running inverse (cheap per-round reads) and a fresh
-Cholesky solve (authoritative for theta_hat).
+once the minimal eigenvalue clears a small numerical floor each update
+solves for it afresh with Cholesky, the estimate every episode reads.
+A state built by init also keeps Sherman-Morrison running inverses, whose
+estimate (incremental_estimate) tests cross-check against the Cholesky
+solve; the states of episodes carry none and skip that work.
 
-The rank-one updates of Sigma, b and the running inverse are array
+The rank-one updates of Sigma, b and any running inverse are array
 operations over the stack.  Every factorization and eigensolve runs per
 replication and goes straight to scipy's LAPACK drivers.  The OLS solve is
 one dposv call, which runs dpotrf and dpotrs inside and gives their bits;
@@ -47,14 +49,16 @@ class NotIdentifiedError(RuntimeError):
 class GramState:
     """Running sufficient statistics of R regressions, stacked.
 
-    `sigma` is (R, d, d) and `b` (R, d).  `t` counts the rank-one terms in
-    each sigma, so rank(sigma[r]) <= t for a state grown from `init`.  The
-    state allocates the rest itself: `invertible_since[r]` is the update
-    count at which replication r's Gram matrix became invertible, 0 while
-    it is not; `theta_hat` (R, d) and `sigma_inv` (R, d, d) hold the
-    estimates and running inverses, NaN and exactly zero in the rows of
-    replications not identified yet.  Construction checks the shapes and
-    the symmetry of `sigma`; `update` keeps it exactly symmetric.
+    `sigma` is (R, d, d) and `b` (R, d), with R and d at least 1.  `t`
+    counts the rank-one terms in each sigma, so rank(sigma[r]) <= t for a
+    state grown from zero.  The state allocates the rest itself:
+    `invertible_since[r]` is the update count at which replication r's Gram
+    matrix became invertible, 0 while it is not, and `theta_hat` (R, d)
+    holds the estimates, NaN in the rows of replications not identified
+    yet.  `sigma_inv` is None: only `init` gives a state (R, d, d) running
+    inverses, exactly zero until their replication is identified, and then
+    `update` keeps them.  Construction checks the shapes and the symmetry
+    of `sigma`; `update` keeps it exactly symmetric.
     """
 
     sigma: np.ndarray
@@ -62,21 +66,20 @@ class GramState:
     t: int = 0
     invertible_since: np.ndarray = field(init=False)
     theta_hat: np.ndarray = field(init=False)
-    sigma_inv: np.ndarray = field(init=False, repr=False)
+    sigma_inv: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.sigma = np.asarray(self.sigma, dtype=float)
         self.b = np.asarray(self.b, dtype=float)
-        if (self.b.ndim != 2 or self.b.shape[1] < 1
+        if (self.b.ndim != 2 or 0 in self.b.shape
                 or self.sigma.shape != self.b.shape + self.b.shape[1:]):
-            raise ValueError(f"need sigma (R, d, d) and b (R, d) with d >= 1, "
+            raise ValueError(f"need sigma (R, d, d), b (R, d) with R, d >= 1, "
                              f"got {self.sigma.shape} and {self.b.shape}")
         asym = np.abs(self.sigma - self.sigma.transpose(0, 2, 1)).max()
         if asym > 1e-8 * max(1.0, np.abs(self.sigma).max()):
             raise ValueError(f"Gram matrix asymmetric by {asym:.3e}")
         self.invertible_since = np.zeros(self.reps, dtype=np.intp)
         self.theta_hat = np.full(self.b.shape, np.nan)
-        self.sigma_inv = np.zeros(self.sigma.shape)
 
     @property
     def reps(self) -> int:
@@ -88,12 +91,11 @@ class GramState:
 
 
 def init(d: int, reps: int = 1) -> GramState:
-    d, reps = int(d), int(reps)
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
-    return GramState(sigma=np.zeros((reps, d, d)), b=np.zeros((reps, d)))
+    """The zero state of `reps` regressions in dimension d, with zero
+    running inverses."""
+    state = GramState(sigma=np.zeros((reps, d, d)), b=np.zeros((reps, d)))
+    state.sigma_inv = np.zeros(state.sigma.shape)
+    return state
 
 
 def _eigenvalues(sigma: np.ndarray, **subset) -> np.ndarray:
@@ -121,20 +123,20 @@ def update(state: GramState, x, y) -> GramState:
                          f"{x.shape} and {y.shape}")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("observation must be finite")
-    # Columns (R, d, 1) and rows (R, 1, d) of the stacked observations.
-    col, row = x.reshape(R, d, 1), x.reshape(R, 1, d)
-
-    # Sherman-Morrison on the pre-update inverses; the zero rows of
-    # replications not identified yet stay zero.  One (R, d, d) buffer
-    # holds both outer products in turn; einsum writes a product of two
-    # rows in fewer inner loops than a broadcast multiply, to the same bits.
-    Av = np.matmul(state.sigma_inv, col)
-    denom = 1.0 + np.matmul(row, Av)
-    v = Av.reshape(R, d)
-    outer = np.einsum("ri,rj->rij", v, v)
-    outer /= denom
-    state.sigma_inv -= outer
-
+    # Sherman-Morrison on the pre-update inverses, for a state that keeps
+    # them; the zero rows of replications not identified yet stay zero.  The
+    # Sherman-Morrison term's (R, d, d) buffer then takes x x^T, and a state
+    # without inverses has einsum allocate it.  einsum writes a product of
+    # two rows in fewer inner loops than a broadcast multiply, to the same
+    # bits.
+    outer = None
+    if state.sigma_inv is not None:
+        Av = np.matmul(state.sigma_inv, x.reshape(R, d, 1))
+        denom = 1.0 + np.matmul(x.reshape(R, 1, d), Av)
+        v = Av.reshape(R, d)
+        outer = np.einsum("ri,rj->rij", v, v)
+        outer /= denom
+        state.sigma_inv -= outer
     state.sigma += np.einsum("ri,rj->rij", x, x, out=outer)
     state.b += x * y.reshape(R, 1)
     state.t += 1
@@ -146,7 +148,8 @@ def update(state: GramState, x, y) -> GramState:
         for r in np.flatnonzero(since == 0):
             if _is_invertible(state.sigma[r]):
                 since[r] = state.t
-                state.sigma_inv[r] = inv(state.sigma[r], check_finite=False)
+                if state.sigma_inv is not None:
+                    state.sigma_inv[r] = inv(state.sigma[r], check_finite=False)
     for r in np.flatnonzero(since):
         state.theta_hat[r] = _solve(state, r)
     return state
@@ -176,9 +179,11 @@ def solve(state: GramState) -> np.ndarray:
 
 
 def incremental_estimate(state: GramState) -> np.ndarray:
-    """Estimates from the Sherman-Morrison running inverses (cross-check
-    path), NaN in the rows of replications not identified yet; raises while
-    none is."""
+    """Estimates from the Sherman-Morrison running inverses of a state built
+    by init (cross-check path), NaN in the rows of replications not
+    identified yet; raises while none is, and for a state without inverses."""
+    if state.sigma_inv is None:
+        raise ValueError("state has no running inverse (only init's keep one)")
     if not state.invertible_since.any():
         raise NotIdentifiedError("Gram matrix is singular")
     theta = np.matmul(state.sigma_inv, state.b[:, :, None])[:, :, 0]

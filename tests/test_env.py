@@ -168,6 +168,8 @@ class TestRunEpisode:
             run_episode(inst, PolicyConfig("greedy"), 10, [1])
         with pytest.raises(ValueError):
             run_episode(inst, PolicyConfig("greedy", theta0=np.zeros(2)), 10, [1])
+        with pytest.raises(ValueError, match="R, d >= 1"):  # no replication
+            run_episode(inst, PolicyConfig("greedy", theta0=np.zeros(3)), 10, [])
 
     def test_trajectory_cum_regret_is_cumsum(self):
         zeros = np.zeros(4)
@@ -210,6 +212,37 @@ def test_episode_uses_no_numpy_lapack(kind, monkeypatch):
     block = run_episode(inst, cfg, 30, [11, 12, 13])
     assert [len(tr) for tr in block] == [30] * 3
     assert not any(np.isnan(tr.est_error_l2[-1]) for tr in block)
+
+
+@pytest.mark.parametrize("kind", ["greedy", "linucb", "lints"])
+def test_episodes_keep_no_running_inverse(kind, monkeypatch):
+    # Episodes read only the Cholesky estimate, so their states carry no
+    # Sherman-Morrison inverse: update never sees one, and identification
+    # inverts no Gram matrix.  Checked for one episode and for a block of
+    # three, both identified well before the last round.
+    d, T = 5, 30
+    inst = small_instance(d=d, K=4)
+    cfg = PolicyConfig(kind, theta0=np.ones(d) if kind == "greedy" else None)
+    update, states = estimator.update, []
+
+    def checked(state, x, y):
+        assert state.sigma_inv is None
+        states.append(state)
+        return update(state, x, y)
+
+    def no_inverse(*args, **kwargs):
+        raise AssertionError("scipy.linalg.inv called in an episode")
+
+    monkeypatch.setattr(estimator, "inv", no_inverse)
+    monkeypatch.setattr(estimator, "update", checked)
+    for seeds in ([11], [11, 12, 13]):
+        run_episode(inst, cfg, T, seeds)
+        state = states[-1]
+        assert state.reps == len(seeds) and state.t == T
+        assert ((state.invertible_since > 0)
+                & (state.invertible_since < T - 10)).all()
+        with pytest.raises(ValueError, match="no running inverse"):
+            estimator.incremental_estimate(state)
 
 
 @pytest.mark.parametrize("kind", ["greedy", "linucb", "lints"])

@@ -126,6 +126,11 @@ class TestMinEigenvalue:
         with pytest.raises(ValueError, match="need sigma"):
             GramState(sigma=sigma, b=b)
 
+    def test_empty_stack_rejected(self):
+        # R = 0 is named, not left to a reduction over an empty array.
+        with pytest.raises(ValueError, match=r"R, d >= 1, got \(0, 2, 2\)"):
+            GramState(sigma=np.zeros((0, 2, 2)), b=np.zeros((0, 2)))
+
     def test_known_eigenvalue(self):
         s = GramState(sigma=np.diag([5.0, 0.25])[None], b=np.zeros((1, 2)))
         assert est.min_eigenvalue(s) == pytest.approx(0.25, rel=1e-8)

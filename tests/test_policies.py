@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import lapack
 
-from greedybandit import estimator as est
+from greedybandit import estimator as est, policies
+from greedybandit.estimator import GramState
 from greedybandit.policies import (PolicyConfig, _ridge, _widths,
                                    confidence_radius, greedy_select,
                                    linucb_select, lints_select, policy_step)
@@ -211,6 +212,45 @@ class TestLints:
             if lints_select(s, cfg, cs, [rng]) == greedy_select(ridge, cs):
                 agree += 1
         assert agree / n > 0.99
+
+    def test_posterior_draw_covariance(self, monkeypatch):
+        # A draw is theta_tilde + v_scale L^-T z with Sigma_bar = L L^T and z
+        # standard normal, so w = L^T (theta_sample - theta_tilde) / v_scale
+        # is standard normal.  Over n draws the entries of the known-mean
+        # sample covariance S = mean(w w^T) have standard deviations
+        # sqrt((1 + [i == j]) / n); each must lie within 5 of them of the
+        # identity, which a correct draw misses with probability about
+        # 5.7e-7 per entry, under 4e-6 over the six.  Drawing L^-1 z instead
+        # gives w the covariance M = L^T (L^T L)^-1 L, checked below to miss
+        # the identity by ten tolerances or more.
+        sigma = np.array([[4.0, 3.0, 1.0], [3.0, 4.0, 2.0], [1.0, 2.0, 2.0]])
+        b = np.array([1.0, -2.0, 0.5])
+        cfg = PolicyConfig("lints", lambda_reg=0.5, v_scale=0.3)
+        sigma_bar = sigma + cfg.lambda_reg * np.eye(3)
+        L = np.linalg.cholesky(sigma_bar)
+        theta_tilde = np.linalg.solve(sigma_bar, b)
+        R, calls = 500, 40
+        n = R * calls
+        tol = 5.0 * np.sqrt((1.0 + np.eye(3)) / n)
+        M = L.T @ np.linalg.solve(L.T @ L, L)
+        assert (np.abs(M - np.eye(3)) / tol).max() >= 10.0
+
+        s = GramState(sigma=np.broadcast_to(sigma, (R, 3, 3)),
+                      b=np.broadcast_to(b, (R, 3)))
+        samples, select = [], policies.greedy_select
+
+        def captured(theta, contexts):
+            samples.append(np.array(theta))
+            return select(theta, contexts)
+
+        monkeypatch.setattr(policies, "greedy_select", captured)
+        rngs = np.random.default_rng(26).spawn(R)
+        contexts = np.zeros((R, 2, 3))
+        for _ in range(calls):
+            lints_select(s, cfg, contexts, rngs)
+        w = (np.concatenate(samples) - theta_tilde) / cfg.v_scale @ L
+        S = w.T @ w / n
+        assert (np.abs(S - np.eye(3)) <= tol).all(), S
 
 
 class TestConfidenceRadius:
