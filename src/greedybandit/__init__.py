@@ -17,7 +17,7 @@ from .estimator import GramState, NotIdentifiedError
 from .harness import (ConfigError, ExperimentConfig, ResultsTable,
                       config_from_ini, preset_config, render_svg,
                       run_experiment, write_csv, write_outputs)
-from .policies import PolicyConfig, confidence_radius, greedy_select, policy_step
+from .policies import PolicyConfig, greedy_select, policy_step
 
 __version__ = "0.1.0"
 
@@ -27,7 +27,7 @@ __all__ = [
     "DiversityEstimate", "ExperimentConfig", "GramState", "GrowthReport",
     "LacCheckReport", "LacFunction", "MarginEstimate", "NotIdentifiedError",
     "PolicyConfig", "Region", "ResultsTable", "Trajectory",
-    "ball", "box", "cauchy_spec", "config_from_ini", "confidence_radius",
+    "ball", "box", "cauchy_spec", "config_from_ini",
     "decay_rate_check", "estimate_concentration_params",
     "estimate_diversity_constant", "estimate_margin_constant",
     "exponential_spec", "gaussian_spec", "grad_log_density", "gram_growth_check",

@@ -14,22 +14,27 @@ run.  The report holds the estimates themselves; `format_report` reads them.
 Memory: an estimator draws its (n_mc, K, d) pool as consecutive chunks of
 at most _CHUNK_FLOATS float64s (4 MB; one context set when K d exceeds
 that), reduces each chunk and drops it before the next is drawn, so one
-chunk is resident, never the pool.  Beside it stay only the reductions:
-diversity's (directions, d, d) second moments (18.6 MB at d = 100),
-concentration's (directions, n_mc) score maxima, and the (n_mc,) margin
-gaps and x_max norms.  Diversity and concentration draw their direction
-set before the pool, so every direction is scored as the pool is drawn;
-diversity draws its pool twice from one seed, the second time only for the
-worst direction's standard error.  The set lists the directions in the
-order each chunk scores them: the signed axes e_1 .. e_d, -e_1 .. -e_d,
-then the sphere draws in draw order, so a direction's row in the second
-moments and the score maxima is its position in the set.  On d20-k20
-gaussian the diversity, margin and x_max estimators peak at 1.3-2.0 chunks
-under tracemalloc, the same at 4x n_mc (TestMemory).  Peak RSS on 2 vCPUs
-(AVX-512 Xeon, OpenBLAS 0.3.31), against one resident pool: perfbench
-preset-d20 99.1 -> 71.9 MB; a --diagnostics preset run (10 reps, T = 1000)
-264.8 -> 89.9 MB on d100-k20 gaussian and 156.2 -> 81.3 MB on d20-k20
-uniform-ball.
+chunk is resident, never the pool.  The margin of an untruncated gaussian
+draws no pool: it draws each context set's K scores x_i^T theta_star as
+(m, K) blocks of standard normals into one reused buffer of at most
+_CHUNK_FLOATS floats, scaled by sqrt(theta_star^T C theta_star), and gets
+its gaps from them (K d-dimensional draws per set become K).  Beside the
+chunk stay only the reductions: diversity's (directions, d, d) second
+moments (18.6 MB at d = 100), concentration's (directions, n_mc) score
+maxima, and the (n_mc,) margin gaps and x_max norms.  Diversity and
+concentration draw their direction set before the pool, so every direction
+is scored as the pool is drawn; diversity draws its pool twice from one
+seed, the second time only for the worst direction's standard error.  The
+set lists the directions in the order each chunk scores them: the signed
+axes e_1 .. e_d, -e_1 .. -e_d, then the sphere draws in draw order, so a
+direction's row in the second moments and the score maxima is its position
+in the set.  On d20-k20 gaussian the diversity and x_max estimators peak
+at 1.3-2.0 chunks under tracemalloc, the margin at 1.2 (its buffer and
+gaps; 1.4 when it drew the pool), the same at 4x n_mc (TestMemory).  Peak
+RSS on 2 vCPUs (AVX-512 Xeon, OpenBLAS 0.3.31), against one resident pool:
+perfbench preset-d20 99.1 -> 71.9 MB; a --diagnostics preset run (10 reps,
+T = 1000) 264.8 -> 89.9 MB on d100-k20 gaussian and 156.2 -> 81.3 MB on
+d20-k20 uniform-ball.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contexts import DistributionSpec, _sample_block, resolve_dim
+from .contexts import DistributionSpec, _gauss_resolved, _sample_block, resolve_dim
 from .env import Trajectory
 
 # A report's Monte-Carlo sizes, which are also the estimators' floors:
@@ -246,31 +251,42 @@ class MarginEstimate:
     probs: np.ndarray
 
 
-def estimate_margin_constant(spec: DistributionSpec, theta_star, d: int, K: int,
-                             n_mc: int, rng: np.random.Generator) -> MarginEstimate:
-    """Estimate the small-gap slope of the best-vs-runner-up score gap.
+def _theta_vector(theta_star, d: int) -> np.ndarray:
+    """theta_star as a finite (d,) float array, or a ValueError naming it."""
+    theta = np.asarray(theta_star, dtype=float)
+    if theta.shape != (d,):
+        raise ValueError(f"theta_star must have shape ({d},), got {theta.shape}")
+    if not np.isfinite(theta).all():
+        raise ValueError("theta_star must be finite")
+    return theta
 
-    The gap of a context set is the difference between the two largest
-    values of x_i^T theta_star.  P[gap <= eps] is estimated on _EPS_GRID and a
-    line through the origin is fitted; its slope is the margin constant.  A
-    free (affine) fit provides the intercept, whose distance from zero is a
-    sanity check for continuous densities.  Standard errors come from batch
-    means over the Monte-Carlo pool, whose gaps are taken chunk by chunk.
-    """
-    if n_mc < N_MC_MARGIN:
-        raise ValueError(f"n_mc must be >= {N_MC_MARGIN}")
+
+def _score_gaps(spec: DistributionSpec, theta_star: np.ndarray, K: int,
+                n_mc: int, rng: np.random.Generator) -> np.ndarray:
+    """(n_mc,) best-vs-runner-up gaps of an untruncated gaussian N(mu, C),
+    drawn as scores rather than arm vectors.  The arms are iid, so a score
+    x_i^T theta is mu^T theta + s z_i with s = |L^T theta| (C = L L^T) and z_i
+    standard normal, and the shift cancels in every gap.  Each chunk is an
+    (m, K) block of z drawn into one reused buffer of at most _CHUNK_FLOATS
+    floats (one context set when K exceeds that), scaled by s and
+    partitioned in place; rng ends where standard_normal(n_mc K) leaves it."""
+    L = _gauss_resolved(spec, theta_star.shape[0])[2]
+    s = float(np.linalg.norm(theta_star @ L))
+    m = min(n_mc, max(1, _CHUNK_FLOATS // K))
+    buf, gaps = np.empty((m, K)), np.empty(n_mc)
+    for start in range(0, n_mc, m):
+        z = buf[:n_mc - start]
+        rng.standard_normal(out=z)
+        z *= s
+        z.partition((K - 2, K - 1), axis=1)
+        np.subtract(z[:, K - 1], z[:, K - 2], out=gaps[start:start + len(z)])
+    return gaps
+
+
+def _fit_margin(gaps: np.ndarray) -> MarginEstimate:
+    """The through-origin and affine fits of P[gap <= eps] on _EPS_GRID,
+    with batch-means standard errors over the gaps in draw order."""
     eps = _EPS_GRID
-    theta_star = np.asarray(theta_star, dtype=float)
-    d = resolve_dim(spec, d)
-    if K < 2:
-        raise ValueError("gap needs K >= 2")
-
-    def gap(chunk):
-        part = np.partition(chunk @ theta_star, (K - 2, K - 1), axis=1)
-        return part[:, K - 1] - part[:, K - 2]
-
-    gaps = np.concatenate(list(map(gap, _pool_chunks(spec, d, K, n_mc, rng))))
-
     indic = gaps[:, None] <= eps[None, :]          # (n, n_eps)
     probs = indic.mean(axis=0)
     degenerate = bool(np.all(probs == 0.0))
@@ -295,6 +311,38 @@ def estimate_margin_constant(spec: DistributionSpec, theta_star, d: int, K: int,
     return MarginEstimate(slope=slope, slope_se=slope_se, intercept=intercept,
                           intercept_se=intercept_se, degenerate=degenerate,
                           probs=probs)
+
+
+def estimate_margin_constant(spec: DistributionSpec, theta_star, d: int, K: int,
+                             n_mc: int, rng: np.random.Generator) -> MarginEstimate:
+    """Estimate the small-gap slope of the best-vs-runner-up score gap.
+
+    The gap of a context set is the difference between the two largest
+    values of x_i^T theta_star.  P[gap <= eps] is estimated on _EPS_GRID and a
+    line through the origin is fitted; its slope is the margin constant.  A
+    free (affine) fit provides the intercept, whose distance from zero is a
+    sanity check for continuous densities.  Standard errors come from batch
+    means over the n_mc gaps.  theta_star must be a finite (d,) vector.
+
+    An untruncated gaussian draws each set's K scores, not its K vectors
+    (_score_gaps): n_mc K standard normals from rng.  Every other spec draws
+    the (n_mc, K, d) pool chunk by chunk and takes each chunk's gaps.
+    """
+    if n_mc < N_MC_MARGIN:
+        raise ValueError(f"n_mc must be >= {N_MC_MARGIN}")
+    d = resolve_dim(spec, d)
+    theta_star = _theta_vector(theta_star, d)
+    if K < 2:
+        raise ValueError("gap needs K >= 2")
+    if spec.kind == "gaussian" and spec.truncation is None:
+        return _fit_margin(_score_gaps(spec, theta_star, K, int(n_mc), rng))
+
+    def gap(chunk):
+        part = np.partition(chunk @ theta_star, (K - 2, K - 1), axis=1)
+        return part[:, K - 1] - part[:, K - 2]
+
+    gaps = np.concatenate(list(map(gap, _pool_chunks(spec, d, K, n_mc, rng))))
+    return _fit_margin(gaps)
 
 
 # ---------------------------------------------------------------------------
@@ -523,8 +571,10 @@ def estimate_constants(spec: DistributionSpec, d: int, K: int, theta_star,
                        rng: np.random.Generator) -> ConstantEstimates:
     """Run the four estimators, each on its own child of rng (rng.spawn(4),
     in this order), so no estimate's stream depends on another's.  They need
-    no trajectory, so they can run while the episodes do."""
+    no trajectory, so they can run while the episodes do.  A theta_star that
+    is not a finite (d,) vector is rejected before rng is spawned."""
     d = resolve_dim(spec, d)
+    theta_star = _theta_vector(theta_star, d)
     div_rng, margin_rng, conc_rng, x_max_rng = rng.spawn(4)
     div = estimate_diversity_constant(spec, d, K, N_MC_DIVERSITY, N_DIRS, div_rng)
     margin = estimate_margin_constant(spec, theta_star, d, K, N_MC_MARGIN, margin_rng)
@@ -588,4 +638,7 @@ def format_report(report: DiagnosticsReport) -> str:
                  "arm norm, not a closed-form bound")
     if conc is None:
         lines.append("note: concentration parameters undefined: unbounded support")
+    if margin.degenerate:
+        lines.append(f"note: margin degenerate: no Monte-Carlo gap fell at or below "
+                     f"eps = {_EPS_GRID[-1]:g}, so c_delta_hat 0 is no slope estimate")
     return "\n".join(lines) + "\n"

@@ -132,12 +132,6 @@ def _widths(L: np.ndarray, X: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(V, V))
 
 
-def confidence_radius(state: GramState, config: PolicyConfig) -> np.ndarray:
-    """LinUCB bonus multipliers from the determinants of the ridge Gram
-    matrices, one per replication."""
-    return _radius(_ridge(state, config.lambda_reg)[0], config)
-
-
 def linucb_select(state: GramState, config: PolicyConfig, contexts,
                   beta=None) -> np.ndarray:
     """LinUCB arms; beta None takes each replication's confidence radius

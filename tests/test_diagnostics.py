@@ -110,6 +110,90 @@ class TestMargin:
         assert est.degenerate
         assert est.slope == 0.0
 
+    def test_degenerate_noted_in_report(self, rng):
+        # c_delta_hat prints 0.000000 either way; only the note tells a
+        # degenerate margin from a small slope.
+        constants = diag.estimate_constants(uniform_ball_spec(1e7), 1, 2, [1.0], rng)
+        text = format_report(diag.check_trajectory(
+            constants, synthetic_trajectory(np.arange(1.0, 201.0))))
+        assert constants.margin.degenerate
+        assert "note: margin degenerate: no Monte-Carlo gap fell at or below " \
+            "eps = 0.1" in text
+
+    @pytest.mark.parametrize("theta,match", [
+        ([np.nan, 0.5], r"^theta_star must be finite$"),
+        ([0.5, np.inf], r"^theta_star must be finite$"),
+        ([1.0, 0.0, 0.0], r"^theta_star must have shape \(2,\), got \(3,\)$"),
+        ([[1.0, 0.0]], r"^theta_star must have shape \(2,\), got \(1, 2\)$"),
+    ], ids=["nan", "inf", "long", "row"])
+    @pytest.mark.parametrize("spec", [gaussian_spec(), laplace_spec()],
+                             ids=["gaussian", "laplace"])
+    def test_theta_star_rejected_before_any_draw(self, spec, theta, match):
+        # A NaN entry used to draw the whole pool and return a degenerate
+        # slope of 0; a wrong length failed inside matmul.
+        rng, twin = np.random.default_rng(0), np.random.default_rng(0)
+        with pytest.raises(ValueError, match=match):
+            estimate_margin_constant(spec, theta, 2, 3, 10**5, rng)
+        with pytest.raises(ValueError, match=match):
+            diag.estimate_constants(spec, 2, 3, theta, rng)
+        assert rng.bit_generator.seed_seq.n_children_spawned == 0
+        assert rng.random() == twin.random()
+
+
+class TestScoreGaps:
+    # An untruncated gaussian's margin draws K scores per context set, not
+    # K vectors: x_i^T theta ~ N(mu^T theta, theta^T C theta) iid over arms.
+    def test_k2_slope_closed_form(self):
+        # The gap of two iid N(., s^2) scores is |N(0, 2 s^2)|, of density
+        # 1 / (sqrt(pi) s) at 0.  Here s = 3.78, where |theta| = 1 and
+        # |L theta| = 2.25 would put the slope 0.564 and 0.250.
+        d = 20
+        spec, theta = gaussian_spec(cov=1.0, rho=0.7), np.full(d, 1.0 / math.sqrt(d))
+        s = math.sqrt(theta @ (0.3 * np.eye(d) + 0.7) @ theta)
+        est = estimate_margin_constant(spec, theta, d, 2, 10**5,
+                                       np.random.default_rng(0))
+        assert abs(est.slope - 1.0 / (math.sqrt(math.pi) * s)) < 5 * est.slope_se
+
+    def test_matches_vector_pool(self):
+        # A non-zero mean and a full non-diagonal covariance: the score
+        # slope agrees with the slope of the vector pool's gaps.
+        d, K = 4, 5
+        A = np.random.default_rng(1).standard_normal((d, d))
+        spec = gaussian_spec(mean=np.array([3.0, -1.0, 0.5, 2.0]),
+                             cov=A @ A.T + 0.5 * np.eye(d))
+        theta = np.array([0.1, 0.2, -0.15, 0.05])
+        scores = estimate_margin_constant(spec, theta, d, K, 10**5,
+                                          np.random.default_rng(2))
+        chunks = diag._pool_chunks(spec, d, K, 10**5, np.random.default_rng(3))
+        gaps = np.concatenate([np.diff(np.sort(c @ theta, axis=1)[:, -2:], axis=1)[:, 0]
+                               for c in chunks])
+        vectors = diag._fit_margin(gaps)
+        assert not scores.degenerate and not vectors.degenerate
+        assert abs(scores.slope - vectors.slope) < 4 * math.hypot(scores.slope_se,
+                                                                  vectors.slope_se)
+
+    @pytest.mark.parametrize("floats", [1, 7, 60, 2**12])
+    def test_chunk_size_keeps_bits(self, monkeypatch, floats):
+        # A buffer of 1 or 7 floats holds one context set of K = 20.
+        spec, d, K = gaussian_spec(mean=1.5, cov=2.0, rho=0.3), 6, 20
+        theta = np.linspace(-1.0, 1.0, d)
+
+        def estimate():
+            return estimate_margin_constant(spec, theta, d, K, 10**5 + 3,
+                                            np.random.default_rng(4))
+
+        whole = float_hexes(estimate())
+        monkeypatch.setattr(diag, "_CHUNK_FLOATS", floats)
+        assert float_hexes(estimate()) == whole
+
+    def test_draws_scores_not_pool(self, pool_sets):
+        spec, d, K, n_mc = gaussian_spec(cov=1.0, rho=0.7), 20, 20, 10**5
+        rng, twin = np.random.default_rng(6), np.random.default_rng(6)
+        estimate_margin_constant(spec, np.full(d, 0.2), d, K, n_mc, rng)
+        twin.standard_normal(n_mc * K)
+        assert pool_sets == []
+        assert rng.random() == twin.random()
+
 
 class TestConcentration:
     def test_unbounded_rejected(self, rng):

@@ -7,9 +7,15 @@ from scipy.linalg import lapack
 
 from greedybandit import estimator as est, policies
 from greedybandit.estimator import GramState
-from greedybandit.policies import (PolicyConfig, _ridge, _widths,
-                                   confidence_radius, greedy_select,
-                                   linucb_select, lints_select, policy_step)
+from greedybandit.policies import (PolicyConfig, _radius, _ridge, _widths,
+                                   greedy_select, linucb_select, lints_select,
+                                   policy_step)
+
+
+def confidence_radius(state: GramState, config: PolicyConfig) -> np.ndarray:
+    """LinUCB bonus multipliers from the determinants of the ridge Gram
+    matrices, one per replication: the beta linucb_select takes by default."""
+    return _radius(_ridge(state, config.lambda_reg)[0], config)
 
 
 def contexts_of(*rows):
