@@ -28,9 +28,11 @@ seed, the second time only for the worst direction's standard error.  The
 set lists the directions in the order each chunk scores them: the signed
 axes e_1 .. e_d, -e_1 .. -e_d, then the sphere draws in draw order, so a
 direction's row in the second moments and the score maxima is its position
-in the set.  On d20-k20 gaussian the diversity and x_max estimators peak
-at 1.3-2.0 chunks under tracemalloc, the margin at 1.2 (its buffer and
-gaps; 1.4 when it drew the pool), the same at 4x n_mc (TestMemory).  Peak
+in the set.  x_max squares its chunk an eighth at a time.  On d20-k20
+gaussian the diversity estimator peaks at 1.3 chunks under tracemalloc,
+x_max at 1.1 (2.0 when it squared the whole chunk) and the margin at 1.2
+(its buffer and gaps; 1.4 when it drew the pool), and at 4x n_mc they
+grow only by their (n_mc,) gaps, norms or probe values (TestMemory).  Peak
 RSS on 2 vCPUs (AVX-512 Xeon, OpenBLAS 0.3.31), against one resident pool:
 perfbench preset-d20 99.1 -> 71.9 MB; a --diagnostics preset run (10 reps,
 T = 1000) 264.8 -> 89.9 MB on d100-k20 gaussian and 156.2 -> 81.3 MB on
@@ -245,8 +247,6 @@ class MarginEstimate:
 
     slope: float
     slope_se: float
-    intercept: float
-    intercept_se: float
     degenerate: bool
     probs: np.ndarray
 
@@ -284,33 +284,19 @@ def _score_gaps(spec: DistributionSpec, theta_star: np.ndarray, K: int,
 
 
 def _fit_margin(gaps: np.ndarray) -> MarginEstimate:
-    """The through-origin and affine fits of P[gap <= eps] on _EPS_GRID,
-    with batch-means standard errors over the gaps in draw order."""
+    """The through-origin least-squares slope of P[gap <= eps] on _EPS_GRID,
+    the margin condition's C_delta, with a batch-means standard error: the
+    slope refitted on each of _N_BATCHES batches of the gaps in draw order."""
     eps = _EPS_GRID
     indic = gaps[:, None] <= eps[None, :]          # (n, n_eps)
     probs = indic.mean(axis=0)
-    degenerate = bool(np.all(probs == 0.0))
-
     sxx = float(eps @ eps)
-    slope = float(eps @ probs) / sxx
-
-    # Affine fit for the intercept check.
-    A = np.vstack([eps, np.ones_like(eps)]).T
-    coef, *_ = np.linalg.lstsq(A, probs, rcond=None)
-    intercept = float(coef[1])
-
-    # Batch-means errors: refit per Monte-Carlo chunk.
-    n = gaps.shape[0]
-    m = n - n % _N_BATCHES
-    chunk_probs = indic[:m].reshape(_N_BATCHES, -1, eps.size).mean(axis=1)
-    chunk_slopes = chunk_probs @ eps / sxx
-    chunk_coefs = np.linalg.lstsq(A, chunk_probs.T, rcond=None)[0]
-    slope_se = float(chunk_slopes.std(ddof=1) / math.sqrt(_N_BATCHES))
-    intercept_se = float(chunk_coefs[1].std(ddof=1) / math.sqrt(_N_BATCHES))
-
-    return MarginEstimate(slope=slope, slope_se=slope_se, intercept=intercept,
-                          intercept_se=intercept_se, degenerate=degenerate,
-                          probs=probs)
+    m = gaps.shape[0] - gaps.shape[0] % _N_BATCHES
+    batch_probs = indic[:m].reshape(_N_BATCHES, -1, eps.size).mean(axis=1)
+    batch_slopes = batch_probs @ eps / sxx
+    return MarginEstimate(slope=float(eps @ probs) / sxx,
+                          slope_se=float(batch_slopes.std(ddof=1) / math.sqrt(_N_BATCHES)),
+                          degenerate=bool(np.all(probs == 0.0)), probs=probs)
 
 
 def estimate_margin_constant(spec: DistributionSpec, theta_star, d: int, K: int,
@@ -319,10 +305,10 @@ def estimate_margin_constant(spec: DistributionSpec, theta_star, d: int, K: int,
 
     The gap of a context set is the difference between the two largest
     values of x_i^T theta_star.  P[gap <= eps] is estimated on _EPS_GRID and a
-    line through the origin is fitted; its slope is the margin constant.  A
-    free (affine) fit provides the intercept, whose distance from zero is a
-    sanity check for continuous densities.  Standard errors come from batch
-    means over the n_mc gaps.  theta_star must be a finite (d,) vector.
+    line through the origin is fitted, as the margin condition
+    P[gap <= eps] <= C_delta eps bounds it; its slope is the margin constant,
+    its standard error from batch means over the n_mc gaps.  theta_star must
+    be a finite (d,) vector.
 
     An untruncated gaussian draws each set's K scores, not its K vectors
     (_score_gaps): n_mc K standard normals from rng.  Every other spec draws
@@ -536,7 +522,10 @@ def empirical_x_max(spec: DistributionSpec, d: int, K: int, n_mc: int,
     d = resolve_dim(spec, d)
 
     def max_norm(chunk):
-        return np.linalg.norm(chunk, axis=2).max(axis=1)
+        # linalg.norm's arithmetic on eighths of the chunk, so no chunk-sized
+        # square is made.
+        return np.concatenate([np.sqrt(np.add.reduce(sub * sub, axis=2)).max(axis=1)
+                               for sub in np.array_split(chunk, 8)])
 
     max_norms = np.concatenate(list(map(max_norm, _pool_chunks(spec, d, K, n_mc, rng))))
     return float(np.quantile(max_norms, 1.0 - 1e-4))
@@ -615,7 +604,6 @@ def format_report(report: DiagnosticsReport) -> str:
         "===========",
         f"lambda_star_hat   {div.value:.6f} (se {div.std_error:.2e})",
         f"c_delta_hat       {margin.slope:.6f} (se {margin.slope_se:.2e})",
-        f"margin_intercept  {margin.intercept:+.6f} (se {margin.intercept_se:.2e})",
     ]
     if conc is None:
         lines.append("c_star/p_star     undefined (unbounded support)")

@@ -89,9 +89,13 @@ class BanditInstance:
         self.K = int(self.K)
         if self.theta_star.shape != (self.d,):
             raise ValueError(f"theta_star must have shape ({self.d},)")
+        if not np.isfinite(self.theta_star).all():
+            raise ValueError("theta_star must be finite")
         norm = float(np.linalg.norm(self.theta_star))
         if norm > 1.0 + 1e-12:
             raise ValueError(f"theta_star norm {norm} exceeds 1")
+        if not np.isfinite(self.sigma):
+            raise ValueError("sigma must be finite")
         if self.sigma < 0:
             raise ValueError("sigma must be non-negative")
         if self.K < 1:

@@ -1,4 +1,6 @@
+import importlib.util
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,17 @@ def make_instance(spec, d, K, sigma, rng) -> BanditInstance:
     d = resolve_dim(spec, d)
     return BanditInstance(theta_star=sphere_vector(d, rng), sigma=float(sigma),
                           spec=spec, d=d, K=K)
+
+
+def load_perfbench(name):
+    """perfbench/<name>.py, loaded by path: the benchmark's scripts are no
+    package, and tests read their tables and functions without running
+    them."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def consistency_curve(trajectory) -> list[tuple[int, float]]:

@@ -37,6 +37,18 @@ class TestInstance:
         with pytest.raises(ValueError):
             small_instance(sigma=-0.5)
 
+    @pytest.mark.parametrize("field,value,match", [
+        ("theta_star", [np.nan, 0.0], r"^theta_star must be finite$"),
+        ("sigma", np.nan, r"^sigma must be finite$"),
+        ("sigma", np.inf, r"^sigma must be finite$"),
+    ], ids=["nan-theta", "nan-sigma", "inf-sigma"])
+    def test_non_finite_rejected(self, field, value, match):
+        # NaN passed the norm and sign checks, and the episode then failed
+        # at round 1 with "observation must be finite".
+        kwargs = {"theta_star": np.eye(2)[0], "sigma": 0.5, field: value}
+        with pytest.raises(ValueError, match=match):
+            BanditInstance(spec=gaussian_spec(), d=2, K=2, **kwargs)
+
     def test_shape_checks(self):
         with pytest.raises(ValueError):
             BanditInstance(theta_star=np.zeros(3), sigma=0.0,

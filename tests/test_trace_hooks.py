@@ -5,25 +5,15 @@ script by path and only read its tables, so a rename in the package fails
 here instead of in a traced benchmark run."""
 
 import importlib
-import importlib.util
 import inspect
-from pathlib import Path
 
 import pytest
 
 from greedybandit.policies import PolicyConfig
 
-EXPERIMENT = Path(__file__).resolve().parents[1] / "perfbench" / "experiment.py"
+from conftest import load_perfbench
 
-
-def load_experiment():
-    spec = importlib.util.spec_from_file_location("perfbench_experiment", EXPERIMENT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-experiment = load_experiment()
+experiment = load_perfbench("experiment")
 PER_POLICY = [(mod, attr) for mod, attr in experiment.TRACED
               if attr in experiment.PER_POLICY]
 
