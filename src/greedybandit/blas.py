@@ -1,5 +1,4 @@
-"""Pin every OpenBLAS in the process to one thread for a block of work, and
-call scipy's LAPACK eigensolver without holding the GIL.
+"""Pin every OpenBLAS in the process to one thread for a block of work.
 
 numpy and scipy each map their own OpenBLAS build, each with its own thread
 pool.  The episode loop makes small per-replication LAPACK calls whose
@@ -10,14 +9,16 @@ the other library's pool and against the other workers of a process pool.
 build's `64_` suffix), resolved once per process on first use.  Where the
 maps file or the symbols are missing it does nothing.
 
+A fork stops each pool (the library's fork handler), and the next change
+of its thread count starts it again with threads that spin for about
+0.1 s before they sleep.  `stop_pools` calls that handler, so a process
+that forked can stop the pools its restored counts started; each starts
+again on its next call that needs more than one thread.
+
 scipy's f2py LAPACK wrappers hold the GIL for the whole call, so two
-threads never overlap in them.  `min_eigenvalue_solver` calls the same
-routine, `scipy_dsyevr_` in scipy's LP64 build (not numpy's ILP64
-`scipy_dsyevr_64_`, a different OpenBLAS release), through ctypes, which
-releases the GIL, with the arguments scipy's wrapper passes.  It is resolved
-on first use, like the thread entry points, and checks itself once against
-`lapack.dsyevr` on a fixed matrix: if the symbol is missing or any bit of
-the check differs, there is no solver.
+threads of one process never overlap in them: work that should overlap the
+episode loop's LAPACK calls runs in another process, as the gram_min_eig
+record does (env.GramHelper).
 """
 
 from __future__ import annotations
@@ -28,9 +29,6 @@ import functools
 import os
 import threading
 
-import numpy as np
-from scipy.linalg import lapack
-
 MAPS = "/proc/self/maps"
 
 # The pin shared by every thread of the process: how many blocks are inside
@@ -40,8 +38,10 @@ _pin_depth = 0
 _pin_saved: list[int] = []
 
 
-def _openblas() -> list[ctypes.CDLL]:
-    """Every OpenBLAS mapped now, in the order of their paths."""
+@functools.cache
+def _libraries() -> list[tuple]:
+    """(get, set, config, stop) entry points of every OpenBLAS mapped now, in
+    the order of their paths; stop is None where the library has none."""
     try:
         with open(MAPS, encoding="utf-8") as fh:
             paths = {line.split()[-1] for line in fh}
@@ -50,17 +50,9 @@ def _openblas() -> list[ctypes.CDLL]:
     found = []
     for path in sorted(p for p in paths if "openblas" in os.path.basename(p).lower()):
         try:
-            found.append(ctypes.CDLL(path))
+            lib = ctypes.CDLL(path)
         except OSError:
             continue
-    return found
-
-
-@functools.cache
-def _libraries() -> list[tuple]:
-    """(get, set, config) entry points of every OpenBLAS mapped now."""
-    found = []
-    for lib in _openblas():
         for suffix in ("64_", ""):
             get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
             set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
@@ -69,20 +61,23 @@ def _libraries() -> list[tuple]:
                 get.restype, set_.restype = ctypes.c_int, None
                 set_.argtypes = [ctypes.c_int]
                 config.restype = ctypes.c_char_p
-                found.append((get, set_, config))
+                stop = getattr(lib, "blas_thread_shutdown_", None)
+                if stop is not None:
+                    stop.argtypes, stop.restype = [], ctypes.c_int
+                found.append((get, set_, config, stop))
                 break
     return found
 
 
 def thread_counts() -> list[int]:
     """Current thread count of each library the probe found."""
-    return [get() for get, _, _ in _libraries()]
+    return [get() for get, *_ in _libraries()]
 
 
 def configs() -> list[str]:
     """Build string of each library the probe found: version, build options
     and the CPU core whose kernels it runs."""
-    return [config().decode() for _, _, config in _libraries()]
+    return [config().decode() for _, _, config, _ in _libraries()]
 
 
 @contextlib.contextmanager
@@ -96,7 +91,7 @@ def one_thread():
     with _pin_lock:
         if _pin_depth == 0:
             _pin_saved = thread_counts()
-            for _, set_, _ in libs:
+            for _, set_, *_ in libs:
                 set_(1)
         _pin_depth += 1
     try:
@@ -105,70 +100,15 @@ def one_thread():
         with _pin_lock:
             _pin_depth -= 1
             if _pin_depth == 0:
-                for (_, set_, _), n in zip(libs, _pin_saved):
+                for (_, set_, *_), n in zip(libs, _pin_saved):
                     set_(n)
 
 
-@functools.cache
-def _dsyevr():
-    """scipy's `scipy_dsyevr_`, or None where it is missing or differs from
-    `lapack.dsyevr` on the check matrix."""
-    fn = next((lib.scipy_dsyevr_ for lib in _openblas()
-               if hasattr(lib, "scipy_dsyevr_")), None)
-    if fn is None:
-        return None
-    # JOBZ, RANGE, UPLO, 18 pointers from N to INFO, then the three hidden
-    # string lengths.
-    fn.argtypes = [ctypes.c_char_p] * 3 + [ctypes.c_void_p] * 18 + [ctypes.c_size_t] * 3
-    fn.restype = None
-    # A rank-deficient Gram matrix: its smallest eigenvalue is roundoff, so
-    # it shows any difference in the reduction.
-    x = np.random.default_rng(0).standard_normal((12, 16))
-    sigma = x.T @ x
-    w, _, _, _, info = lapack.dsyevr(sigma, compute_v=0, lower=1, range="I",
-                                     il=1, iu=1)
-    try:
-        got = _solver(fn, len(sigma))(np.asfortranarray(sigma))
-    except np.linalg.LinAlgError:
-        return None
-    return fn if info == 0 and w[:1].tobytes() == np.float64(got).tobytes() else None
-
-
-def _solver(fn, n: int):
-    # Every argument but A is fixed: scipy's defaults for a subset solve of
-    # the lowest eigenvalue without vectors (vl 0, vu 1, abstol 0, lwork 26n
-    # and liwork 10n; LDZ 1, and Z and ISUPPZ are not read).  lwork sets
-    # dsytrd's block size, so it must be scipy's for the same bits.
-    ints = np.array([n, 1, 1, 0, 1, 0, 26 * n, 10 * n, 0, 0], dtype=np.intc)
-    floats = np.array([0.0, 1.0, 0.0, 0.0])
-    w, work, iwork = np.empty(n), np.empty(26 * n), np.empty(10 * n, dtype=np.intc)
-    N, IL, IU, M, LDZ, INFO, LWORK, LIWORK, ISUPPZ = (
-        ints.ctypes.data + k * ints.itemsize for k in range(9))
-    VL, VU, ABSTOL, Z = (floats.ctypes.data + k * floats.itemsize for k in range(4))
-    args = [b"N", b"I", b"L", N, None, N, VL, VU, IL, IU, ABSTOL, M,
-            w.ctypes.data, Z, LDZ, ISUPPZ, work.ctypes.data, LWORK,
-            iwork.ctypes.data, LIWORK, INFO, 1, 1, 1]
-
-    def solve(a: np.ndarray) -> float:
-        if a.shape != (n, n) or a.dtype != np.float64 or not a.flags.f_contiguous:
-            raise ValueError(f"need a Fortran-ordered ({n}, {n}) float64 array")
-        args[4] = a.ctypes.data
-        fn(*args)
-        if ints[5] != 0:
-            raise np.linalg.LinAlgError(f"dsyevr failed (info {ints[5]})")
-        return float(w[0])
-
-    # The function holds every buffer it passes by address.
-    solve.buffers = (ints, floats, w, work, iwork)
-    return solve
-
-
-def min_eigenvalue_solver(n: int):
-    """A function of one Fortran-ordered (n, n) float64 array that returns
-    the array's smallest eigenvalue (lower triangle read), bit for bit as
-    `lapack.dsyevr(a, compute_v=0, lower=1, range="I", il=1, iu=1)` and
-    without holding the GIL; it overwrites the array and raises LinAlgError
-    where dsyevr reports a failure.  None where the binding is absent.  The
-    function owns its workspace, so one thread at a time may call it."""
-    fn = _dsyevr()
-    return None if fn is None else _solver(fn, int(n))
+def stop_pools() -> None:
+    """Stop each library's thread pool, as its fork handler
+    (`blas_thread_shutdown_`) does; the library starts it again at its next
+    call that needs more than one thread.  No other thread of the process
+    may be inside a library meanwhile."""
+    for *_, stop in _libraries():
+        if stop is not None:
+            stop()

@@ -398,7 +398,9 @@ def _sample_raw(spec: DistributionSpec, d: int, n: int, rngs) -> np.ndarray:
     if len(rngs) == 1:
         P = _draw(spec, d, n, rngs[0])[None]
     else:
-        P = np.stack([_draw(spec, d, n, rng) for rng in rngs])
+        P = np.empty((len(rngs), n, d + (spec.kind == "uniform_ball")))
+        for r, rng in enumerate(rngs):
+            P[r] = _draw(spec, d, n, rng)
     return _map(spec, d, P)
 
 

@@ -26,32 +26,19 @@ d = 100 with 4 reps ran 2-7x slower at --jobs 2 than at --jobs 1 without
 the pin).  The counts are process-global, so threads of one process running
 blocks at once share them.
 
-The gram_min_eig record feeds no decision of the loop, and at d = 100 it is
-about half of an episode's time.  In a block whose d is at least
-OFFLOAD_MIN_DIM it runs on a one-thread executor beside the loop: each round
-the loop copies the Gram stack into a batch of snapshots, and the worker
-solves each full batch with blas.min_eigenvalue_solver, scipy's dsyevr
-called through ctypes.  That call releases the GIL, which scipy's
-own wrapper holds, so the solves overlap the loop on a second core; it
-gives the bits of the inline record.  The worker is joined inside the
-block's one_thread pin.  Blocks below the floor record inline with
-estimator.min_eigenvalue, because there a GIL handoff per solve costs more
-than the solve; so does any block where blas finds no binding.
-run_experiment times on 2 cores
-(T = 1000, three policies, minimum of 3; inline -> offloaded) set the
-floor:
-
-    R = 1:   d = 20  0.204 -> 0.247 s    d = 32  0.262 -> 0.277 s
-             d = 40  0.316 -> 0.299 s    d = 48  0.364 -> 0.305 s
-             d = 64  0.509 -> 0.372 s    d = 100 0.999 -> 0.594 s
-    R = 10:  d = 20  0.950 -> 1.050 s    d = 32  1.539 -> 1.365 s
-             d = 48  2.583 -> 2.026 s
+The gram_min_eig record feeds no decision of the loop.  A block run with
+a GramHelper records it in that forked process beside the loop, with the
+call an inline record makes, so the bits are the same wherever it ran; a
+block run without one (a bare run_episode call, or a pool worker's block)
+records inline.
 """
 
 from __future__ import annotations
 
-import contextlib
-from concurrent.futures import ThreadPoolExecutor
+import gc
+import mmap
+import multiprocessing
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,16 +47,11 @@ from . import blas, estimator, policies
 from .contexts import DistributionSpec, resolve_dim, sample_context_set
 from .policies import PolicyConfig
 
-# A block whose d is at least this records gram_min_eig on a worker thread
-# (see the module docstring for the measured grid).
-OFFLOAD_MIN_DIM = 48
-# The loop hands the worker Sigma snapshots in batches of as many rounds as
-# fit in BATCH_BYTES (at least one round): six at d = 100 and R = 1, three at
-# R = 2.  Each handoff wakes the worker, which costs most where every core is
-# busy: at --jobs 2 (d = 100, 4 reps, 2 cores) batches of two rounds ran 3%
-# slower than the inline record, and batches of three as fast.  The loop
-# fills one batch while the worker solves the other, so the record holds
-# two batches, and each of their bytes adds to peak memory.
+# The loop hands the helper Sigma snapshots in batches of as many rounds as
+# fit in BATCH_BYTES (at least one round): six at d = 100 and R = 1, sixteen
+# at d = 20 and R = 10.  The loop fills one batch while the helper solves the
+# other, so the record holds two batches, and each of their bytes adds to
+# peak memory.
 BATCH_BYTES = 2**19
 
 
@@ -160,10 +142,13 @@ def sphere_vector(d: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def run_episode(instance: BanditInstance, config: PolicyConfig, T: int,
-                seeds: list[int]) -> list[Trajectory]:
+                seeds: list[int], *, helper: GramHelper | None = None
+                ) -> list[Trajectory]:
     """Simulate T rounds of one replication per seed, in lockstep.  Each
     Trajectory is a function of (inputs, its seed) alone: equal byte for
-    byte to the run of its seed in a block of one.
+    byte to the run of its seed in a block of one.  With a helper of the
+    instance's d, len(seeds) reps and at least T rounds, the gram_min_eig
+    record is solved in it; without one, inline.
     """
     T = int(T)
     if T < 1:
@@ -179,7 +164,7 @@ def run_episode(instance: BanditInstance, config: PolicyConfig, T: int,
     rows = np.arange(R)
     arms, best_arms = np.empty((2, T, R), dtype=np.intp)
     rewards, regrets, errors, eigs, norms = np.full((5, T, R), np.nan)
-    with blas.one_thread(), _gram_record(state, eigs) as record:
+    with blas.one_thread():
         for i in range(T):
             X = sample_context_set(instance.spec, d, K, rngs)
             arm = policies.policy_step(state, config, X, rngs)
@@ -192,63 +177,98 @@ def run_episode(instance: BanditInstance, config: PolicyConfig, T: int,
             # the rows not identified yet are NaN.
             errors[i] = np.sqrt(np.vecdot(diff, diff))
             arms[i], rewards[i] = arm, y
-            record(i)
+            if helper is None:
+                eigs[i] = estimator.min_eigenvalue(state.sigma)
+            else:
+                helper.record(i, state.sigma, T)
             # sqrt is monotone, so the root of the largest square is the max
             # norm.
             norms[i] = np.sqrt(np.vecdot(X, X).max(axis=-1))
+        if helper is not None:
+            helper.collect(eigs)
     # Each replication's columns become contiguous rows.
     columns = [np.ascontiguousarray(c.T)
                for c in (arms, best_arms, rewards, regrets, errors, eigs, norms)]
     return [Trajectory(*(c[r] for c in columns)) for r in range(R)]
 
 
-@contextlib.contextmanager
-def _gram_record(state: estimator.GramState, eigs: np.ndarray):
-    """Yield record(i), which fills eigs[i] (R,) with the smallest eigenvalue
-    of each of the state's Gram matrices as they are now.
+class GramHelper:
+    """A forked process that solves the gram_min_eig record of the blocks
+    of one experiment, each of dimension d, `reps` replications and at most
+    T rounds.
 
-    Below OFFLOAD_MIN_DIM, or where blas has no GIL-free solver, record
-    solves inline.  Otherwise it copies the stack into a batch of snapshots
-    and, when the batch is full or at the last round, submits it to a
-    one-thread executor and waits for the previous batch, whose buffer it
-    fills next; the worker writes each batch's rows of eigs.  A worker
-    error is raised in the loop at the next handoff, or at the end; an
-    error in the loop propagates once the worker has finished its batches.
+    It shares two batches of Sigma snapshots, each of as many rounds as fit
+    in BATCH_BYTES (at least one), and the (T, reps) eigs column with the
+    parent, in one anonymous mmap.  For each request on `conn` (a batch,
+    its first round and its round count) it solves the batch, writes those
+    rows of eigs and answers None, or the exception a solve raised.  It
+    exits once the parent's close() closes the pipe, and close() then reaps
+    it.  Fork it while the process has a single thread, so that it inherits
+    no lock another thread holds, and inside blas.one_thread (see harness).
     """
-    d = state.dim
-    solve = blas.min_eigenvalue_solver(d) if d >= OFFLOAD_MIN_DIM else None
-    if solve is None:
-        def record(i):
-            eigs[i] = estimator.min_eigenvalue(state)
 
-        yield record
-        return
+    def __init__(self, d: int, reps: int, T: int):
+        rounds = max(1, BATCH_BYTES // (reps * d * d * 8))
+        size = 2 * rounds * reps * d * d
+        shared = np.frombuffer(mmap.mmap(-1, (size + T * reps) * 8))
+        self.batches = shared[:size].reshape(2, rounds, reps, d, d)
+        self.eigs = shared[size:].reshape(T, reps)
+        self.conn, child = multiprocessing.Pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            # The helper never returns into the caller's code: it leaves the
+            # loop by the EOFError of a closed pipe, or by any other error.
+            try:
+                self._serve(child)
+            finally:
+                os._exit(0)
+        child.close()
 
-    rounds = max(1, BATCH_BYTES // state.sigma.nbytes)
-    batches = np.empty((2, rounds) + state.sigma.shape)
-    last, pending = len(eigs) - 1, None
+    def _serve(self, conn) -> None:
+        # Closing the parent's end lets the parent's close() end the loop.
+        # The parent's garbage belongs to the parent: collecting it here
+        # would run its finalizers twice.
+        self.conn.close()
+        gc.disable()
+        with blas.one_thread():
+            while True:
+                slot, first, n = conn.recv()
+                try:
+                    for i, sigma in enumerate(self.batches[slot, :n], first):
+                        self.eigs[i] = estimator.min_eigenvalue(sigma)
+                    conn.send(None)
+                except Exception as exc:
+                    conn.send(exc)
 
-    def work(batch, first):
-        for i, stack in enumerate(batch, first):
-            for r, sigma in enumerate(stack):
-                # update keeps Sigma exactly symmetric, so the transposed
-                # view is Sigma in Fortran order.
-                eigs[i, r] = solve(sigma.T)
+    def record(self, i: int, sigma: np.ndarray, T: int) -> None:
+        """Copy round i's (reps, d, d) Gram stack into its batch.  When the
+        batch is full, or i is the last of T rounds, send it and wait for
+        the previous batch, whose buffer the next rounds fill."""
+        rounds = self.batches.shape[1]
+        n, slot = i % rounds, i // rounds % 2
+        self.batches[slot, n] = sigma
+        if n == rounds - 1 or i == T - 1:
+            # Sending before waiting lets the helper go from the previous
+            # batch straight to this one.
+            self.conn.send((slot, i - n, n + 1))
+            if i >= rounds:
+                self.wait()
 
-    def record(i):
-        nonlocal pending
-        n = i % rounds
-        batch = batches[i // rounds % 2]
-        batch[n] = state.sigma
-        if n == rounds - 1 or i == last:
-            # Submitting before waiting lets the worker go from the previous
-            # batch straight to this one (waiting first ran d100-k20 about
-            # 6% slower on 2 cores).
-            previous, pending = pending, worker.submit(work, batch[:n + 1], i - n)
-            if previous is not None:
-                previous.result()
+    def collect(self, eigs: np.ndarray) -> None:
+        """Wait for a block's last batch and copy its rows of the record
+        into eigs (T, reps)."""
+        self.wait()
+        eigs[:] = self.eigs[:len(eigs)]
 
-    with ThreadPoolExecutor(1, thread_name_prefix="gram-min-eig") as worker:
-        yield record
-        if pending is not None:
-            pending.result()
+    def wait(self) -> None:
+        """Wait for the answer to the oldest batch sent; raise its error."""
+        try:
+            reply = self.conn.recv()
+        except EOFError:
+            raise RuntimeError("the gram_min_eig helper exited") from None
+        if reply is not None:
+            raise reply
+
+    def close(self) -> None:
+        self.conn.close()
+        os.waitpid(self.pid, 0)

@@ -20,10 +20,8 @@ record's.  Eigenvalues come from dsyevr: the identification gate reads all
 of them, and update runs it only once t >= d, because a sum of
 t < d rank-one terms is singular; the per-round minimal-eigenvalue record
 asks for the smallest alone, which skips the full tridiagonal QR sweep.
-min_eigenvalue is that record for blocks below env.OFFLOAD_MIN_DIM; wider
-blocks solve it on a worker thread through blas.min_eigenvalue_solver, the
-same dsyevr with the same arguments called without the GIL, to the same
-bits.
+min_eigenvalue is that record, whether a block solves it inline or in the
+forked helper of env.GramHelper.
 Like any backward-stable solver dsyevr is within p(d) * eps * |Sigma|_2 of
 the exact eigenvalues (Weyl).  numpy links its own BLAS with its own thread
 pool, and alternating the two libraries every round makes their pools
@@ -191,7 +189,7 @@ def incremental_estimate(state: GramState) -> np.ndarray:
     return theta
 
 
-def min_eigenvalue(state: GramState) -> np.ndarray:
-    """Smallest eigenvalue of each Sigma, from one subset eigensolve each."""
-    return np.array([_eigenvalues(sigma, range="I", il=1, iu=1)[0]
-                     for sigma in state.sigma])
+def min_eigenvalue(sigma: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of each matrix of a symmetric (R, d, d) stack,
+    such as a state's sigma, from one subset eigensolve each."""
+    return np.array([_eigenvalues(s, range="I", il=1, iu=1)[0] for s in sigma])

@@ -10,11 +10,14 @@ block runs at one OpenBLAS thread in the process that runs it (see env), so
 a pool of N workers uses N cores instead of oversubscribing them, and the
 caller's thread counts are back once the block returns.  With diagnostics,
 the Monte-Carlo estimators, which need no trajectory, run on one extra
-thread, also at one OpenBLAS thread, while the blocks run.
+thread, also at one OpenBLAS thread, while the blocks run.  Without a
+pool, the blocks' gram_min_eig record runs in one forked helper process
+(env.GramHelper), reaped when the experiment returns or raises.
 Outputs are a raw per-round CSV, an aggregate CSV (mean and sample std of
 cumulative regret per policy), an optional SVG regret plot, and an optional
 diagnostics text sidecar, each written to a temporary file; the
-temporaries replace their targets only once every one is complete.
+temporaries replace their targets only once every one is complete, and a
+failed move puts back the targets already replaced.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import csv
 import html
 import math
 import os
+import threading
 from dataclasses import dataclass, replace
 from itertools import repeat
 
@@ -38,7 +42,8 @@ from .contexts import (DistributionSpec, box, cauchy_spec, gaussian_spec,
                        laplace_spec, exponential_spec, resolve_dim,
                        spec_from_config, spec_to_config, student_t_spec,
                        uniform_ball_spec)
-from .env import BanditInstance, Trajectory, run_episode, sphere_vector
+from .env import (BanditInstance, GramHelper, Trajectory, run_episode,
+                  sphere_vector)
 from .policies import POLICY_KINDS, PolicyConfig
 
 RAW_COLUMNS = ("policy", "rep", "t", "inst_regret", "cum_regret",
@@ -203,8 +208,22 @@ def run_experiment(config: ExperimentConfig) -> ResultsTable:
             results = ((*futures[fut], fut.result())
                        for fut in concurrent.futures.as_completed(futures))
         else:
+            # The gram_min_eig helper is forked before the estimator thread
+            # exists, for the same reason, or not at all under a caller with
+            # threads of its own.  A fork stops each OpenBLAS thread pool,
+            # and the next count change restarts it with threads that spin
+            # for about 0.1 s (a d20-k100 greedy block took 0.19 s, not
+            # 0.10 s): the pin, held from before the fork, changes none,
+            # and the pools that its release restarts are stopped again.
+            helper = None
+            if hasattr(os, "fork") and threading.active_count() == 1:
+                stack.callback(blas.stop_pools)
+                stack.enter_context(blas.one_thread())
+                helper = stack.enter_context(contextlib.closing(
+                    GramHelper(config.d, config.reps, config.T)))
             # Lazy: the blocks run in the loop below, beside the estimators.
-            results = ((pol.name, reps, run_episode(instance, pol, config.T, seeds))
+            results = ((pol.name, reps,
+                        run_episode(instance, pol, config.T, seeds, helper=helper))
                        for pol, reps, seeds in blocks)
         if config.diagnostics:
             worker = stack.enter_context(
@@ -242,9 +261,10 @@ _staged = contextvars.ContextVar("staged", default=None)
 def replacing(*targets):
     """Yield a temporary `<target>.tmp` path beside each target.  When the
     outermost replacing block completes, each temporary of it and of every
-    block nested in it replaces its target (os.replace); if it raises, all
-    those targets keep their previous contents.  No temporary file is left
-    behind either way."""
+    block nested in it replaces its target (os.replace); if it raises, or a
+    move fails, all those targets keep their previous contents, and a target
+    that did not exist before does not exist after.  No temporary or backup
+    file is left behind either way."""
     pairs = [(os.fspath(t) + ".tmp", os.fspath(t)) for t in targets]
     tmps = [tmp for tmp, _ in pairs]
     staged = _staged.get()
@@ -253,15 +273,32 @@ def replacing(*targets):
         yield tmps
         return
     token = _staged.set(pairs)
+    # The targets moved so far, and the backup of each that was a file.
+    moved, backups = [], {}
     try:
         yield tmps
         for tmp, target in pairs:
+            if os.path.isfile(target):
+                # A hard link keeps the previous file under a second name
+                # until every move has succeeded.
+                backups[target] = target + ".old"
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(backups[target])
+                os.link(target, backups[target], follow_symlinks=False)
             os.replace(tmp, target)
+            moved.append(target)
+    except BaseException:
+        for target in reversed(moved):
+            if target in backups:
+                os.replace(backups[target], target)
+            else:
+                os.remove(target)
+        raise
     finally:
         _staged.reset(token)
-        for tmp, _ in pairs:
+        for path in [tmp for tmp, _ in pairs] + list(backups.values()):
             with contextlib.suppress(FileNotFoundError):
-                os.remove(tmp)
+                os.remove(path)
 
 
 def _write_file(path, write) -> None:
@@ -293,9 +330,8 @@ def write_csv(table: ResultsTable, path, aggregate_path=None) -> str:
     Floats are written with repr so a parse-back reproduces the exact
     values; missing estimates are empty cells.  Both files are written to
     temporaries and moved into place, the raw CSV first, only after both are
-    complete: a failed write leaves both targets as they were.  A failed
-    move of the aggregate leaves the new raw CSV beside the previous
-    aggregate.  No temporary file is left either way.
+    complete: a failed write or move leaves both targets as they were.  No
+    temporary file is left either way.
     """
     path = os.fspath(path)
     if aggregate_path is None:
@@ -413,9 +449,9 @@ def render_svg(table: ResultsTable, path) -> None:
 def write_outputs(table: ResultsTable) -> dict[str, str]:
     """Write raw/aggregate CSVs and optional SVG and diagnostics sidecar.
     Every file is written to its temporary first, and the targets are
-    replaced only once all are complete: a failed write leaves the directory
-    as it was.  A plot or sidecar that this run does not write is removed
-    afterwards: an earlier run's would describe another experiment."""
+    replaced only once all are complete: a failed write or move leaves the
+    directory as it was.  A plot or sidecar that this run does not write is
+    removed afterwards: an earlier run's would describe another experiment."""
     cfg = table.config
     os.makedirs(cfg.output_dir, exist_ok=True)
     raw_path, agg_path, svg_path, diag_path = (

@@ -1,9 +1,11 @@
 import importlib.util
+import os
 import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from greedybandit import blas
 from greedybandit.contexts import resolve_dim
@@ -37,39 +39,47 @@ def consistency_curve(trajectory) -> list[tuple[int, float]]:
     return list(zip(trajectory.t[known].tolist(), scaled[known].tolist()))
 
 
-def solver_or_skip(d):
-    """blas.min_eigenvalue_solver(d), or skip the test where it is absent."""
-    solve = blas.min_eigenvalue_solver(d)
-    if solve is None:
-        pytest.skip("no scipy_dsyevr_ that matches scipy's dsyevr mapped")
-    return solve
+def recorded_forks(monkeypatch):
+    """Patch os.fork to append (child pid, Python threads at the fork) of
+    every fork to the returned list."""
+    fork, forks = os.fork, []
+
+    def recording():
+        threads = threading.active_count()
+        pid = fork()
+        if pid:
+            forks.append((pid, threads))
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording)
+    return forks
 
 
-def counting_solvers(monkeypatch, before=None):
-    """Patch blas.min_eigenvalue_solver so that every solve appends one
-    entry to the returned list, after calling before(count) if given."""
-    make, calls = blas.min_eigenvalue_solver, []
+def logged_subset_solves(monkeypatch, path, line=lambda: ""):
+    """Patch lapack.dsyevr so that every subset solve (range "I") appends
+    `<pid> <line()>` to path: a child forked afterwards logs its own pid."""
+    dsyevr = lapack.dsyevr
 
-    def counting(n):
-        solve = make(n)
+    def logged(*args, **kwargs):
+        if kwargs["range"] == "I":
+            with open(path, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()} {line()}\n")
+        return dsyevr(*args, **kwargs)
 
-        def counted(a):
-            if before is not None:
-                before(len(calls))
-            calls.append(n)
-            return solve(a)
+    monkeypatch.setattr(lapack, "dsyevr", logged)
 
-        return None if solve is None else counted
 
-    monkeypatch.setattr(blas, "min_eigenvalue_solver", counting)
-    return calls
+def assert_reaped(pid):
+    """The child pid has exited and been waited for."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pid, os.WNOHANG)
 
 
 @pytest.fixture(autouse=True)
 def no_thread_left():
     """Fail any test that leaves a thread running that it started: the
-    episodes' gram_min_eig worker and the diagnostics' estimator thread
-    must each end with the work that started them."""
+    diagnostics' estimator thread must end with the experiment that
+    started it."""
     before = set(threading.enumerate())
     yield
     left = [t.name for t in threading.enumerate() if t not in before]
@@ -84,10 +94,10 @@ def libs():
     if not found:
         pytest.skip("no OpenBLAS with scipy_openblas thread entry points mapped")
     saved = blas.thread_counts()
-    for _, set_, _ in found:
+    for _, set_, *_ in found:
         set_(2)
     yield found
-    for (_, set_, _), n in zip(found, saved):
+    for (_, set_, *_), n in zip(found, saved):
         set_(n)
 
 

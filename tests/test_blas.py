@@ -4,15 +4,14 @@ import threading
 
 import numpy as np
 import pytest
-from scipy.linalg import lapack
 
-from greedybandit import blas, env, policies
+from greedybandit import blas, policies
 from greedybandit.contexts import gaussian_spec
 from greedybandit.env import BanditInstance, run_episode
 from greedybandit.harness import ExperimentConfig, default_policies, run_experiment
 from greedybandit.policies import PolicyConfig
 
-from conftest import counting_solvers, solver_or_skip
+from conftest import logged_subset_solves, recorded_forks
 
 
 def tiny_config(tmp_path, **kw):
@@ -114,7 +113,7 @@ def test_unreadable_maps_pins_nothing(libs, tmp_path, monkeypatch):
             assert blas._libraries() == []
             # Read the real libraries' getters: the block keeps the caller's
             # counts.
-            record_counts(patch, lambda: [get() for get, _, _ in libs], seen.append)
+            record_counts(patch, lambda: [get() for get, *_ in libs], seen.append)
             rows = list(run_experiment(tiny_config(tmp_path)).raw_rows())
         finally:
             blas._libraries.cache_clear()
@@ -122,47 +121,29 @@ def test_unreadable_maps_pins_nothing(libs, tmp_path, monkeypatch):
     assert rows == expected
 
 
-def test_binding_resolves_where_scipy_dsyevr_is_mapped():
-    # Absent only where no mapped OpenBLAS exports it: a binding that fails
-    # its self-check here would send every wide block back inline.
-    if not any(hasattr(lib, "scipy_dsyevr_") for lib in blas._openblas()):
-        pytest.skip("no OpenBLAS exporting scipy_dsyevr_ mapped")
-    assert blas.min_eigenvalue_solver(5) is not None
-
-
-@pytest.mark.parametrize("d", [1, 2, 5, env.OFFLOAD_MIN_DIM - 1,
-                               env.OFFLOAD_MIN_DIM, 64, 100])
-def test_min_eigenvalue_solver_matches_scipy(d):
-    # Random Gram matrices of full rank, rank d - 1 and rank d // 2, and the
-    # zero matrix: the bits of scipy's wrapper in every case.
-    solve = solver_or_skip(d)
-    rng = np.random.default_rng(d)
-    for rows in (2 * d, 2 * d, d + 1, d, d - 1, d // 2, 0):
-        x = rng.standard_normal((rows, d))
-        sigma = x.T @ x
-        w, _, m, _, info = lapack.dsyevr(sigma, compute_v=0, lower=1, range="I",
-                                         il=1, iu=1)
-        assert (m, info) == (1, 0)
-        got = solve(np.asfortranarray(sigma))
-        assert np.float64(got).tobytes() == w[0].tobytes(), rows
-
-
-def test_min_eigenvalue_solver_checks_its_argument():
-    solve = solver_or_skip(5)
-    for bad in (np.eye(5), np.eye(4, order="F"), np.eye(5, dtype=np.float32, order="F")):
-        with pytest.raises(ValueError):
-            solve(bad)
-
-
-def test_record_worker_runs_at_one_thread(libs, monkeypatch):
-    # The worker solves inside the block's pin and is joined before the
-    # block gives the counts back.
-    d = env.OFFLOAD_MIN_DIM
-    solver_or_skip(d)
-    seen = []
-    counting_solvers(monkeypatch, before=lambda _: seen.append(blas.thread_counts()))
-    inst = BanditInstance(theta_star=np.eye(d)[0], sigma=0.5,
-                          spec=gaussian_spec(), d=d, K=4)
-    run_episode(inst, PolicyConfig("linucb"), 20, [1, 2])
-    assert seen == [[1] * len(libs)] * 40
+def test_helper_runs_at_one_thread(libs, tmp_path, monkeypatch):
+    # The gram_min_eig helper is forked while the process has one Python
+    # thread, before the diagnostics' estimator thread starts, and makes
+    # every record solve at one OpenBLAS thread; the parent's counts are
+    # back once the experiment returns.
+    log = tmp_path / "counts.log"
+    logged_subset_solves(monkeypatch, log, blas.thread_counts)
+    forks = recorded_forks(monkeypatch)
+    run_experiment(tiny_config(tmp_path, diagnostics=True))
+    (pid, threads), = forks
+    assert threads == 1
+    assert log.read_text().splitlines() == [f"{pid} {[1] * len(libs)}"] * (3 * 2 * 15)
     assert blas.thread_counts() == [2] * len(libs)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
+def test_no_pool_restarted_after_the_helper(libs, tmp_path):
+    # The fork stops each OpenBLAS thread pool, and the release of the pin
+    # starts it again with threads that spin for about 0.1 s: run_experiment
+    # stops them once more.  The process is left with its Python threads
+    # alone and the caller's counts, and a pool starts again on demand.
+    run_experiment(tiny_config(tmp_path, diagnostics=True))
+    assert len(os.listdir("/proc/self/task")) == threading.active_count()
+    assert blas.thread_counts() == [2] * len(libs)
+    a = np.random.default_rng(0).standard_normal((300, 300))
+    np.testing.assert_allclose(a @ np.eye(300), a)

@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,10 +14,12 @@ from greedybandit import blas, env, estimator, policies
 from greedybandit.contexts import gaussian_spec, uniform_ball_spec
 from greedybandit.env import (BanditInstance, Trajectory, instantaneous_regret,
                               reward, run_episode, sphere_vector)
-from greedybandit.harness import preset_spec
+from greedybandit.harness import (ExperimentConfig, _episode_seeds,
+                                  default_policies, preset_spec, run_experiment)
 from greedybandit.policies import PolicyConfig
 
-from conftest import counting_solvers, make_instance, solver_or_skip
+from conftest import (assert_reaped, logged_subset_solves, make_instance,
+                      recorded_forks)
 
 
 def small_instance(d=2, K=3, sigma=0.5, theta=None):
@@ -334,42 +335,8 @@ def test_lapack_calls_per_round(kind, calls, monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["greedy", "linucb", "lints"])
-def test_one_eigensolve_per_round_offloaded(kind, monkeypatch):
-    # Above the dimension floor the record runs on the worker: R T binding
-    # calls and no subset dsyevr through scipy.  The identification gates
-    # stay in the loop, one per round from d up to identification.
-    d = env.OFFLOAD_MIN_DIM
-    solver_or_skip(d)
-    T = d + 12
-    inst = small_instance(d=d, K=4)
-    cfg = PolicyConfig(kind, theta0=np.ones(d) if kind == "greedy" else None)
-    driver, update = lapack.dsyevr, estimator.update
-    for seeds in ([11], [11, 12, 13]):
-        rounds, gates = [0], {"A": [], "I": []}
-
-        def counted(*args, **kwargs):
-            gates[kwargs["range"]].append(rounds[0])
-            return driver(*args, **kwargs)
-
-        def counted_update(state, x, y):
-            rounds[0] = state.t + 1
-            return update(state, x, y)
-
-        solves = counting_solvers(monkeypatch)
-        monkeypatch.setattr(lapack, "dsyevr", counted)
-        monkeypatch.setattr(estimator, "update", counted_update)
-        trajs = run_episode(inst, cfg, T, seeds)
-        monkeypatch.undo()
-        since = [int(np.argmax(~np.isnan(tr.est_error_l2))) + 1 for tr in trajs]
-        assert all(not np.isnan(tr.est_error_l2[-1]) for tr in trajs)
-        assert solves == [d] * (T * len(seeds))
-        assert gates["I"] == []
-        assert gates["A"] == sorted(t for s in since for t in range(d, s + 1))
-
-
-@pytest.mark.parametrize("kind", ["greedy", "linucb", "lints"])
 @pytest.mark.parametrize("dist", ["gaussian", "trunc-cauchy", "uniform-ball"])
-@pytest.mark.parametrize("d", [1, 5, 20, env.OFFLOAD_MIN_DIM + 16])
+@pytest.mark.parametrize("d", [1, 5, 20, 64])
 def test_block_matches_single_runs(kind, dist, d):
     # A lockstep block of R replications gives each replication the bytes of
     # its run alone: every batched score, regret, norm and update row must
@@ -378,8 +345,7 @@ def test_block_matches_single_runs(kind, dist, d):
     # (R K, d) @ theta product rounds some rows differently from the
     # per-replication (K, d) products.  The specs cover the correlated
     # gaussian, a box-truncated Cauchy drawn by inverse CDF and the uniform
-    # ball.  The block above the record's dimension floor runs past round d,
-    # so its rows are identified.
+    # ball.  The widest block runs past round d, so its rows are identified.
     spec = preset_spec(dist, d)
     T = max(40, d + 20)
     rng = np.random.default_rng(d)
@@ -462,56 +428,110 @@ def test_block_round_looks_up_traced_names(monkeypatch):
     assert all(isinstance(c, PolicyConfig) for c in step_configs)
 
 
-def run_bounded(fn, timeout=120):
-    """fn() on a daemon thread, joined with a timeout: (result, exception).
-    Fails if fn has not returned by then, so that a hang fails the test
-    instead of stopping the suite."""
-    out = {}
-
-    def target():
-        try:
-            out["result"] = fn()
-        except Exception as exc:
-            out["error"] = exc
-
-    thread = threading.Thread(target=target, daemon=True)
-    thread.start()
-    thread.join(timeout)
-    assert not thread.is_alive(), f"still running after {timeout} s"
-    return out.get("result"), out.get("error")
+# ---------------------------------------------------------------------------
+# The gram_min_eig record in the forked helper
 
 
-def wide_block(T=60, seeds=(1, 2)):
-    d = env.OFFLOAD_MIN_DIM
-    rng = np.random.default_rng(4)
-    inst = make_instance(gaussian_spec(), d, 5, 0.5, rng)
-    return lambda: run_episode(inst, PolicyConfig("lints"), T, list(seeds))
+def helper_config(tmp_path, d, reps, T=None):
+    """Three policies at K = 5, past identification unless T says otherwise."""
+    return ExperimentConfig(d=d, K=5, T=T or d + 20, reps=reps, seed=3,
+                            spec=gaussian_spec(rho=0.3),
+                            policies=default_policies(0.5),
+                            output_dir=str(tmp_path / "out"), emit_svg=False)
 
 
-def trajectory_bytes(trajs):
-    return [[getattr(tr, f.name).tobytes() for f in dataclasses.fields(tr)]
-            for tr in trajs]
+def inline_runs(config, table):
+    """Every (policy, rep) trajectory of the experiment from bare
+    run_episode calls of the same blocks, which record inline."""
+    _, _, seeds = _episode_seeds(config)
+    inst = BanditInstance(theta_star=table.theta_star, sigma=config.sigma,
+                          spec=config.spec, d=config.d, K=config.K)
+    runs = {}
+    for p, pol in enumerate(config.policies):
+        if pol.kind == "greedy":
+            pol = dataclasses.replace(pol, theta0=table.theta0)
+        block = seeds[p * config.reps:(p + 1) * config.reps]
+        runs.update(((pol.name, rep), traj) for rep, traj in
+                    enumerate(run_episode(inst, pol, config.T, block)))
+    return runs
 
 
-def test_worker_error_surfaces_as_linalg_error(monkeypatch):
-    solver_or_skip(env.OFFLOAD_MIN_DIM)
-
-    def fail(count):
-        if count == 17:
-            raise np.linalg.LinAlgError("dsyevr failed (info 3)")
-
-    counting_solvers(monkeypatch, before=fail)
-    threads = threading.active_count()
-    _, error = run_bounded(wide_block())
-    assert isinstance(error, np.linalg.LinAlgError)
-    assert str(error) == "dsyevr failed (info 3)"
-    assert threading.active_count() == threads
+def trajectory_bytes(trajectories):
+    return {key: [getattr(tr, f.name).tobytes() for f in dataclasses.fields(tr)]
+            for key, tr in trajectories.items()}
 
 
-def test_loop_error_stops_the_worker(monkeypatch):
+def check_helper_run(config, monkeypatch):
+    """Run the experiment with its record in one helper, which is reaped
+    afterwards, and check every trajectory against the inline record."""
+    forks = recorded_forks(monkeypatch)
+    table = run_experiment(config)
+    (pid, _), = forks
+    assert_reaped(pid)
+    assert trajectory_bytes(table.trajectories) == \
+        trajectory_bytes(inline_runs(config, table))
+
+
+@pytest.mark.parametrize("reps", [1, 3])
+@pytest.mark.parametrize("d", [1, 5, 20, 64, 100])
+def test_helper_record_matches_inline_runs(d, reps, tmp_path, monkeypatch):
+    check_helper_run(helper_config(tmp_path, d, reps), monkeypatch)
+
+
+# Rounds per snapshot batch of a d = 20 block of three replications.
+BATCH_20 = env.BATCH_BYTES // (3 * 20 * 20 * 8)
+
+
+@pytest.mark.parametrize("T", [1, BATCH_20 - 1, BATCH_20, BATCH_20 + 1,
+                               2 * BATCH_20 + 1])
+def test_helper_record_across_batch_boundaries(T, tmp_path, monkeypatch):
+    # The horizons end inside the first batch, on its last round, one round
+    # into the second, and one round into the first batch's second use.
+    check_helper_run(helper_config(tmp_path, 20, 3, T), monkeypatch)
+
+
+def test_helper_makes_every_subset_solve(tmp_path, monkeypatch):
+    # R T record solves per policy, all in the helper and none in the
+    # parent, whose identification gates (range "A") stay in the loop.
+    # Every round runs inside the experiment's one-thread pin, entered
+    # before the fork, so no block changes a thread count while the helper
+    # lives.
+    log, depths, step = tmp_path / "solves.log", [], policies.policy_step
+
+    def recording(*args, **kwargs):
+        depths.append(blas._pin_depth)
+        return step(*args, **kwargs)
+
+    logged_subset_solves(monkeypatch, log)
+    monkeypatch.setattr(policies, "policy_step", recording)
+    forks = recorded_forks(monkeypatch)
+    run_experiment(helper_config(tmp_path, 5, 3, T=40))
+    (pid, _), = forks
+    assert log.read_text().split() == [str(pid)] * (3 * 3 * 40)
+    assert depths == [2] * (3 * 40)
+
+
+def test_helper_error_surfaces_as_linalg_error(tmp_path, monkeypatch):
+    parent, dsyevr, solves = os.getpid(), lapack.dsyevr, []
+
+    def failing(*args, **kwargs):
+        w, z, m, isuppz, info = dsyevr(*args, **kwargs)
+        if kwargs["range"] == "I" and os.getpid() != parent:
+            solves.append(1)
+            info = 3 if len(solves) == 17 else info
+        return w, z, m, isuppz, info
+
+    monkeypatch.setattr(lapack, "dsyevr", failing)
+    forks = recorded_forks(monkeypatch)
+    with pytest.raises(np.linalg.LinAlgError, match=r"^dsyevr failed \(info 3\)$"):
+        run_experiment(helper_config(tmp_path, 20, 2, T=60))
+    (pid, _), = forks
+    assert_reaped(pid)
+
+
+def test_loop_error_stops_the_helper(tmp_path, monkeypatch):
     # Non-finite contexts from round 30 on: the update rejects them, and the
-    # worker stops and is joined before the error leaves run_episode.
-    solver_or_skip(env.OFFLOAD_MIN_DIM)
+    # helper is stopped and reaped before the error leaves run_experiment.
     sample, calls = env.sample_context_set, []
 
     def poisoned(*args):
@@ -520,93 +540,38 @@ def test_loop_error_stops_the_worker(monkeypatch):
         return X * np.nan if len(calls) >= 30 else X
 
     monkeypatch.setattr(env, "sample_context_set", poisoned)
-    threads = threading.active_count()
-    _, error = run_bounded(wide_block())
-    assert isinstance(error, ValueError) and "finite" in str(error)
-    assert threading.active_count() == threads
+    forks = recorded_forks(monkeypatch)
+    with pytest.raises(ValueError, match="finite"):
+        run_experiment(helper_config(tmp_path, 20, 2, T=60))
+    (pid, _), = forks
+    assert_reaped(pid)
 
 
-# Rounds per snapshot batch of wide_block's two replications.
-WIDE_BATCH = env.BATCH_BYTES // (2 * env.OFFLOAD_MIN_DIM**2 * 8)
-
-
-@pytest.mark.parametrize("T", [1, WIDE_BATCH - 1, WIDE_BATCH, WIDE_BATCH + 1])
-@pytest.mark.parametrize("absent", ["maps", "self-check"])
-def test_episodes_run_inline_without_the_binding(absent, T, tmp_path, monkeypatch):
-    # With no binding, or one whose self-check differs from scipy by a bit,
-    # the block records inline: one scipy subset dsyevr per round and
-    # replication, the same bytes, and no worker thread.  The horizons end
-    # inside the first batch, on its last round, and one round into the
-    # second.
-    solver_or_skip(env.OFFLOAD_MIN_DIM)
-    seeds = (1, 2)
-    offloaded = trajectory_bytes(wide_block(T, seeds)())
-    blas._dsyevr.cache_clear()
+@pytest.mark.parametrize("d, reps, T", [(100, 1, 1000), (20, 10, 1000),
+                                        (100, 10, 30)])
+def test_helper_buffers_hold_two_batches(d, reps, T):
+    # Two batches of as many rounds as fit in BATCH_BYTES, at least one, and
+    # the eigs column: all the memory the helper shares with the loop.
+    helper = env.GramHelper(d, reps, T)
     try:
-        with monkeypatch.context() as patch:
-            if absent == "maps":
-                patch.setattr(blas, "MAPS", str(tmp_path / "absent"))
-            else:
-                exact = lapack.dsyevr
-
-                def off_by_one_ulp(*args, **kwargs):
-                    w, *rest = exact(*args, **kwargs)
-                    return (np.nextafter(w, np.inf), *rest)
-
-                patch.setattr(lapack, "dsyevr", off_by_one_ulp)
-            assert blas.min_eigenvalue_solver(env.OFFLOAD_MIN_DIM) is None
-        driver, subset = lapack.dsyevr, []
-
-        def counted(*args, **kwargs):
-            if kwargs["range"] == "I":
-                subset.append(threading.active_count())
-            return driver(*args, **kwargs)
-
-        monkeypatch.setattr(lapack, "dsyevr", counted)
-        threads = threading.active_count()
-        inline = trajectory_bytes(wide_block(T, seeds)())
+        stack = reps * d * d * 8
+        rounds = max(1, env.BATCH_BYTES // stack)
+        assert helper.batches.shape == (2, rounds, reps, d, d)
+        assert helper.batches.nbytes == 2 * rounds * stack \
+            <= 2 * max(env.BATCH_BYTES, stack)
+        assert helper.eigs.shape == (T, reps)
+        shared = helper.batches.base
+        assert helper.eigs.base is shared
+        assert shared.nbytes == helper.batches.nbytes + helper.eigs.nbytes
     finally:
-        blas._dsyevr.cache_clear()
-    assert subset == [threads] * (T * len(seeds))
-    assert inline == offloaded
+        helper.close()
+    assert_reaped(helper.pid)
 
 
-def test_offloaded_record_holds_two_batches(monkeypatch):
-    # An offloaded d = 100, R = 1 block holds the batch the loop fills and
-    # the one the worker solves, six rounds of Sigma each, above what the
-    # inline record holds.  The slack covers the solver's workspace (27 kB)
-    # and the executor; the traced excess over two batches measured 17-43 kB
-    # for the three policies at T = 30 and 120.
-    d, T, slack = 100, 120, 64 * 1024
-    solver_or_skip(d)
-    rng = np.random.default_rng(2)
-    inst = make_instance(gaussian_spec(), d, 5, 0.5, rng)
-    cfg = PolicyConfig("greedy", theta0=sphere_vector(d, rng))
-
-    def peak():
-        # An untraced first run keeps one-time allocations (imports,
-        # caches) out of the peak.
-        run_episode(inst, cfg, 5, [7])
-        tracemalloc.start()
-        try:
-            run_episode(inst, cfg, T, [7])
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    offloaded = peak()
-    monkeypatch.setattr(env, "OFFLOAD_MIN_DIM", d + 1)
-    inline = peak()
-    batch = env.BATCH_BYTES // (d * d * 8) * d * d * 8
-    assert batch == 6 * d * d * 8
-    assert offloaded - inline <= 2 * batch + slack, \
-        f"offloaded peak {offloaded} B, inline {inline} B"
-
-
-def test_small_blocks_neither_resolve_the_binding_nor_start_a_thread(monkeypatch):
-    blas._dsyevr.cache_clear()
-    counts = []
-    step = policies.policy_step
+def test_bare_episodes_record_inline(monkeypatch):
+    # A bare run_episode call forks no helper and starts no thread, at any d.
+    forks = recorded_forks(monkeypatch)
+    counts, step = [], policies.policy_step
 
     def recording(*args, **kwargs):
         counts.append(threading.active_count())
@@ -614,7 +579,6 @@ def test_small_blocks_neither_resolve_the_binding_nor_start_a_thread(monkeypatch
 
     monkeypatch.setattr(policies, "policy_step", recording)
     threads = threading.active_count()
-    d = env.OFFLOAD_MIN_DIM - 1
-    run_episode(small_instance(d=d, K=3), PolicyConfig("linucb"), 10, [1, 2])
+    run_episode(small_instance(d=64, K=3), PolicyConfig("linucb"), 10, [1, 2])
     assert counts == [threads] * 10
-    assert blas._dsyevr.cache_info().currsize == 0
+    assert forks == []

@@ -49,9 +49,9 @@ RUNS = {
     "d20-k20-gaussian-diagnostics": (
         "d20-k20", "gaussian", {"reps": 1, "diagnostics": True}),
     "d100-k20-gaussian": ("d100-k20", "gaussian", {"reps": 1}),
-    # Two lockstep blocks of two replications per policy, each above
-    # env.OFFLOAD_MIN_DIM, so its record runs on the worker thread of a
-    # pool worker.
+    # Two lockstep blocks of two replications per policy in pool workers,
+    # which record gram_min_eig inline; the --jobs 1 runs record it in the
+    # forked helper.
     "d64-k20-gaussian-jobs2": (
         "d20-k20", "gaussian", {"d": 64, "reps": 4, "jobs": 2}),
 }

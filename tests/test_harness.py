@@ -295,6 +295,30 @@ class TestAtomicOutputs:
         assert {f: (out / f).read_bytes() for f in files} == before
         assert sorted(p.name for p in out.iterdir()) == sorted(files)
 
+    @pytest.mark.parametrize("name", ["aggregate.csv", "diagnostics.txt"])
+    def test_failed_move_keeps_previous_directory(self, tmp_path, monkeypatch, name):
+        # The move of the second target, or of the last one after a plot the
+        # first run did not write, fails: the targets moved before it get
+        # their previous bytes back, the new plot is gone, and no temporary
+        # or backup file is left.
+        write_outputs(run_experiment(
+            tiny_config(tmp_path, T=15, diagnostics=True, emit_svg=False)))
+        out = tmp_path / "out"
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(before) == ["aggregate.csv", "diagnostics.txt", "raw.csv"]
+        table = run_experiment(tiny_config(tmp_path, T=15, diagnostics=True, seed=6))
+        replace = os.replace
+
+        def failing(src, dst):
+            if os.path.basename(src) == f"{name}.tmp":
+                raise OSError(5, "Input/output error", src)
+            return replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing)
+        with pytest.raises(OSError, match="Input/output error"):
+            write_outputs(table)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_failed_matrix_summary_keeps_previous_file(self, tmp_path, monkeypatch):
         out = tmp_path / "matrix"
         flags = ["--matrix", "--preset", "d20-k20", "--dist", "gaussian",
