@@ -27,18 +27,20 @@ the pin).  The counts are process-global, so threads of one process running
 blocks at once share them.
 
 The gram_min_eig record feeds no decision of the loop.  A block run with
-a GramHelper records it in that forked process beside the loop, with the
-call an inline record makes, so the bits are the same wherever it ran; a
-block run without one (a bare run_episode call, or a pool worker's block)
-records inline.
+a GramHelper sends it each round's chosen arms, and that forked process
+rebuilds the Gram stack and solves it beside the loop with the calls of
+the update and the inline record, so the bits are the same wherever it
+ran; a block run without one (a bare run_episode call, or a pool worker's
+block) records inline.
 """
 
 from __future__ import annotations
 
+import contextlib
 import gc
-import mmap
 import multiprocessing
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,11 +49,13 @@ from . import blas, estimator, policies
 from .contexts import DistributionSpec, resolve_dim, sample_context_set
 from .policies import PolicyConfig
 
-# The loop hands the helper Sigma snapshots in batches of as many rounds as
-# fit in BATCH_BYTES (at least one round): six at d = 100 and R = 1, sixteen
-# at d = 20 and R = 10.  The loop fills one batch while the helper solves the
-# other, so the record holds two batches, and each of their bytes adds to
-# peak memory.
+# The loop sends the helper the rounds' arms in batches of as many rounds as
+# one round's Gram stack fits into BATCH_BYTES, at least one: six at d = 100
+# and R = 1, sixteen at d = 20 and R = 10.  A batch costs one wake-up of the
+# helper, and at the end of a block the loop waits while the helper solves
+# the last batch: sizing batches by the Gram stacks the helper builds keeps
+# that wait short at large d.  The loop's buffer holds about BATCH_BYTES / d
+# bytes.
 BATCH_BYTES = 2**19
 
 
@@ -146,9 +150,9 @@ def run_episode(instance: BanditInstance, config: PolicyConfig, T: int,
                 ) -> list[Trajectory]:
     """Simulate T rounds of one replication per seed, in lockstep.  Each
     Trajectory is a function of (inputs, its seed) alone: equal byte for
-    byte to the run of its seed in a block of one.  With a helper of the
-    instance's d, len(seeds) reps and at least T rounds, the gram_min_eig
-    record is solved in it; without one, inline.
+    byte to the run of its seed in a block of one.  With a helper
+    (GramHelper.start), the gram_min_eig record is solved in it; without
+    one, inline.
     """
     T = int(T)
     if T < 1:
@@ -180,7 +184,7 @@ def run_episode(instance: BanditInstance, config: PolicyConfig, T: int,
             if helper is None:
                 eigs[i] = estimator.min_eigenvalue(state.sigma)
             else:
-                helper.record(i, state.sigma, T)
+                helper.record(i, x, T)
             # sqrt is monotone, so the root of the largest square is the max
             # norm.
             norms[i] = np.sqrt(np.vecdot(X, X).max(axis=-1))
@@ -193,26 +197,21 @@ def run_episode(instance: BanditInstance, config: PolicyConfig, T: int,
 
 
 class GramHelper:
-    """A forked process that solves the gram_min_eig record of the blocks
-    of one experiment, each of dimension d, `reps` replications and at most
-    T rounds.
+    """A forked process that solves the gram_min_eig record of an
+    experiment's blocks, one block after another.
 
-    It shares two batches of Sigma snapshots, each of as many rounds as fit
-    in BATCH_BYTES (at least one), and the (T, reps) eigs column with the
-    parent, in one anonymous mmap.  For each request on `conn` (a batch,
-    its first round and its round count) it solves the batch, writes those
-    rows of eigs and answers None, or the exception a solve raised.  It
-    exits once the parent's close() closes the pipe, and close() then reaps
-    it.  Fork it while the process has a single thread, so that it inherits
-    no lock another thread holds, and inside blas.one_thread (see harness).
+    The loop sends it each round's chosen arms (R, d), in batches of as
+    many rounds as one round's (R, d, d) Gram stack fits into BATCH_BYTES
+    (at least one), and an end-of-block marker, None.  The helper folds the
+    arms into its own Gram stack, which starts each block at zero, with
+    estimator.add_outer, and solves each round's stack with
+    estimator.min_eigenvalue: the calls of an inline record, so the bits
+    are the same.  At the marker it answers the block's (T, R) record, or
+    the first error a solve raised.  It exits once the parent closes the
+    pipe.
     """
 
-    def __init__(self, d: int, reps: int, T: int):
-        rounds = max(1, BATCH_BYTES // (reps * d * d * 8))
-        size = 2 * rounds * reps * d * d
-        shared = np.frombuffer(mmap.mmap(-1, (size + T * reps) * 8))
-        self.batches = shared[:size].reshape(2, rounds, reps, d, d)
-        self.eigs = shared[size:].reshape(T, reps)
+    def __init__(self):
         self.conn, child = multiprocessing.Pipe()
         self.pid = os.fork()
         if self.pid == 0:
@@ -224,6 +223,26 @@ class GramHelper:
                 os._exit(0)
         child.close()
 
+    @classmethod
+    def start(cls, stack: contextlib.ExitStack) -> GramHelper | None:
+        """Fork a helper, or return None where a fork is unsafe.  The stack
+        reaps the helper and gives back the caller's OpenBLAS thread counts.
+
+        The fork needs a process of one thread, so that the helper inherits
+        no lock another thread holds, and os.fork.  It happens inside a
+        blas.one_thread pin that the stack holds: a fork stops each
+        OpenBLAS pool, and the next change of a thread count restarts it
+        with threads that spin for about 0.1 s (a d20-k100 greedy block took
+        0.19 s, not 0.10 s).  So the blocks change no count while the helper
+        lives, and the pools that the pin's release restarts are stopped
+        again once the helper is reaped.
+        """
+        if not hasattr(os, "fork") or threading.active_count() > 1:
+            return None
+        stack.callback(blas.stop_pools)
+        stack.enter_context(blas.one_thread())
+        return stack.enter_context(contextlib.closing(cls()))
+
     def _serve(self, conn) -> None:
         # Closing the parent's end lets the parent's close() end the loop.
         # The parent's garbage belongs to the parent: collecting it here
@@ -232,42 +251,47 @@ class GramHelper:
         gc.disable()
         with blas.one_thread():
             while True:
-                slot, first, n = conn.recv()
-                try:
-                    for i, sigma in enumerate(self.batches[slot, :n], first):
-                        self.eigs[i] = estimator.min_eigenvalue(sigma)
-                    conn.send(None)
-                except Exception as exc:
-                    conn.send(exc)
+                eigs, error = [], None
+                while (arms := conn.recv()) is not None:
+                    if not eigs:
+                        sigma = np.zeros(arms.shape[1:] + arms.shape[2:])
+                    # A failed solve voids the block's record: its first
+                    # error is the answer at the marker.
+                    try:
+                        for x in arms:
+                            estimator.add_outer(sigma, x)
+                            eigs.append(estimator.min_eigenvalue(sigma))
+                    except Exception as exc:
+                        error = error or exc
+                conn.send(error or np.array(eigs))
 
-    def record(self, i: int, sigma: np.ndarray, T: int) -> None:
-        """Copy round i's (reps, d, d) Gram stack into its batch.  When the
-        batch is full, or i is the last of T rounds, send it and wait for
-        the previous batch, whose buffer the next rounds fill."""
-        rounds = self.batches.shape[1]
-        n, slot = i % rounds, i // rounds % 2
-        self.batches[slot, n] = sigma
-        if n == rounds - 1 or i == T - 1:
-            # Sending before waiting lets the helper go from the previous
-            # batch straight to this one.
-            self.conn.send((slot, i - n, n + 1))
-            if i >= rounds:
-                self.wait()
+    def record(self, i: int, x: np.ndarray, T: int) -> None:
+        """Copy round i's (R, d) arms into the batch, and send the batch
+        when it is full or i is the last of T rounds."""
+        if i == 0:
+            R, d = x.shape
+            self.arms = np.empty((max(1, BATCH_BYTES // (R * d * d * 8)), R, d))
+        n = i % len(self.arms)
+        self.arms[n] = x
+        if n == len(self.arms) - 1 or i == T - 1:
+            self._send(self.arms[:n + 1])
 
     def collect(self, eigs: np.ndarray) -> None:
-        """Wait for a block's last batch and copy its rows of the record
-        into eigs (T, reps)."""
-        self.wait()
-        eigs[:] = self.eigs[:len(eigs)]
-
-    def wait(self) -> None:
-        """Wait for the answer to the oldest batch sent; raise its error."""
-        try:
-            reply = self.conn.recv()
-        except EOFError:
-            raise RuntimeError("the gram_min_eig helper exited") from None
-        if reply is not None:
+        """End the block: copy its record into eigs (T, R), or raise the
+        error a solve raised."""
+        reply = self._send(None, answer=True)
+        if isinstance(reply, Exception):
             raise reply
+        eigs[:] = reply
+
+    def _send(self, message, answer: bool = False):
+        """Send message, and return the helper's answer if one is asked
+        for.  A helper that has exited raises RuntimeError."""
+        try:
+            self.conn.send(message)
+            return self.conn.recv() if answer else None
+        except (EOFError, BrokenPipeError, ConnectionResetError):
+            raise RuntimeError("the gram_min_eig helper exited") from None
 
     def close(self) -> None:
         self.conn.close()

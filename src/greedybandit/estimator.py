@@ -135,7 +135,7 @@ def update(state: GramState, x, y) -> GramState:
         outer = np.einsum("ri,rj->rij", v, v)
         outer /= denom
         state.sigma_inv -= outer
-    state.sigma += np.einsum("ri,rj->rij", x, x, out=outer)
+    add_outer(state.sigma, x, outer)
     state.b += x * y.reshape(R, 1)
     state.t += 1
 
@@ -151,6 +151,14 @@ def update(state: GramState, x, y) -> GramState:
     for r in np.flatnonzero(since):
         state.theta_hat[r] = _solve(state, r)
     return state
+
+
+def add_outer(sigma: np.ndarray, x: np.ndarray, out=None) -> None:
+    """Add x[r] x[r]^T to each sigma[r] in place, for an (R, d, d) stack and
+    arms x (R, d); `out`, if given, is an (R, d, d) buffer for the
+    products.  The gram_min_eig helper (env.GramHelper) rebuilds each Gram
+    stack with this call, so its bits are update's."""
+    sigma += np.einsum("ri,rj->rij", x, x, out=out)
 
 
 def _solve(state: GramState, r: int) -> np.ndarray:

@@ -11,8 +11,9 @@ a pool of N workers uses N cores instead of oversubscribing them, and the
 caller's thread counts are back once the block returns.  With diagnostics,
 the Monte-Carlo estimators, which need no trajectory, run on one extra
 thread, also at one OpenBLAS thread, while the blocks run.  Without a
-pool, the blocks' gram_min_eig record runs in one forked helper process
-(env.GramHelper), reaped when the experiment returns or raises.
+pool, the blocks send their gram_min_eig record to one forked helper
+process (env.GramHelper.start), reaped when the experiment returns or
+raises.
 Outputs are a raw per-round CSV, an aggregate CSV (mean and sample std of
 cumulative regret per policy), an optional SVG regret plot, and an optional
 diagnostics text sidecar, each written to a temporary file; the
@@ -30,7 +31,6 @@ import csv
 import html
 import math
 import os
-import threading
 from dataclasses import dataclass, replace
 from itertools import repeat
 
@@ -199,8 +199,8 @@ def run_experiment(config: ExperimentConfig) -> ResultsTable:
     report = None
     with contextlib.ExitStack() as stack:
         if config.jobs > 1:
-            pool = stack.enter_context(
-                concurrent.futures.ProcessPoolExecutor(max_workers=config.jobs))
+            pool = stack.enter_context(concurrent.futures.ProcessPoolExecutor(
+                max_workers=min(config.jobs, len(blocks))))
             # The first submit forks every worker, before the estimator thread
             # exists, so no worker inherits a lock that thread holds.
             futures = {pool.submit(run_episode, instance, pol, config.T, seeds):
@@ -208,19 +208,8 @@ def run_experiment(config: ExperimentConfig) -> ResultsTable:
             results = ((*futures[fut], fut.result())
                        for fut in concurrent.futures.as_completed(futures))
         else:
-            # The gram_min_eig helper is forked before the estimator thread
-            # exists, for the same reason, or not at all under a caller with
-            # threads of its own.  A fork stops each OpenBLAS thread pool,
-            # and the next count change restarts it with threads that spin
-            # for about 0.1 s (a d20-k100 greedy block took 0.19 s, not
-            # 0.10 s): the pin, held from before the fork, changes none,
-            # and the pools that its release restarts are stopped again.
-            helper = None
-            if hasattr(os, "fork") and threading.active_count() == 1:
-                stack.callback(blas.stop_pools)
-                stack.enter_context(blas.one_thread())
-                helper = stack.enter_context(contextlib.closing(
-                    GramHelper(config.d, config.reps, config.T)))
+            # Started before the estimator thread, for the same reason.
+            helper = GramHelper.start(stack)
             # Lazy: the blocks run in the loop below, beside the estimators.
             results = ((pol.name, reps,
                         run_episode(instance, pol, config.T, seeds, helper=helper))

@@ -7,6 +7,7 @@ greedy episodes for the remaining distributions and shapes.  Each test
 records one [PASS]/[FAIL] line, printed in the terminal summary.
 """
 
+import concurrent.futures
 import dataclasses
 import math
 import time
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from greedybandit import estimator as est
+from greedybandit import blas, estimator as est
 from greedybandit.contexts import (box, cauchy_spec, exponential_spec,
                                    gaussian_spec, lac_function, laplace_spec,
                                    decay_rate_check, student_t_spec,
@@ -252,14 +253,22 @@ def test_criterion_9_gram_growth(preset_tables, growth_tables):
     for (shape, dist), table in growth_tables.items():
         cells.append((shape, dist, table))
 
+    def diversity(cell, rng):
+        cfg = cell[2].config
+        # At one OpenBLAS thread each, as the sidecar's estimate runs.
+        with blas.one_thread():
+            return estimate_diversity_constant(cfg.spec, cfg.d, cfg.K, 10**4, 32,
+                                               rng).value
+
     details = []
     ok = True
     # One spawned generator per cell, so no cell's estimate depends on
-    # another's draws.
+    # another's draws, and the cells can run on two threads.
     rngs = np.random.default_rng(9).spawn(len(cells))
-    for (shape, dist, table), rng in zip(cells, rngs):
+    with concurrent.futures.ThreadPoolExecutor(2) as pool:
+        lams = list(pool.map(diversity, cells, rngs))
+    for (shape, dist, table), lam in zip(cells, lams):
         cfg = table.config
-        lam = estimate_diversity_constant(cfg.spec, cfg.d, cfg.K, 10**4, 32, rng).value
         worst = 1.0
         for rep in range(cfg.reps):
             rep_frac = gram_growth_check(table.trajectories[("greedy", rep)],

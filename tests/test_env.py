@@ -1,6 +1,9 @@
+import contextlib
 import dataclasses
 import math
+import multiprocessing.connection
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -478,15 +481,15 @@ def test_helper_record_matches_inline_runs(d, reps, tmp_path, monkeypatch):
     check_helper_run(helper_config(tmp_path, d, reps), monkeypatch)
 
 
-# Rounds per snapshot batch of a d = 20 block of three replications.
+# Rounds per arm batch of a d = 20 block of three replications.
 BATCH_20 = env.BATCH_BYTES // (3 * 20 * 20 * 8)
 
 
 @pytest.mark.parametrize("T", [1, BATCH_20 - 1, BATCH_20, BATCH_20 + 1,
                                2 * BATCH_20 + 1])
 def test_helper_record_across_batch_boundaries(T, tmp_path, monkeypatch):
-    # The horizons end inside the first batch, on its last round, one round
-    # into the second, and one round into the first batch's second use.
+    # The horizons end inside the first batch, on its last round, and one
+    # round into the second and the third.
     check_helper_run(helper_config(tmp_path, 20, 3, T), monkeypatch)
 
 
@@ -547,25 +550,92 @@ def test_loop_error_stops_the_helper(tmp_path, monkeypatch):
     assert_reaped(pid)
 
 
-@pytest.mark.parametrize("d, reps, T", [(100, 1, 1000), (20, 10, 1000),
-                                        (100, 10, 30)])
-def test_helper_buffers_hold_two_batches(d, reps, T):
-    # Two batches of as many rounds as fit in BATCH_BYTES, at least one, and
-    # the eigs column: all the memory the helper shares with the loop.
-    helper = env.GramHelper(d, reps, T)
-    try:
-        stack = reps * d * d * 8
-        rounds = max(1, env.BATCH_BYTES // stack)
-        assert helper.batches.shape == (2, rounds, reps, d, d)
-        assert helper.batches.nbytes == 2 * rounds * stack \
-            <= 2 * max(env.BATCH_BYTES, stack)
-        assert helper.eigs.shape == (T, reps)
-        shared = helper.batches.base
-        assert helper.eigs.base is shared
-        assert shared.nbytes == helper.batches.nbytes + helper.eigs.nbytes
-    finally:
-        helper.close()
+@pytest.mark.parametrize("d, reps", [(100, 1), (20, 10), (100, 10)])
+def test_helper_holds_one_batch_of_arms(d, reps):
+    # The parent's part of the record: one buffer of as many rounds' arms as
+    # one round's Gram stack fits into BATCH_BYTES, at least one round.
+    with contextlib.ExitStack() as stack:
+        helper = env.GramHelper.start(stack)
+        run_episode(small_instance(d=d), PolicyConfig("linucb"), 3,
+                    list(range(reps)), helper=helper)
     assert_reaped(helper.pid)
+    rounds = max(1, env.BATCH_BYTES // (reps * d * d * 8))
+    assert helper.arms.shape == (rounds, reps, d)
+    assert helper.arms.nbytes <= max(env.BATCH_BYTES / d, reps * d * 8)
+
+
+def test_jobs_fork_only_the_workers_they_use(tmp_path, monkeypatch):
+    # One policy of two replications makes two blocks: --jobs 4 forks two
+    # pool workers and no helper.
+    config = dataclasses.replace(helper_config(tmp_path, 5, 2), jobs=4,
+                                 policies=default_policies(0.5, ("linucb",)))
+    forks = recorded_forks(monkeypatch)
+    table = run_experiment(config)
+    assert len(forks) == 2
+    serial = run_experiment(dataclasses.replace(config, jobs=1))
+    assert trajectory_bytes(table.trajectories) == \
+        trajectory_bytes(serial.trajectories)
+
+
+def kill(pid):
+    """SIGKILL the child pid and wait until it has exited, without reaping
+    it."""
+    os.kill(pid, signal.SIGKILL)
+    os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+
+
+@pytest.mark.parametrize("collecting", [False, True], ids=["sending", "collecting"])
+def test_helper_exit_surfaces_as_runtime_error(collecting, tmp_path, monkeypatch):
+    # The helper dies in the first block: in its second round, so the loop's
+    # first send fails, or, stopped in the block's last round, while the loop
+    # waits for the record.  The helper has the batch and the end marker
+    # unread then, and the wait fails.
+    T, step, steps = 60, policies.policy_step, []
+    forks, recv = recorded_forks(monkeypatch), multiprocessing.connection.Connection.recv
+
+    def killing_recv(conn):
+        kill(forks[0][0])
+        return recv(conn)
+
+    def stepping(*args, **kwargs):
+        steps.append(1)
+        (pid, _), = forks
+        if not collecting and len(steps) == 2:
+            kill(pid)
+        elif collecting and len(steps) == T:
+            os.kill(pid, signal.SIGSTOP)
+            monkeypatch.setattr(multiprocessing.connection.Connection, "recv",
+                                killing_recv)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(policies, "policy_step", stepping)
+    with pytest.raises(RuntimeError, match="^the gram_min_eig helper exited$"):
+        run_experiment(helper_config(tmp_path, 20, 2, T=T))
+    (pid, _), = forks
+    assert_reaped(pid)
+
+
+@pytest.mark.parametrize("gate", ["thread", "no_fork"])
+def test_experiments_record_inline_where_no_fork_is_safe(gate, tmp_path, monkeypatch):
+    # Under a caller with a thread of its own, or without os.fork,
+    # run_experiment forks no helper and records inline.
+    config, counts = helper_config(tmp_path, 5, 2), blas.thread_counts()
+    forks, parked = recorded_forks(monkeypatch), threading.Event()
+    waiter = threading.Thread(target=parked.wait)
+    if gate == "thread":
+        waiter.start()
+    else:
+        monkeypatch.delattr(os, "fork")
+    try:
+        table = run_experiment(config)
+    finally:
+        parked.set()
+        if gate == "thread":
+            waiter.join()
+    assert forks == []
+    assert trajectory_bytes(table.trajectories) == \
+        trajectory_bytes(inline_runs(config, table))
+    assert blas.thread_counts() == counts
 
 
 def test_bare_episodes_record_inline(monkeypatch):
