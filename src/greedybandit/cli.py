@@ -16,13 +16,10 @@ import os
 import sys
 import time
 
-from .harness import (PRESET_DISTS, PRESET_SHAPES, ConfigError,
+from .harness import (PRESET_DISTS, PRESET_SHAPES, SETTINGS, ConfigError,
                       ExperimentConfig, config_from_ini, default_policies,
                       preset_config, preset_spec, run_experiment,
                       write_outputs, write_rows)
-
-_SETTINGS = tuple(f.name for f in dataclasses.fields(ExperimentConfig)
-                  if f.name not in ("spec", "policies"))
 
 
 def _names(choices):
@@ -80,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args, shape=None, dist=None) -> ExperimentConfig:
     """The file or preset config with the flags' settings applied before its
     policies are built; `shape` and `dist` name a matrix cell."""
-    settings = {name: getattr(args, name) for name in _SETTINGS
+    settings = {name: getattr(args, name) for name in SETTINGS
                 if getattr(args, name) is not None}
     dist = dist or (args.dist[0] if args.dist else None)
     if args.config is not None:

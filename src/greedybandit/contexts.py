@@ -13,7 +13,8 @@ the slots of one (R, n, d) block and a single map converts the whole block;
 the map works element by element or row by row, so each slot equals the
 draw of its generator alone.  Rejection fills the block slot by slot.
 `sample_context_set` returns one round's (R, K, d) context block; one
-replication is the block R = 1.
+replication is the block R = 1.  `log_density` and `grad_log_density`
+evaluate every row of an (n, d) array of points.
 
 Every family carries a local anti-concentration (LAC) envelope, a
 non-decreasing function L(r) = a1 + a2 * r**alpha with
@@ -116,17 +117,12 @@ class Region:
         else:
             raise ValueError(f"unknown region kind {self.kind!r}")
 
-    def _bounds(self, d: int) -> tuple[np.ndarray, np.ndarray]:
-        lo = np.broadcast_to(np.asarray(self.lo, dtype=float), (d,))
-        hi = np.broadcast_to(np.asarray(self.hi, dtype=float), (d,))
-        return lo, hi
-
     def contains(self, x, margin: float = 0.0) -> np.ndarray:
         """Containment mask for points in the last axis of `x`, shrunk by margin."""
         x = np.asarray(x, dtype=float)
         if self.kind == "ball":
             return np.linalg.norm(x, axis=-1) <= self.radius - margin
-        lo, hi = self._bounds(x.shape[-1])
+        lo, hi = _vec(self.lo, x.shape[-1]), _vec(self.hi, x.shape[-1])
         return np.all((x >= lo + margin) & (x <= hi - margin), axis=-1)
 
     def sup_norm_radius(self) -> float:
@@ -140,7 +136,7 @@ class Region:
         """Radius of the smallest origin-centered l2 ball containing the region."""
         if self.kind == "ball":
             return float(self.radius)
-        lo, hi = self._bounds(d)
+        lo, hi = _vec(self.lo, d), _vec(self.hi, d)
         return float(np.linalg.norm(np.maximum(np.abs(lo), np.abs(hi))))
 
     def pinned_dim(self) -> int | None:
@@ -154,22 +150,17 @@ def ball(radius: float) -> Region:
 
 
 def box(lo, hi) -> Region:
+    """A coordinate box; a one-element side broadcasts to the other's length."""
     if np.ndim(lo) > 0 or np.ndim(hi) > 0:
-        lo_t = tuple(float(v) for v in np.atleast_1d(lo))
-        hi_t = tuple(float(v) for v in np.atleast_1d(hi))
-        if len(lo_t) == 1:
-            lo_t = lo_t * len(hi_t)
-        if len(hi_t) == 1:
-            hi_t = hi_t * len(lo_t)
-        return Region("box", lo=lo_t, hi=hi_t)
-    return Region("box", lo=float(lo), hi=float(hi))
+        lo, hi = np.broadcast_arrays(np.atleast_1d(lo), np.atleast_1d(hi))
+    return Region("box", lo=lo, hi=hi)
 
 
 # ---------------------------------------------------------------------------
 # Distribution specs
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class DistributionSpec:
     """Closed description of one arm's context distribution.
 
@@ -180,8 +171,9 @@ class DistributionSpec:
     shortcut for gaussian specs with scalar `cov`: the covariance resolves
     to cov * ((1 - rho) I + rho * ones) at sampling time.
 
-    Specs are immutable after construction and safe to share; every sampling
-    call takes its own random generator.
+    Specs are frozen after construction, so the per-spec caches of resolved
+    parameters stay valid, and safe to share; every sampling call takes its
+    own random generator.
     """
 
     kind: str
@@ -220,7 +212,7 @@ class DistributionSpec:
         if self.truncation is not None and not isinstance(self.truncation, Region):
             raise ValueError("truncation must be a Region")
         # Raises on inconsistent parameter dimensions; resolve_dim reads it.
-        self._pinned_dim = pinned_dim(self)
+        object.__setattr__(self, "_pinned_dim", pinned_dim(self))
 
     def _validate_gaussian(self):
         cov = self.cov
@@ -477,7 +469,7 @@ def _box_inverse_cdf(spec: DistributionSpec, d: int):
     scipy.special is imported only by the families that need it, keeping it
     out of every other process.
     """
-    lo, hi = spec.truncation._bounds(d)
+    lo, hi = _vec(spec.truncation.lo, d), _vec(spec.truncation.hi, d)
     if spec.kind == "student_t":
         from scipy.special import stdtr, stdtrit
         cdf = partial(stdtr, spec.df)
@@ -529,20 +521,17 @@ def _check_feasible(spec: DistributionSpec, d: int) -> None:
 def _sample_reject_vectors(spec: DistributionSpec, d: int, rng: np.random.Generator,
                            out: np.ndarray,
                            max_attempts: int = MAX_REJECTION_ATTEMPTS) -> None:
-    """Fill the rows of `out` with whole-vector rejection draws."""
+    """Fill the rows of `out` with whole-vector rejection draws, in order;
+    raises once more than max_attempts candidates per row leave one unfilled."""
     region = spec.truncation
-    n = out.shape[0]
-    unfilled = np.arange(n)
-    attempts = np.zeros(n)
-    mult = 1
-    while unfilled.size:
-        cand = _sample_raw(spec, d, unfilled.size * mult, (rng,))[0]
-        good = cand[region.contains(cand)]
-        k = min(good.shape[0], unfilled.size)
-        out[unfilled[:k]] = good[:k]
-        attempts[unfilled] += mult
-        unfilled = unfilled[k:]
-        if unfilled.size and attempts[unfilled].max() > max_attempts:
+    n, filled, tried, mult = out.shape[0], 0, 0, 1
+    while filled < n:
+        cand = _sample_raw(spec, d, (n - filled) * mult, (rng,))[0]
+        good = cand[region.contains(cand)][:n - filled]
+        out[filled:filled + good.shape[0]] = good
+        filled += good.shape[0]
+        tried += mult
+        if filled < n and tried > max_attempts:
             raise InfeasibleTruncationError(f"rejection cap {max_attempts} exceeded")
         mult = min(mult * 2, 4096)
 
@@ -599,9 +588,10 @@ def sample_context_set(spec: DistributionSpec, d: int, K: int,
 # Log densities and gradients
 
 
-def _log_density_batch(spec: DistributionSpec, X: np.ndarray) -> np.ndarray:
-    """log f at each row of X, exact for the base density; truncation adds an
-    unevaluated normalization constant (irrelevant to gradients and ratios)."""
+def log_density(spec: DistributionSpec, X) -> np.ndarray:
+    """log f at each row of the (n, d) array X, exact for the base density;
+    truncation adds an unevaluated normalization constant (irrelevant to
+    gradients and ratios)."""
     X = np.asarray(X, dtype=float)
     n, d = X.shape
     if spec.truncation is not None and not np.all(spec.truncation.contains(X)):
@@ -637,14 +627,9 @@ def _log_density_batch(spec: DistributionSpec, X: np.ndarray) -> np.ndarray:
     return -np.sum(np.log(math.pi * scale) + np.log1p(z * z), axis=1)
 
 
-def log_density(spec: DistributionSpec, x) -> float:
-    """log f(x), up to the normalization constant of any truncation."""
-    x = np.asarray(x, dtype=float)
-    return float(_log_density_batch(spec, x[None, :])[0])
-
-
-def _grad_batch(spec: DistributionSpec, X: np.ndarray) -> np.ndarray:
-    """Analytic gradient of log f at each row; rows must be interior points."""
+def grad_log_density(spec: DistributionSpec, X) -> np.ndarray:
+    """Analytic gradient of log f at each row of the (n, d) array X; rows
+    must be interior points, and truncation leaves the gradient unchanged."""
     X = np.asarray(X, dtype=float)
     n, d = X.shape
     if spec.truncation is not None and not np.all(spec.truncation.contains(X)):
@@ -672,12 +657,6 @@ def _grad_batch(spec: DistributionSpec, X: np.ndarray) -> np.ndarray:
     loc, scale = _vec(spec.loc, d), _vec(spec.scale, d)
     delta = X - loc
     return -2.0 * delta / (scale * scale + delta * delta)
-
-
-def grad_log_density(spec: DistributionSpec, x) -> np.ndarray:
-    """Gradient of log f at an interior point; truncation leaves it unchanged."""
-    x = np.asarray(x, dtype=float)
-    return _grad_batch(spec, x[None, :])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -818,7 +797,7 @@ def verify_lac(spec: DistributionSpec, n_samples: int, tol: float,
     X = X[keep]
 
     lac = lac_function(spec, d)
-    G = _grad_batch(spec, X)
+    G = grad_log_density(spec, X)
     g_inf = np.abs(G).max(axis=1)
     envelope = np.asarray(lac(np.abs(X).max(axis=1)), dtype=float)
     ratio = np.zeros_like(g_inf)
@@ -835,8 +814,8 @@ def verify_lac(spec: DistributionSpec, n_samples: int, tol: float,
     for j in range(d):
         step = np.zeros(d)
         step[j] = h
-        fd[:, j] = (_log_density_batch(spec, Xfd + step)
-                    - _log_density_batch(spec, Xfd - step)) / (2.0 * h)
+        fd[:, j] = (log_density(spec, Xfd + step)
+                    - log_density(spec, Xfd - step)) / (2.0 * h)
     Gfd = G[fd_keep]
     denom = np.maximum(1.0, np.abs(Gfd).max(axis=1))
     errs = np.abs(Gfd - fd).max(axis=1) / denom
@@ -898,8 +877,8 @@ def decay_rate_check(spec: DistributionSpec, region: Region | None,
     n_pairs = int(n_pairs)
     X1 = _sample_block(sampler, d, n_pairs, (rng,))[0]
     X2 = _sample_block(sampler, d, n_pairs, (rng,))[0]
-    ld1 = _log_density_batch(sampler, X1)
-    ld2 = _log_density_batch(sampler, X2)
+    ld1 = log_density(sampler, X1)
+    ld2 = log_density(sampler, X2)
     lac = lac_function(sampler, d)
     M = math.sqrt(d) * float(lac(region.sup_norm_radius()))
     dist = np.linalg.norm(X1 - X2, axis=1)
@@ -978,9 +957,6 @@ def spec_from_config(block) -> DistributionSpec:
         raise ValueError(f"unknown distribution kind {kind!r}")
     trunc = block.pop("truncation", None)
     region = _parse_region(trunc) if trunc is not None else None
-    # Arms are always drawn independently; arm_coupling, a former key that
-    # never changed the draws, is ignored so older files still parse.
-    block.pop("arm_coupling", None)
     kwargs = {}
     for name in PARAMS[kind]:
         if name == "cov":

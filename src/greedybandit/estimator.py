@@ -122,12 +122,7 @@ def update(state: GramState, x, y) -> GramState:
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("observation must be finite")
     # Sherman-Morrison on the pre-update inverses, for a state that keeps
-    # them; the zero rows of replications not identified yet stay zero.  The
-    # Sherman-Morrison term's (R, d, d) buffer then takes x x^T, and a state
-    # without inverses has einsum allocate it.  einsum writes a product of
-    # two rows in fewer inner loops than a broadcast multiply, to the same
-    # bits.
-    outer = None
+    # them; the zero rows of replications not identified yet stay zero.
     if state.sigma_inv is not None:
         Av = np.matmul(state.sigma_inv, x.reshape(R, d, 1))
         denom = 1.0 + np.matmul(x.reshape(R, 1, d), Av)
@@ -135,7 +130,7 @@ def update(state: GramState, x, y) -> GramState:
         outer = np.einsum("ri,rj->rij", v, v)
         outer /= denom
         state.sigma_inv -= outer
-    add_outer(state.sigma, x, outer)
+    add_outer(state.sigma, x)
     state.b += x * y.reshape(R, 1)
     state.t += 1
 
@@ -153,12 +148,13 @@ def update(state: GramState, x, y) -> GramState:
     return state
 
 
-def add_outer(sigma: np.ndarray, x: np.ndarray, out=None) -> None:
+def add_outer(sigma: np.ndarray, x: np.ndarray) -> None:
     """Add x[r] x[r]^T to each sigma[r] in place, for an (R, d, d) stack and
-    arms x (R, d); `out`, if given, is an (R, d, d) buffer for the
-    products.  The gram_min_eig helper (env.GramHelper) rebuilds each Gram
-    stack with this call, so its bits are update's."""
-    sigma += np.einsum("ri,rj->rij", x, x, out=out)
+    arms x (R, d).  The gram_min_eig helper (env.GramHelper) rebuilds each
+    Gram stack with this call, so its bits are update's.  einsum writes a
+    product of two rows in fewer inner loops than a broadcast multiply, to
+    the same bits."""
+    sigma += np.einsum("ri,rj->rij", x, x)
 
 
 def _solve(state: GramState, r: int) -> np.ndarray:

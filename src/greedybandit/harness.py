@@ -5,7 +5,9 @@ stream for theta_star, one for the greedy warm start, and one per
 (policy, replication) episode.  Each policy's replications run in lockstep
 blocks (one per policy, or with jobs > 1 several per policy spread over a
 process pool), and an episode's bytes depend on its stream alone, so results
-are byte-identical no matter how episodes are blocked or scheduled.  Every
+are byte-identical no matter how episodes are blocked or scheduled.  The
+blocks' results are read in submission order, so each policy's list of
+trajectories (ResultsTable.trajectories[name]) is in rep order.  Every
 block runs at one OpenBLAS thread in the process that runs it (see env), so
 a pool of N workers uses N cores instead of oversubscribing them, and the
 caller's thread counts are back once the block returns.  With diagnostics,
@@ -14,6 +16,8 @@ thread, also at one OpenBLAS thread, while the blocks run.  Without a
 pool, the blocks send their gram_min_eig record to one forked helper
 process (env.GramHelper.start), reaped when the experiment returns or
 raises.
+SETTINGS, the scalar ExperimentConfig fields, names the config-file keys
+and the command-line settings.
 Outputs are a raw per-round CSV, an aggregate CSV (mean and sample std of
 cumulative regret per policy), an optional SVG regret plot, and an optional
 diagnostics text sidecar, each written to a temporary file; the
@@ -31,7 +35,7 @@ import csv
 import html
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import repeat
 
 import numpy as np
@@ -89,7 +93,8 @@ class ExperimentConfig:
         check(isinstance(self.T, int) and self.T >= 1, "experiment.T", "must be an int >= 1")
         check(isinstance(self.reps, int) and self.reps >= 1,
               "experiment.reps", "must be an int >= 1")
-        check(isinstance(self.seed, int), "experiment.seed", "must be an int")
+        check(isinstance(self.seed, int) and self.seed >= 0,
+              "experiment.seed", "must be an int >= 0")
         check(0.0 <= self.sigma < math.inf, "experiment.sigma",
               "must be finite and non-negative")
         check(isinstance(self.jobs, int) and self.jobs >= 1,
@@ -114,14 +119,20 @@ class ExperimentConfig:
             names.add(p.name)
 
 
+# The scalar settings, each ExperimentConfig field but the spec and the
+# policies, with the name of its type.
+SETTINGS = {f.name: f.type for f in fields(ExperimentConfig)
+            if f.name not in ("spec", "policies")}
+
+
 @dataclass
 class ResultsTable:
-    """All trajectories of one experiment, keyed by (policy name, rep)."""
+    """All trajectories of one experiment: each policy's, in rep order."""
 
     config: ExperimentConfig
     theta_star: np.ndarray
     theta0: np.ndarray
-    trajectories: dict[tuple[str, int], Trajectory]
+    trajectories: dict[str, list[Trajectory]]
     # The diagnostics report, when the config asks for one.
     diagnostics: diag.DiagnosticsReport | None = None
 
@@ -133,8 +144,7 @@ class ResultsTable:
         """Per-round rows in canonical (policy, rep, t) order; a missing
         estimate (NaN) becomes None."""
         for name in self.policy_names:
-            for rep in range(self.config.reps):
-                traj = self.trajectories[(name, rep)]
+            for rep, traj in enumerate(self.trajectories[name]):
                 errs = [None if math.isnan(e) else e
                         for e in traj.est_error_l2.tolist()]
                 yield from zip(repeat(name), repeat(rep), traj.t.tolist(),
@@ -144,8 +154,7 @@ class ResultsTable:
 
     def cum_regret_matrix(self, name: str) -> np.ndarray:
         """(reps, T) cumulative regret for one policy."""
-        return np.vstack([self.trajectories[(name, rep)].cum_regret
-                          for rep in range(self.config.reps)])
+        return np.vstack([traj.cum_regret for traj in self.trajectories[name]])
 
     def cum_regret_stats(self, name: str) -> tuple[np.ndarray, np.ndarray]:
         """Per-round mean and sample std (zero for one rep) of cumulative
@@ -189,13 +198,12 @@ def run_experiment(config: ExperimentConfig) -> ResultsTable:
     for p_idx, policy in enumerate(config.policies):
         if policy.kind == "greedy" and policy.theta0 is None:
             policy = replace(policy, theta0=theta0.copy())
-        for j in range(n_blocks):
-            reps = range(j * config.reps // n_blocks,
-                         (j + 1) * config.reps // n_blocks)
-            seeds = [episode_seeds[p_idx * config.reps + rep] for rep in reps]
-            blocks.append((policy, reps, seeds))
+        seeds = episode_seeds[p_idx * config.reps:(p_idx + 1) * config.reps]
+        blocks.extend((policy, seeds[j * config.reps // n_blocks:
+                                     (j + 1) * config.reps // n_blocks])
+                      for j in range(n_blocks))
 
-    trajectories: dict[tuple[str, int], Trajectory] = {}
+    trajectories = {p.name: [] for p in config.policies}
     report = None
     with contextlib.ExitStack() as stack:
         if config.jobs > 1:
@@ -203,28 +211,26 @@ def run_experiment(config: ExperimentConfig) -> ResultsTable:
                 max_workers=min(config.jobs, len(blocks))))
             # The first submit forks every worker, before the estimator thread
             # exists, so no worker inherits a lock that thread holds.
-            futures = {pool.submit(run_episode, instance, pol, config.T, seeds):
-                       (pol.name, reps) for pol, reps, seeds in blocks}
-            results = ((*futures[fut], fut.result())
-                       for fut in concurrent.futures.as_completed(futures))
+            futures = [pool.submit(run_episode, instance, pol, config.T, seeds)
+                       for pol, seeds in blocks]
+            results = (fut.result() for fut in futures)
         else:
             # Started before the estimator thread, for the same reason.
             helper = GramHelper.start(stack)
             # Lazy: the blocks run in the loop below, beside the estimators.
-            results = ((pol.name, reps,
-                        run_episode(instance, pol, config.T, seeds, helper=helper))
-                       for pol, reps, seeds in blocks)
+            results = (run_episode(instance, pol, config.T, seeds, helper=helper)
+                       for pol, seeds in blocks)
         if config.diagnostics:
             worker = stack.enter_context(
                 concurrent.futures.ThreadPoolExecutor(max_workers=1))
             constants = worker.submit(_estimate_constants, config, theta_star)
-        for name, reps, trajs in results:
-            trajectories.update(zip(zip(repeat(name), reps), trajs))
+        for (pol, _), trajs in zip(blocks, results):
+            trajectories[pol.name].extend(trajs)
         if config.diagnostics:
             name = next((p.name for p in config.policies if p.kind == "greedy"),
                         config.policies[0].name)
             report = diag.check_trajectory(constants.result(),
-                                           trajectories[(name, 0)])
+                                           trajectories[name][0])
     return ResultsTable(config=config, theta_star=theta_star, theta0=theta0,
                         trajectories=trajectories, diagnostics=report)
 
@@ -524,48 +530,28 @@ def preset_config(shape: str, dist: str, algos=POLICY_KINDS,
 # INI config files
 
 
-def _int(section, key):
-    raw = section[key]
+# The ConfigParser getter of each setting type, and what a value it rejects
+# is not.
+_GETTERS = {"int": ("getint", "an integer"), "float": ("getfloat", "a number"),
+            "bool": ("getboolean", "a boolean"), "str": ("get", None)}
+
+
+def _get(section, key, kind):
+    """section[key] read by the getter of type `kind`; ConfigError names the
+    key of a value it rejects."""
+    getter, noun = _GETTERS[kind]
     try:
-        return int(raw)
+        return getattr(section, getter)(key)
     except ValueError:
-        raise ConfigError(f"{section.name}.{key}: not an integer: {raw!r}") from None
+        raise ConfigError(f"{section.name}.{key}: not {noun}: {section[key]!r}") from None
 
 
-def _float(section, key):
-    raw = section[key]
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"{section.name}.{key}: not a number: {raw!r}") from None
-
-
-def _bool(section, key):
-    raw = section[key]
-    low = raw.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"{section.name}.{key}: not a boolean: {raw!r}")
-
-
-# [experiment] key -> (ExperimentConfig field, parser); a missing key leaves
-# the field's default.
-_EXPERIMENT_KEYS = {
-    "d": ("d", _int), "k": ("K", _int), "t": ("T", _int),
-    "reps": ("reps", _int), "seed": ("seed", _int), "sigma": ("sigma", _float),
-    "output_dir": ("output_dir", lambda section, key: section[key]),
-    "emit_svg": ("emit_svg", _bool), "diagnostics": ("diagnostics", _bool),
-    "jobs": ("jobs", _int),
-}
-# [policy.NAME] keys besides `kind`, each a PolicyConfig field.
-_POLICY_KEYS = {
-    "theta0": lambda section, key: np.array(
-        [float(v) for v in section[key].split(",")]),
-    "lambda_reg": _float, "delta": _float, "v_scale": _float,
-    "sigma_assumed": _float,
-}
+# [experiment] key -> (ExperimentConfig field, its type): each setting, in
+# field order, under its lower-case name; a missing key leaves the default.
+_EXPERIMENT_KEYS = {name.lower(): (name, kind) for name, kind in SETTINGS.items()}
+# [policy.NAME] keys besides `kind` and the comma list `theta0`, each a
+# float PolicyConfig field.
+_POLICY_FLOATS = ("lambda_reg", "delta", "v_scale", "sigma_assumed")
 
 
 def config_from_ini(path, **settings) -> ExperimentConfig:
@@ -587,8 +573,8 @@ def config_from_ini(path, **settings) -> ExperimentConfig:
     unknown = set(exp) - set(_EXPERIMENT_KEYS)
     if unknown:
         raise ConfigError(f"experiment.{sorted(unknown)[0]}: unknown key")
-    settings = {name: parse(exp, key)
-                for key, (name, parse) in _EXPERIMENT_KEYS.items()
+    settings = {name: _get(exp, key, kind)
+                for key, (name, kind) in _EXPERIMENT_KEYS.items()
                 if key in exp} | settings
     for name in ("d", "K"):
         if name not in settings:
@@ -606,14 +592,16 @@ def config_from_ini(path, **settings) -> ExperimentConfig:
         if not section_name.startswith("policy."):
             continue
         sec = parser[section_name]
-        unknown = set(sec) - set(_POLICY_KEYS) - {"kind"}
+        unknown = set(sec) - set(_POLICY_FLOATS) - {"kind", "theta0"}
         if unknown:
             raise ConfigError(f"{section_name}.{sorted(unknown)[0]}: unknown key")
         kind = sec.get("kind")
         if kind not in POLICY_KINDS:
             raise ConfigError(f"{section_name}.kind: unknown kind {kind!r}")
-        params = {key: parse(sec, key) for key, parse in _POLICY_KEYS.items()
-                  if key in sec}
+        params = {}
+        if "theta0" in sec:
+            params["theta0"] = np.array([float(v) for v in sec["theta0"].split(",")])
+        params.update((key, _get(sec, key, "float")) for key in _POLICY_FLOATS if key in sec)
         params.setdefault("sigma_assumed", sigma)
         try:
             policies.append(PolicyConfig(

@@ -85,11 +85,11 @@ def _greedy_trajectories(preset_tables, growth_tables):
     for dist, (table, _) in preset_tables.items():
         for rep in range(table.config.reps):
             trajs.append((f"d20-k20/{dist}/rep{rep}",
-                          table.trajectories[("greedy", rep)]))
+                          table.trajectories["greedy"][rep]))
     for (shape, dist), table in growth_tables.items():
         for rep in range(table.config.reps):
             trajs.append((f"{shape}/{dist}/rep{rep}",
-                          table.trajectories[("greedy", rep)]))
+                          table.trajectories["greedy"][rep]))
     return trajs
 
 
@@ -271,7 +271,7 @@ def test_criterion_9_gram_growth(preset_tables, growth_tables):
         cfg = table.config
         worst = 1.0
         for rep in range(cfg.reps):
-            rep_frac = gram_growth_check(table.trajectories[("greedy", rep)],
+            rep_frac = gram_growth_check(table.trajectories["greedy"][rep],
                                          lam, t0=growth_burn_in(cfg.d)).fraction
             worst = min(worst, rep_frac)
         cell_ok = worst >= 0.95

@@ -40,6 +40,15 @@ class TestRegion:
         assert rv.sup_norm_radius() == 2.0
         assert rv.l2_radius(2) == pytest.approx(math.sqrt(1 + 4))
 
+    def test_box_broadcasts_one_element_side(self):
+        assert box([0.0], [1.0, 2.0]) == box([0.0, 0.0], [1.0, 2.0])
+        assert box(0.0, [1.0, 2.0]) == box([0.0, 0.0], [1.0, 2.0])
+        assert box([0.0, 1.0], [3.0]).hi == (3.0, 3.0)
+
+    def test_box_side_lengths_must_match(self):
+        with pytest.raises(ValueError):
+            box([0.0, 0.0], [1.0, 1.0, 1.0])
+
     def test_invalid_regions(self):
         with pytest.raises(ValueError):
             ball(-1.0)
@@ -172,6 +181,18 @@ class TestSampling:
         spec = laplace_spec(truncation=ball(1.5))
         cs = sample_context_set(spec, 3, 200, [rng])[0]
         assert np.all(np.linalg.norm(cs, axis=1) <= 1.5)
+
+    def test_rejection_cap(self):
+        # One candidate per row leaves rows unfilled after the second pass,
+        # which raises; a cap the draw never reaches gives the default draw.
+        spec, out = laplace_spec(truncation=ball(1.5)), np.empty((200, 3))
+        with pytest.raises(InfeasibleTruncationError, match="^rejection cap 1 exceeded$"):
+            ctx._sample_reject_vectors(spec, 3, np.random.default_rng(0), out,
+                                       max_attempts=1)
+        ctx._sample_reject_vectors(spec, 3, np.random.default_rng(0), out,
+                                   max_attempts=64)
+        np.testing.assert_array_equal(
+            out, sample_context_set(spec, 3, 200, [np.random.default_rng(0)])[0])
 
     def test_k_validation(self, rng):
         with pytest.raises(ValueError):
@@ -376,24 +397,24 @@ class TestBlockDraw:
 
 class TestLogDensity:
     def test_exponential_value(self):
-        assert log_density(exponential_spec(2.0), [1.5]) == pytest.approx(
+        assert log_density(exponential_spec(2.0), [[1.5]])[0] == pytest.approx(
             math.log(2.0) - 3.0, abs=1e-12)
 
     def test_uniform_constant(self, rng):
         spec = uniform_ball_spec(2.0)
-        a = log_density(spec, [0.1, 0.2])
-        b = log_density(spec, [-1.0, 0.5])
+        a = log_density(spec, [[0.1, 0.2]])[0]
+        b = log_density(spec, [[-1.0, 0.5]])[0]
         assert a == b
 
     def test_gaussian_symmetric_about_mean(self):
         spec = gaussian_spec(mean=np.array([1.0, -1.0]))
         v = np.array([0.3, 0.4])
         mu = np.array([1.0, -1.0])
-        assert log_density(spec, mu + v) == pytest.approx(log_density(spec, mu - v))
+        assert log_density(spec, [mu + v])[0] == pytest.approx(log_density(spec, [mu - v])[0])
 
     def test_gaussian_normalized_scalar(self):
         # d=1 standard normal density at 0 is 1/sqrt(2 pi).
-        assert log_density(gaussian_spec(), [0.0]) == pytest.approx(
+        assert log_density(gaussian_spec(), [[0.0]])[0] == pytest.approx(
             -0.5 * math.log(2 * math.pi))
 
     @pytest.mark.parametrize("d", [2, 20, 100])
@@ -401,17 +422,17 @@ class TestLogDensity:
         spec = gaussian_spec(mean=np.linspace(-1.0, 1.0, d), cov=1.5, rho=0.7)
         mean, C = ctx._gauss_resolved(spec, d)[:2]
         X = np.random.default_rng(d).multivariate_normal(mean, C, size=200)
-        np.testing.assert_allclose(ctx._log_density_batch(spec, X),
+        np.testing.assert_allclose(ctx.log_density(spec, X),
                                    stats.multivariate_normal(mean, C).logpdf(X),
                                    rtol=1e-12)
 
     def test_out_of_support(self):
         with pytest.raises(OutOfSupportError):
-            log_density(exponential_spec(), [-0.1])
+            log_density(exponential_spec(), [[-0.1]])[0]
         with pytest.raises(OutOfSupportError):
-            log_density(uniform_ball_spec(1.0), [1.5, 0.0])
+            log_density(uniform_ball_spec(1.0), [[1.5, 0.0]])[0]
         with pytest.raises(OutOfSupportError):
-            log_density(cauchy_spec(truncation=box(-5.0, 5.0)), [6.0])
+            log_density(cauchy_spec(truncation=box(-5.0, 5.0)), [[6.0]])[0]
 
     def test_truncation_preserves_shape(self):
         # Unnormalized truncated log density equals the base log density
@@ -419,7 +440,7 @@ class TestLogDensity:
         spec = laplace_spec()
         tspec = truncate(spec, box(-2.0, 2.0))
         x = [0.7, -1.1]
-        assert log_density(tspec, x) == log_density(spec, x)
+        assert log_density(tspec, [x])[0] == log_density(spec, [x])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -428,40 +449,40 @@ class TestLogDensity:
 
 class TestGradients:
     def test_exponential_constant_gradient(self):
-        np.testing.assert_allclose(grad_log_density(exponential_spec(2.0), [1.0, 3.0]),
+        np.testing.assert_allclose(grad_log_density(exponential_spec(2.0), [[1.0, 3.0]])[0],
                                    [-2.0, -2.0])
 
     def test_gaussian_zero_at_mean(self):
-        g = grad_log_density(gaussian_spec(mean=np.array([1.0, 2.0])), [1.0, 2.0])
+        g = grad_log_density(gaussian_spec(mean=np.array([1.0, 2.0])), [[1.0, 2.0]])[0]
         np.testing.assert_allclose(g, 0.0)
 
     def test_laplace_sign(self):
-        np.testing.assert_allclose(grad_log_density(laplace_spec(), [0.7]), [-1.0])
-        np.testing.assert_allclose(grad_log_density(laplace_spec(), [-0.7]), [1.0])
+        np.testing.assert_allclose(grad_log_density(laplace_spec(), [[0.7]])[0], [-1.0])
+        np.testing.assert_allclose(grad_log_density(laplace_spec(), [[-0.7]])[0], [1.0])
 
     def test_laplace_kink_rejected(self):
         with pytest.raises(DegenerateInputError):
-            grad_log_density(laplace_spec(), [0.0])
+            grad_log_density(laplace_spec(), [[0.0]])[0]
 
     def test_uniform_zero_interior_boundary_rejected(self):
-        np.testing.assert_allclose(grad_log_density(uniform_ball_spec(1.0), [0.3, 0.4]), 0.0)
+        np.testing.assert_allclose(grad_log_density(uniform_ball_spec(1.0), [[0.3, 0.4]])[0], 0.0)
         with pytest.raises(OutOfSupportError):
-            grad_log_density(uniform_ball_spec(1.0), [0.6, 0.8])
+            grad_log_density(uniform_ball_spec(1.0), [[0.6, 0.8]])[0]
 
     def test_student_t_and_cauchy_forms(self):
         x = np.array([0.5, -1.5])
         v = 2.0
-        np.testing.assert_allclose(grad_log_density(student_t_spec(v), x),
+        np.testing.assert_allclose(grad_log_density(student_t_spec(v), [x])[0],
                                    -(v + 1) * x / (v + x * x))
-        np.testing.assert_allclose(grad_log_density(cauchy_spec(), x),
+        np.testing.assert_allclose(grad_log_density(cauchy_spec(), [x])[0],
                                    -2 * x / (1 + x * x))
 
     def test_truncation_leaves_gradient_unchanged(self):
         spec = gaussian_spec()
         tspec = truncate(spec, ball(3.0))
         x = np.array([0.4, -0.2])
-        np.testing.assert_array_equal(grad_log_density(tspec, x),
-                                      grad_log_density(spec, x))
+        np.testing.assert_array_equal(grad_log_density(tspec, [x])[0],
+                                      grad_log_density(spec, [x])[0])
 
 
 @settings(deadline=None, max_examples=40)
@@ -490,12 +511,13 @@ def test_gradient_matches_finite_difference(kind, d, scale, seed):
     X = X[keep]
     h = 1e-5
     for x in X[:10]:
-        g = grad_log_density(spec, x)
+        g = grad_log_density(spec, [x])[0]
         fd = np.empty(d)
         for j in range(d):
             e = np.zeros(d)
             e[j] = h
-            fd[j] = (log_density(spec, x + e) - log_density(spec, x - e)) / (2 * h)
+            fd[j] = (log_density(spec, [x + e])[0]
+                     - log_density(spec, [x - e])[0]) / (2 * h)
         assert np.abs(g - fd).max() <= 1e-4 * max(1.0, np.abs(g).max())
 
 
@@ -599,12 +621,12 @@ class TestVerifyLac:
     def test_gradient_mismatch_reported_distinctly(self, rng, monkeypatch):
         # A wrong analytic gradient must trip the cross-check without being
         # conflated with an envelope violation.
-        true_grad = ctx._grad_batch
+        true_grad = ctx.grad_log_density
 
         def skewed(spec, X):
             return 0.9 * true_grad(spec, X)
 
-        monkeypatch.setattr(ctx, "_grad_batch", skewed)
+        monkeypatch.setattr(ctx, "grad_log_density", skewed)
         report = verify_lac(gaussian_spec(), 1500, 1e-3, rng, d=2)
         assert not report.gradient_check_passed
         assert report.passed  # shrunken gradients still satisfy the envelope

@@ -444,7 +444,7 @@ def helper_config(tmp_path, d, reps, T=None):
 
 
 def inline_runs(config, table):
-    """Every (policy, rep) trajectory of the experiment from bare
+    """Each policy's trajectories of the experiment, in rep order, from bare
     run_episode calls of the same blocks, which record inline."""
     _, _, seeds = _episode_seeds(config)
     inst = BanditInstance(theta_star=table.theta_star, sigma=config.sigma,
@@ -454,14 +454,14 @@ def inline_runs(config, table):
         if pol.kind == "greedy":
             pol = dataclasses.replace(pol, theta0=table.theta0)
         block = seeds[p * config.reps:(p + 1) * config.reps]
-        runs.update(((pol.name, rep), traj) for rep, traj in
-                    enumerate(run_episode(inst, pol, config.T, block)))
+        runs[pol.name] = run_episode(inst, pol, config.T, block)
     return runs
 
 
 def trajectory_bytes(trajectories):
-    return {key: [getattr(tr, f.name).tobytes() for f in dataclasses.fields(tr)]
-            for key, tr in trajectories.items()}
+    return {key: [[getattr(tr, f.name).tobytes() for f in dataclasses.fields(tr)]
+                  for tr in trajs]
+            for key, trajs in trajectories.items()}
 
 
 def check_helper_run(config, monkeypatch):

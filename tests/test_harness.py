@@ -89,7 +89,7 @@ class TestRunExperiment:
     def test_trajectory_and_row_counts(self, tmp_path):
         cfg = tiny_config(tmp_path, reps=3)
         table = run_experiment(cfg)
-        assert len(table.trajectories) == 3 * 3
+        assert sum(map(len, table.trajectories.values())) == 3 * 3
         assert len(list(table.raw_rows())) == 3 * 3 * cfg.T
         assert len(list(table.aggregate_rows())) == 3 * cfg.T
 
@@ -104,6 +104,17 @@ class TestRunExperiment:
         assert list(a.raw_rows()) == list(b.raw_rows())
         np.testing.assert_array_equal(a.theta_star, b.theta_star)
 
+    def test_frozen_spec_pickles_into_pool_workers(self, tmp_path):
+        # The resolved parameters are cached per spec object, so a spec
+        # never changes; it still crosses to the pool's workers.
+        spec = gaussian_spec(cov=1.0, rho=0.5)
+        for name, value in (("rho", 0.9), ("cov", -1.0)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(spec, name, value)
+        serial = run_experiment(tiny_config(tmp_path, spec=spec, jobs=1))
+        parallel = run_experiment(tiny_config(tmp_path, spec=spec, jobs=2))
+        assert list(serial.raw_rows()) == list(parallel.raw_rows())
+
     def test_parallel_matches_serial(self, tmp_path):
         serial = run_experiment(tiny_config(tmp_path, jobs=1))
         parallel = run_experiment(tiny_config(tmp_path, jobs=3))
@@ -115,10 +126,11 @@ class TestRunExperiment:
         serial = run_experiment(tiny_config(tmp_path, reps=3, jobs=1))
         parallel = run_experiment(tiny_config(tmp_path, reps=3, jobs=2))
         assert serial.trajectories.keys() == parallel.trajectories.keys()
-        for key, traj in serial.trajectories.items():
-            other = parallel.trajectories[key]
-            for name in ("arm", "inst_regret", "est_error_l2", "gram_min_eig"):
-                assert getattr(traj, name).tobytes() == getattr(other, name).tobytes()
+        for key, trajs in serial.trajectories.items():
+            assert len(trajs) == len(parallel.trajectories[key])
+            for traj, other in zip(trajs, parallel.trajectories[key]):
+                for name in ("arm", "inst_regret", "est_error_l2", "gram_min_eig"):
+                    assert getattr(traj, name).tobytes() == getattr(other, name).tobytes()
         assert list(serial.raw_rows()) == list(parallel.raw_rows())
 
     @pytest.mark.parametrize("kind", ["greedy", "linucb", "lints"])
@@ -422,7 +434,7 @@ class TestDiagnosticsOverlap:
         rng = np.random.default_rng(
             np.random.SeedSequence(cfg.seed, spawn_key=(10**6,)))
         serial = diag.run_diagnostics(cfg.spec, cfg.d, cfg.K, table.theta_star,
-                                      table.trajectories[("greedy", 0)], rng)
+                                      table.trajectories["greedy"][0], rng)
         assert diag.format_report(table.diagnostics) == diag.format_report(serial)
 
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -536,6 +548,34 @@ class TestIniConfig:
         assert config_from_ini(ini).seed == 1
         assert preset_config("d20-k20", "gaussian").seed == 1
 
+    def test_negative_seed_rejected(self, tmp_path):
+        ini = tmp_path / "exp.ini"
+        ini.write_text("[experiment]\nd = 2\nk = 2\nseed = -1\n[spec]\nkind = laplace\n")
+        with pytest.raises(ConfigError, match="experiment.seed: must be an int >= 0"):
+            config_from_ini(ini).validate()
+
+    @pytest.mark.parametrize("key,value,noun", [
+        ("reps", "2.5", "not an integer"), ("sigma", "half", "not a number"),
+        ("emit_svg", "maybe", "not a boolean")])
+    def test_bad_setting_names_key_and_type(self, tmp_path, key, value, noun):
+        ini = tmp_path / "bad.ini"
+        ini.write_text(f"[experiment]\nd = 2\nk = 2\n{key} = {value}\n"
+                       "[spec]\nkind = laplace\n")
+        with pytest.raises(ConfigError, match=f"^experiment.{key}: {noun}: '{value}'$"):
+            config_from_ini(ini)
+
+    def test_keys_follow_the_settings(self, tmp_path):
+        # Each scalar ExperimentConfig field is one [experiment] key, in
+        # field order, under its lower-case name.
+        ini = tmp_path / "exp.ini"
+        config_to_ini(tiny_config(tmp_path), ini)
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read(ini, encoding="utf-8")
+        assert list(parser["experiment"]) == [name.lower() for name in harness.SETTINGS]
+        assert list(harness.SETTINGS) == [
+            f.name for f in dataclasses.fields(ExperimentConfig)
+            if f.name not in ("spec", "policies")]
+
     def test_unknown_keys_rejected(self, tmp_path):
         ini = tmp_path / "bad.ini"
         ini.write_text("[experiment]\nd = 2\nk = 2\nwhat = 1\n[spec]\nkind = laplace\n")
@@ -567,18 +607,20 @@ class TestIniConfig:
         with pytest.raises(ConfigError, match="not found"):
             config_from_ini(tmp_path / "nope.ini")
 
-    def test_arm_coupling_key_ignored(self, tmp_path):
-        # Files written with the former arm_coupling key still parse, and the
-        # key changes no draw.
+    def test_arm_coupling_key_rejected(self, tmp_path):
+        # The former arm_coupling key changed no draw; it is now an unknown
+        # spec key, and the same block without it draws the plain spec's arms.
         block = ("[experiment]\nd = 3\nk = 4\n[spec]\nkind = gaussian\n"
                  "var = 1.0\nrho = 0.7\n")
         plain, coupled = tmp_path / "plain.ini", tmp_path / "coupled.ini"
         plain.write_text(block)
         coupled.write_text(block + "arm_coupling = shared_gaussian_covariance\n")
-        a, b = config_from_ini(plain).spec, config_from_ini(coupled).spec
+        a, b = config_from_ini(plain).spec, gaussian_spec(cov=1.0, rho=0.7)
         draws = [sample_context_set(spec, 3, 4, [np.random.default_rng(3)])[0]
                  for spec in (a, b)]
         np.testing.assert_array_equal(draws[0], draws[1])
+        with pytest.raises(ConfigError, match=r"spec: unknown spec keys: \['arm_coupling'\]"):
+            config_from_ini(coupled)
 
 
 class TestCli:
@@ -613,6 +655,13 @@ class TestCli:
     def test_invalid_config_exit_1(self, capsys):
         assert cli.main(["--T", "0"]) == 1
         assert "invalid config" in capsys.readouterr().err
+
+    def test_negative_seed_exit_1(self, tmp_path, capsys):
+        # SeedSequence would reject it mid-run, with no key path and exit 2.
+        out = tmp_path / "o"
+        assert cli.main(["--seed", "-1", "--out", str(out)]) == 1
+        assert "experiment.seed: must be an int >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_invalid_spec_parameter_exit_1(self, capsys):
         # d = 0 gives the uniform-ball preset radius 0, which the spec rejects.
