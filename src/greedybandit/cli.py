@@ -75,8 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args, shape=None, dist=None) -> ExperimentConfig:
-    """The file or preset config with the flags' settings applied before its
-    policies are built; `shape` and `dist` name a matrix cell."""
+    """The file or preset config with the flags' settings applied; `shape`
+    and `dist` name a matrix cell."""
     settings = {name: getattr(args, name) for name in SETTINGS
                 if getattr(args, name) is not None}
     dist = dist or (args.dist[0] if args.dist else None)
@@ -92,8 +92,7 @@ def _config_from_args(args, shape=None, dist=None) -> ExperimentConfig:
         config = preset_config(shape, dist or "gaussian", **settings)
     if args.algo:
         algos = tuple(a.strip() for a in args.algo.split(","))
-        config = dataclasses.replace(
-            config, policies=default_policies(config.sigma, algos))
+        config = dataclasses.replace(config, policies=default_policies(algos))
     return config
 
 

@@ -946,8 +946,25 @@ def spec_to_config(spec: DistributionSpec) -> dict[str, str]:
     return block
 
 
+# The parser of each key that gives a gaussian's covariance.
+_COV_KEYS = {
+    "cov_matrix": lambda s: np.vstack([np.atleast_1d(_parse_param(r)) for r in s.split(";")]),
+    "cov_diag": lambda s: np.atleast_1d(_parse_param(s)),
+    "var": float,
+}
+
+
+def _pop_parsed(block: dict, key: str, parse):
+    """block.pop(key) parsed; a ValueError names the key."""
+    try:
+        return parse(block.pop(key))
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
+
+
 def spec_from_config(block) -> DistributionSpec:
-    """Inverse of spec_to_config; unknown keys raise."""
+    """Inverse of spec_to_config; unknown keys raise, and a value that does
+    not parse names its key."""
     block = dict(block)
     try:
         kind = block.pop("kind")
@@ -955,20 +972,16 @@ def spec_from_config(block) -> DistributionSpec:
         raise ValueError("spec block needs a 'kind' key") from None
     if kind not in PARAMS:
         raise ValueError(f"unknown distribution kind {kind!r}")
-    trunc = block.pop("truncation", None)
-    region = _parse_region(trunc) if trunc is not None else None
+    region = (_pop_parsed(block, "truncation", _parse_region)
+              if "truncation" in block else None)
     kwargs = {}
     for name in PARAMS[kind]:
         if name == "cov":
-            if "cov_matrix" in block:
-                rows = [np.atleast_1d(_parse_param(r)) for r in block.pop("cov_matrix").split(";")]
-                kwargs["cov"] = np.vstack(rows)
-            elif "cov_diag" in block:
-                kwargs["cov"] = np.atleast_1d(_parse_param(block.pop("cov_diag")))
-            elif "var" in block:
-                kwargs["cov"] = float(block.pop("var"))
+            key = next((k for k in _COV_KEYS if k in block), None)
+            if key is not None:
+                kwargs["cov"] = _pop_parsed(block, key, _COV_KEYS[key])
         elif name in block:
-            kwargs[name] = _parse_param(block.pop(name))
+            kwargs[name] = _pop_parsed(block, name, _parse_param)
         elif name == "df":
             raise ValueError("student_t spec needs a 'df' key")
     if block:

@@ -152,12 +152,12 @@ def run_episode(instance: BanditInstance, config: PolicyConfig, T: int,
     Trajectory is a function of (inputs, its seed) alone: equal byte for
     byte to the run of its seed in a block of one.  With a helper
     (GramHelper.start), the gram_min_eig record is solved in it; without
-    one, inline.
+    one, inline.  The policy runs as config.resolved(T, instance.sigma).
     """
     T = int(T)
     if T < 1:
         raise ValueError("T must be >= 1")
-    config = config.with_delta_for_horizon(T)
+    config = config.resolved(T, instance.sigma)
     if config.kind == "greedy" and config.theta0 is None:
         raise ValueError("greedy episodes need theta0")
     if config.theta0 is not None and config.theta0.shape != (instance.d,):

@@ -16,8 +16,11 @@ thread, also at one OpenBLAS thread, while the blocks run.  Without a
 pool, the blocks send their gram_min_eig record to one forked helper
 process (env.GramHelper.start), reaped when the experiment returns or
 raises.
-SETTINGS, the scalar ExperimentConfig fields, names the config-file keys
-and the command-line settings.
+SETTINGS, the scalar ExperimentConfig fields, names the [experiment] keys
+of a config file and the command-line settings; policies.POLICY_PARAMS
+names the keys of each [policy.NAME] section, the parameters its kind
+reads.  A LinUCB policy that leaves delta or sigma_assumed unset runs at
+1/T and the experiment's sigma (PolicyConfig.resolved).
 Outputs are a raw per-round CSV, an aggregate CSV (mean and sample std of
 cumulative regret per policy), an optional SVG regret plot, and an optional
 diagnostics text sidecar, each written to a temporary file; the
@@ -42,13 +45,13 @@ import numpy as np
 
 from . import blas
 from . import diagnostics as diag
-from .contexts import (DistributionSpec, box, cauchy_spec, gaussian_spec,
-                       laplace_spec, exponential_spec, resolve_dim,
-                       spec_from_config, spec_to_config, student_t_spec,
-                       uniform_ball_spec)
+from .contexts import (DistributionSpec, _fmt_param, _parse_param, box,
+                       cauchy_spec, gaussian_spec, laplace_spec,
+                       exponential_spec, resolve_dim, spec_from_config,
+                       spec_to_config, student_t_spec, uniform_ball_spec)
 from .env import (BanditInstance, GramHelper, Trajectory, run_episode,
                   sphere_vector)
-from .policies import POLICY_KINDS, PolicyConfig
+from .policies import POLICY_KINDS, POLICY_PARAMS, PolicyConfig
 
 RAW_COLUMNS = ("policy", "rep", "t", "inst_regret", "cum_regret",
                "est_error_l2", "gram_min_eig")
@@ -99,6 +102,7 @@ class ExperimentConfig:
               "must be finite and non-negative")
         check(isinstance(self.jobs, int) and self.jobs >= 1,
               "experiment.jobs", "must be an int >= 1")
+        check(self.output_dir != "", "experiment.output_dir", "must be a non-empty path")
         check(not self.diagnostics or self.K >= 2, "experiment.diagnostics",
               "needs K >= 2: the margin estimate compares the best two arms")
         check(isinstance(self.spec, DistributionSpec), "spec", "must be a DistributionSpec")
@@ -356,16 +360,14 @@ def _ticks(lo: float, hi: float, n: int = 5):
 
 def render_svg(table: ResultsTable, path) -> None:
     """Plot mean cumulative regret per policy with a +-1 std band."""
-    names = table.policy_names
-    series = {}
-    y_hi = 0.0
-    for name in names:
-        mean, std = series[name] = table.cum_regret_stats(name)
-        if mean.size:
-            y_hi = max(y_hi, float((mean + std).max()))
     T = table.config.T
+    ts = np.arange(1, T + 1)
+    # (name, colour, mean, std) of each policy.
+    series = [(name, _PALETTE[i % len(_PALETTE)], *table.cum_regret_stats(name))
+              for i, name in enumerate(table.policy_names)]
     x_lo, x_hi = 1.0, float(max(T, 2))
     y_lo = 0.0
+    y_hi = max(float((mean + std).max()) for _, _, mean, std in series)
     if y_hi <= 0.0:
         y_hi = 1.0
     y_hi *= 1.05
@@ -382,24 +384,14 @@ def render_svg(table: ResultsTable, path) -> None:
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
     ]
     # Bands first so series lines draw on top.
-    for i, name in enumerate(names):
-        mean, std = series[name]
-        if not mean.size:
-            continue
-        ts = np.arange(1, mean.size + 1)
+    for _, color, mean, std in series:
         upper = [f"{sx(t):.2f},{sy(m + s):.2f}" for t, m, s in zip(ts, mean, std)]
         lower = [f"{sx(t):.2f},{sy(max(m - s, 0.0)):.2f}"
                  for t, m, s in zip(ts[::-1], mean[::-1], std[::-1])]
-        color = _PALETTE[i % len(_PALETTE)]
         out.append(f'<path class="band" fill="{color}" fill-opacity="0.18" '
                    f'stroke="none" d="M {" L ".join(upper + lower)} Z"/>')
-    for i, name in enumerate(names):
-        mean, _ = series[name]
-        if not mean.size:
-            continue
-        ts = np.arange(1, mean.size + 1)
+    for _, color, mean, _ in series:
         pts = " ".join(f"{sx(t):.2f},{sy(m):.2f}" for t, m in zip(ts, mean))
-        color = _PALETTE[i % len(_PALETTE)]
         out.append(f'<polyline class="series" fill="none" stroke="{color}" '
                    f'stroke-width="1.5" points="{pts}"/>')
     # Axes and ticks.
@@ -427,8 +419,7 @@ def render_svg(table: ResultsTable, path) -> None:
                f'{(_MT + _H - _MB) / 2:.2f})">cumulative regret</text>')
     # Legend.
     lx, ly = _W - _MR - 170, _MT + 10
-    for i, name in enumerate(names):
-        color = _PALETTE[i % len(_PALETTE)]
+    for i, (name, color, _, _) in enumerate(series):
         yy = ly + 18 * i
         out.append(f'<rect x="{lx}" y="{yy}" width="18" height="4" fill="{color}"/>')
         out.append(f'<text x="{lx + 24}" y="{yy + 6}" font-size="12">'
@@ -499,13 +490,13 @@ def preset_spec(dist: str, d: int) -> DistributionSpec:
     return PRESETS[dist](d)
 
 
-def default_policies(sigma: float, algos=POLICY_KINDS) -> list[PolicyConfig]:
-    """Baselines assume the experiment's noise scale unless overridden."""
+def default_policies(algos=POLICY_KINDS) -> list[PolicyConfig]:
+    """One policy of each kind in algos, at its default parameters."""
     out = []
     for kind in algos:
         if kind not in POLICY_KINDS:
             raise ConfigError(f"experiment.algo: unknown policy {kind!r}")
-        out.append(PolicyConfig(kind=kind, sigma_assumed=float(sigma)))
+        out.append(PolicyConfig(kind=kind))
     return out
 
 
@@ -514,16 +505,15 @@ def preset_config(shape: str, dist: str, algos=POLICY_KINDS,
     """The preset experiment `shape` x `dist` with default baselines.
 
     `settings` are ExperimentConfig fields; d and K default to the shape's.
-    The spec is built at the final d and the baselines assume the final sigma.
+    The spec is built at the final d.
     """
     if shape not in PRESET_SHAPES:
         raise ConfigError(f"experiment.preset: unknown shape {shape!r} "
                           f"(choose from {sorted(PRESET_SHAPES)})")
     d, K = PRESET_SHAPES[shape]
     settings = {"d": d, "K": K, **settings}
-    sigma = settings.get("sigma", ExperimentConfig.sigma)
     return ExperimentConfig(spec=preset_spec(dist, settings["d"]),
-                            policies=default_policies(sigma, algos), **settings)
+                            policies=default_policies(algos), **settings)
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +523,8 @@ def preset_config(shape: str, dist: str, algos=POLICY_KINDS,
 # The ConfigParser getter of each setting type, and what a value it rejects
 # is not.
 _GETTERS = {"int": ("getint", "an integer"), "float": ("getfloat", "a number"),
-            "bool": ("getboolean", "a boolean"), "str": ("get", None)}
+            "bool": ("getboolean", "a boolean"), "str": ("get", None),
+            "vector": ("getvector", "a vector")}
 
 
 def _get(section, key, kind):
@@ -546,12 +537,18 @@ def _get(section, key, kind):
         raise ConfigError(f"{section.name}.{key}: not {noun}: {section[key]!r}") from None
 
 
-# [experiment] key -> (ExperimentConfig field, its type): each setting, in
-# field order, under its lower-case name; a missing key leaves the default.
-_EXPERIMENT_KEYS = {name.lower(): (name, kind) for name, kind in SETTINGS.items()}
-# [policy.NAME] keys besides `kind` and the comma list `theta0`, each a
-# float PolicyConfig field.
-_POLICY_FLOATS = ("lambda_reg", "delta", "v_scale", "sigma_assumed")
+def _read(section, types: dict[str, str]) -> dict:
+    """The section's values, each key read by _get as its type in `types`;
+    ConfigError names a key that `types` does not list."""
+    unknown = set(section) - set(types)
+    if unknown:
+        raise ConfigError(f"{section.name}.{sorted(unknown)[0]}: unknown key")
+    return {key: _get(section, key, kind) for key, kind in types.items() if key in section}
+
+
+# The type of each [experiment] key: each setting, in field order, under its
+# lower-case name; a missing key leaves the default.
+_EXPERIMENT_TYPES = {name.lower(): kind for name, kind in SETTINGS.items()}
 
 
 def config_from_ini(path, **settings) -> ExperimentConfig:
@@ -559,23 +556,20 @@ def config_from_ini(path, **settings) -> ExperimentConfig:
 
     Layout: an [experiment] section with the scalar settings, one [spec]
     section in the flat key-value form of spec_to_config, and one
-    [policy.NAME] section per policy.  `settings` are ExperimentConfig
-    fields that replace the file's [experiment] values before the policies
-    are built, so a policy without sigma_assumed assumes the final sigma.
+    [policy.NAME] section per policy, with its kind and the parameters that
+    kind reads (POLICY_PARAMS).  `settings` are ExperimentConfig fields that
+    replace the file's [experiment] values.
     """
-    parser = configparser.ConfigParser(interpolation=None)
+    # getvector reads a comma list, theta0's form, as a vector.
+    parser = configparser.ConfigParser(
+        interpolation=None, converters={"vector": lambda s: np.atleast_1d(_parse_param(s))})
     read = parser.read(os.fspath(path), encoding="utf-8")
     if not read:
         raise ConfigError(f"config file not found: {path}")
     if "experiment" not in parser:
         raise ConfigError("experiment: missing section")
-    exp = parser["experiment"]
-    unknown = set(exp) - set(_EXPERIMENT_KEYS)
-    if unknown:
-        raise ConfigError(f"experiment.{sorted(unknown)[0]}: unknown key")
-    settings = {name: _get(exp, key, kind)
-                for key, (name, kind) in _EXPERIMENT_KEYS.items()
-                if key in exp} | settings
+    exp = _read(parser["experiment"], _EXPERIMENT_TYPES)
+    settings = {name: exp[name.lower()] for name in SETTINGS if name.lower() in exp} | settings
     for name in ("d", "K"):
         if name not in settings:
             raise ConfigError(f"experiment.{name.lower()}: missing required key")
@@ -586,53 +580,39 @@ def config_from_ini(path, **settings) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(f"spec: {exc}") from exc
 
-    sigma = settings.get("sigma", ExperimentConfig.sigma)
     policies = []
     for section_name in parser.sections():
         if not section_name.startswith("policy."):
             continue
         sec = parser[section_name]
-        unknown = set(sec) - set(_POLICY_FLOATS) - {"kind", "theta0"}
-        if unknown:
-            raise ConfigError(f"{section_name}.{sorted(unknown)[0]}: unknown key")
         kind = sec.get("kind")
         if kind not in POLICY_KINDS:
             raise ConfigError(f"{section_name}.kind: unknown kind {kind!r}")
-        params = {}
-        if "theta0" in sec:
-            params["theta0"] = np.array([float(v) for v in sec["theta0"].split(",")])
-        params.update((key, _get(sec, key, "float")) for key in _POLICY_FLOATS if key in sec)
-        params.setdefault("sigma_assumed", sigma)
+        params = _read(sec, {"kind": "str"} | {
+            key: "vector" if key == "theta0" else "float" for key in POLICY_PARAMS[kind]})
         try:
-            policies.append(PolicyConfig(
-                kind=kind, name=section_name[len("policy."):], **params))
+            policies.append(PolicyConfig(name=section_name[len("policy."):], **params))
         except ValueError as exc:
             raise ConfigError(f"{section_name}: {exc}") from exc
-    return ExperimentConfig(spec=spec, policies=policies or default_policies(sigma),
+    return ExperimentConfig(spec=spec, policies=policies or default_policies(),
                             **settings)
 
 
 def _ini_value(v) -> str:
     if isinstance(v, bool):
         return str(v).lower()
-    # float() first: repr of a numpy float is "np.float64(0.5)".
-    return repr(float(v)) if isinstance(v, float) else str(v)
+    return _fmt_param(v) if isinstance(v, (float, np.ndarray)) else str(v)
 
 
 def config_to_ini(config: ExperimentConfig, path) -> None:
     """Write a config file that config_from_ini parses back."""
     parser = configparser.ConfigParser(interpolation=None)
-    parser["experiment"] = {key: _ini_value(getattr(config, name))
-                            for key, (name, _) in _EXPERIMENT_KEYS.items()}
+    parser["experiment"] = {name.lower(): _ini_value(getattr(config, name))
+                            for name in SETTINGS}
     parser["spec"] = spec_to_config(config.spec)
     for p in config.policies:
-        block = {"kind": p.kind, "lambda_reg": _ini_value(p.lambda_reg),
-                 "v_scale": _ini_value(p.v_scale),
-                 "sigma_assumed": _ini_value(p.sigma_assumed)}
-        if p.delta is not None:
-            block["delta"] = _ini_value(p.delta)
-        if p.theta0 is not None:
-            block["theta0"] = ",".join(repr(float(v)) for v in p.theta0)
-        parser[f"policy.{p.name}"] = block
+        parser[f"policy.{p.name}"] = {"kind": p.kind} | {
+            key: _ini_value(getattr(p, key)) for key in POLICY_PARAMS[p.kind]
+            if getattr(p, key) is not None}
     with open(os.fspath(path), "w", encoding="utf-8") as fh:
         parser.write(fh)

@@ -3,7 +3,9 @@
 The greedy rule scores arms with the raw least squares estimate and never
 adds an exploration term; before the Gram matrix is invertible it falls
 back to a fixed warm-start vector theta0.  The two baselines regularize
-with lambda_reg and need a generator only in the Thompson case.  They
+with lambda_reg and need a generator only in the Thompson case.
+POLICY_PARAMS names the parameters each rule reads; a PolicyConfig sets
+only those.  The baselines
 factor the ridge matrix and solve for the ridge estimate once per round in
 one scipy LAPACK dposv call, and its factor L serves LinUCB's
 log-determinant and widths and LinTS's posterior draw: one triangular
@@ -21,7 +23,7 @@ stack R = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import math
 
@@ -31,18 +33,23 @@ from scipy.linalg import lapack
 from . import estimator
 from .estimator import GramState
 
-POLICY_KINDS = ("greedy", "linucb", "lints")
+# The parameters each rule reads, in config order.  A PolicyConfig sets
+# only its kind's; every other field keeps its default.
+POLICY_PARAMS = {"greedy": ("theta0",),
+                 "linucb": ("lambda_reg", "delta", "sigma_assumed"),
+                 "lints": ("lambda_reg", "v_scale")}
+POLICY_KINDS = tuple(POLICY_PARAMS)
 
 
 @dataclass
 class PolicyConfig:
-    """Hyperparameters shared by the three selection rules.
+    """One selection rule and the parameters it reads (POLICY_PARAMS).
 
-    theta0 applies to greedy only (score vector while unidentified).  delta
-    left as None resolves to 1/T when the episode length is known (1/2 at
-    T = 1, which 1/T would put outside (0, 1)).
-    sigma_assumed is the noise scale the baselines plug into their bonus
-    and posterior; it need not match the environment.
+    theta0 is greedy's score vector while unidentified.  lambda_reg is the
+    baselines' ridge.  LinUCB's delta left as None resolves to 1/T (1/2 at
+    T = 1, which 1/T would put outside (0, 1)), and its sigma_assumed, the
+    noise scale of its bonus, left as None resolves to the environment's
+    sigma (see resolved).  LinTS's posterior scale is v_scale alone.
     """
 
     kind: str
@@ -50,12 +57,17 @@ class PolicyConfig:
     lambda_reg: float = 1.0
     delta: float | None = None
     v_scale: float = 1.0
-    sigma_assumed: float = 0.5
+    sigma_assumed: float | None = None
     name: str | None = None
 
     def __post_init__(self):
         if self.kind not in POLICY_KINDS:
             raise ValueError(f"unknown policy kind {self.kind!r}")
+        for field in fields(self)[1:-1]:  # the parameters between kind and name
+            v = getattr(self, field.name)
+            if field.name not in POLICY_PARAMS[self.kind] and (
+                    np.ndim(v) > 0 or v != field.default):
+                raise ValueError(f"{self.kind} policy does not read {field.name!r}")
         if self.theta0 is not None:
             self.theta0 = np.asarray(self.theta0, dtype=float)
             if not np.all(np.isfinite(self.theta0)):
@@ -66,15 +78,19 @@ class PolicyConfig:
             raise ValueError("delta must lie in (0, 1)")
         if not 0.0 < self.v_scale < math.inf:
             raise ValueError("v_scale must be positive and finite")
-        if not 0.0 <= self.sigma_assumed < math.inf:
+        if self.sigma_assumed is not None and not 0.0 <= self.sigma_assumed < math.inf:
             raise ValueError("sigma_assumed must be finite and non-negative")
         if self.name is None:
             self.name = self.kind
 
-    def with_delta_for_horizon(self, T: int) -> "PolicyConfig":
-        if self.delta is not None:
+    def resolved(self, T: int, sigma: float) -> PolicyConfig:
+        """The config that runs T rounds against noise scale sigma: LinUCB's
+        unset delta and sigma_assumed filled in."""
+        if self.kind != "linucb":
             return self
-        return replace(self, delta=1.0 / float(max(T, 2)))
+        delta = 1.0 / max(T, 2) if self.delta is None else self.delta
+        sigma_assumed = sigma if self.sigma_assumed is None else self.sigma_assumed
+        return replace(self, delta=delta, sigma_assumed=sigma_assumed)
 
 
 def _stacked(contexts, reps: int, dim: int) -> np.ndarray:
@@ -109,8 +125,8 @@ def _ridge(state: GramState, lambda_reg: float):
 
 def _radius(L: np.ndarray, config: PolicyConfig) -> np.ndarray:
     """LinUCB bonus multipliers, with logdet(Sigma + lambda I) = 2 sum log diag L."""
-    if config.delta is None:
-        raise ValueError("delta unresolved; call with_delta_for_horizon first")
+    if config.delta is None or config.sigma_assumed is None:
+        raise ValueError("delta or sigma_assumed unresolved; call resolved first")
     lam = config.lambda_reg
     shift = L.shape[-1] * math.log(lam)
     bonus = 2.0 * math.log(1.0 / config.delta)

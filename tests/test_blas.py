@@ -16,7 +16,7 @@ from conftest import logged_subset_solves, recorded_forks
 
 def tiny_config(tmp_path, **kw):
     base = dict(d=3, K=4, T=15, reps=2, seed=3, sigma=0.5, spec=gaussian_spec(),
-                policies=default_policies(0.5), output_dir=str(tmp_path / "out"),
+                policies=default_policies(), output_dir=str(tmp_path / "out"),
                 emit_svg=False, diagnostics=False, jobs=1)
     base.update(kw)
     return ExperimentConfig(**base)

@@ -439,7 +439,7 @@ def helper_config(tmp_path, d, reps, T=None):
     """Three policies at K = 5, past identification unless T says otherwise."""
     return ExperimentConfig(d=d, K=5, T=T or d + 20, reps=reps, seed=3,
                             spec=gaussian_spec(rho=0.3),
-                            policies=default_policies(0.5),
+                            policies=default_policies(),
                             output_dir=str(tmp_path / "out"), emit_svg=False)
 
 
@@ -568,7 +568,7 @@ def test_jobs_fork_only_the_workers_they_use(tmp_path, monkeypatch):
     # One policy of two replications makes two blocks: --jobs 4 forks two
     # pool workers and no helper.
     config = dataclasses.replace(helper_config(tmp_path, 5, 2), jobs=4,
-                                 policies=default_policies(0.5, ("linucb",)))
+                                 policies=default_policies(("linucb",)))
     forks = recorded_forks(monkeypatch)
     table = run_experiment(config)
     assert len(forks) == 2

@@ -5,11 +5,13 @@ import dataclasses
 import math
 import os
 import re
+import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import greedybandit
 from greedybandit import blas, cli, harness
@@ -23,14 +25,14 @@ from greedybandit.harness import (AGGREGATE_COLUMNS, ConfigError,
                                   default_policies, preset_config,
                                   render_svg, run_experiment, write_csv,
                                   write_outputs, _episode_seeds)
-from greedybandit.policies import PolicyConfig
+from greedybandit.policies import POLICY_KINDS, POLICY_PARAMS, PolicyConfig
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
 
 def tiny_config(tmp_path, **kw):
     base = dict(d=2, K=3, T=20, reps=2, seed=5, sigma=0.5, spec=gaussian_spec(),
-                policies=default_policies(0.5), output_dir=str(tmp_path / "out"),
+                policies=default_policies(), output_dir=str(tmp_path / "out"),
                 emit_svg=True, diagnostics=False, jobs=1)
     base.update(kw)
     return ExperimentConfig(**base)
@@ -98,6 +100,18 @@ class TestRunExperiment:
         stds = [row[3] for row in table.aggregate_rows()]
         assert all(s == 0.0 for s in stds)
 
+    def test_linucb_noise_defaults_to_the_run_sigma(self, tmp_path):
+        # An unset sigma_assumed is the experiment's sigma: the run writes the
+        # bytes of one that sets it so, and not those of one that sets another.
+        raw = {}
+        for assumed in (None, 0.3, 0.5):
+            out = tmp_path / str(assumed)
+            write_outputs(run_experiment(tiny_config(
+                tmp_path, sigma=0.3, T=60, output_dir=str(out), emit_svg=False,
+                policies=[PolicyConfig("linucb", sigma_assumed=assumed)])))
+            raw[assumed] = (out / "raw.csv").read_bytes()
+        assert raw[None] == raw[0.3] != raw[0.5]
+
     def test_deterministic_rerun(self, tmp_path):
         a = run_experiment(tiny_config(tmp_path))
         b = run_experiment(tiny_config(tmp_path))
@@ -137,7 +151,7 @@ class TestRunExperiment:
     def test_single_round_experiment(self, tmp_path, kind):
         # delta resolves to 1/max(T, 2): 1/T = 1.0 is outside (0, 1).
         cfg = tiny_config(tmp_path, T=1, reps=2,
-                          policies=default_policies(0.5, (kind,)))
+                          policies=default_policies((kind,)))
         table = run_experiment(cfg)
         assert len(list(table.raw_rows())) == 2
         assert table.cum_regret_matrix(kind).shape == (2, 1)
@@ -215,7 +229,7 @@ class TestCsv:
         name = 'ucb, "tuned"'
         cfg = tiny_config(tmp_path, T=4, reps=2, policies=[
             PolicyConfig("linucb", name=name, sigma_assumed=0.5),
-            PolicyConfig("greedy", sigma_assumed=0.5)])
+            PolicyConfig("greedy")])
         table = run_experiment(cfg)
         raw, agg = tmp_path / "raw.csv", tmp_path / "agg.csv"
         write_csv(table, raw, agg)
@@ -363,7 +377,7 @@ class TestSvg:
         # they are: the bytes xml.sax.saxutils.escape gave.
         name = 'a<b> & "c\'s"'
         cfg = tiny_config(tmp_path, T=5, policies=[
-            PolicyConfig(kind="greedy", sigma_assumed=0.5, name=name)])
+            PolicyConfig(kind="greedy", name=name)])
         path = tmp_path / "named.svg"
         render_svg(run_experiment(cfg), path)
         assert '>a&lt;b&gt; &amp; "c\'s"</text>' in path.read_text()
@@ -374,7 +388,7 @@ class TestSvg:
         # K=1 forces zero regret every round: the series is a flat line on
         # the axis.
         cfg = tiny_config(tmp_path, K=1, T=10, reps=2,
-                          policies=default_policies(0.5, ("greedy",)))
+                          policies=default_policies(("greedy",)))
         table = run_experiment(cfg)
         path = tmp_path / "flat.svg"
         render_svg(table, path)
@@ -490,7 +504,8 @@ class TestPresets:
 
     def test_baselines_assume_experiment_sigma(self):
         cfg = preset_config("d20-k20", "gaussian", sigma=0.25)
-        assert all(p.sigma_assumed == 0.25 for p in cfg.policies)
+        assert [p.resolved(cfg.T, cfg.sigma).sigma_assumed for p in cfg.policies] \
+            == [None, 0.25, None]
 
 
 class TestIniConfig:
@@ -502,7 +517,7 @@ class TestIniConfig:
             PolicyConfig("greedy", theta0=np.linspace(-1.0, 1.0, 20), name="g0"),
             PolicyConfig("linucb", lambda_reg=2.5, delta=0.05,
                          sigma_assumed=0.1, name="ucb"),
-            PolicyConfig("lints", v_scale=0.7, sigma_assumed=0.3)]
+            PolicyConfig("lints", v_scale=0.7)]
         ini = tmp_path / "exp.ini"
         config_to_ini(cfg, ini)
         back = config_from_ini(ini)
@@ -522,18 +537,81 @@ class TestIniConfig:
             else:
                 np.testing.assert_array_equal(p.theta0, q.theta0)
 
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data(), d=st.sampled_from([1, 2, 5]),
+           sigma=st.floats(0.0, 1e6, allow_subnormal=False),
+           kinds=st.lists(st.sampled_from(POLICY_KINDS), min_size=1, max_size=3))
+    def test_policies_round_trip(self, data, d, sigma, kinds):
+        # Each parameter a kind reads, set or left at its default, comes back
+        # from the file as it was; d = 1 writes theta0 with a trailing comma.
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        positive = st.floats(0.0, 1e6, exclude_min=True)
+        values = {"theta0": st.lists(finite, min_size=d, max_size=d).map(np.array),
+                  "lambda_reg": positive, "delta": st.floats(0.0, 1.0, exclude_min=True,
+                                                             exclude_max=True),
+                  "v_scale": positive, "sigma_assumed": st.floats(0.0, 1e6)}
+        policies = [PolicyConfig(kind, name=f"p{i}", **{
+            key: data.draw(values[key], label=f"p{i}.{key}")
+            for key in POLICY_PARAMS[kind] if data.draw(st.booleans())})
+            for i, kind in enumerate(kinds)]
+        cfg = ExperimentConfig(d=d, K=2, sigma=sigma, spec=laplace_spec(),
+                               policies=policies)
+        with tempfile.TemporaryDirectory() as tmp:
+            ini = os.path.join(tmp, "exp.ini")
+            config_to_ini(cfg, ini)
+            back = config_from_ini(ini)
+        for f in dataclasses.fields(ExperimentConfig):
+            if f.name not in ("spec", "policies"):
+                assert getattr(back, f.name) == getattr(cfg, f.name), f.name
+        assert len(back.policies) == len(cfg.policies)
+        for p, q in zip(back.policies, cfg.policies):
+            for f in dataclasses.fields(PolicyConfig):
+                if f.name == "theta0" and q.theta0 is not None:
+                    assert p.theta0.tobytes() == q.theta0.tobytes()
+                else:
+                    assert getattr(p, f.name) == getattr(q, f.name), f.name
+
+    @pytest.mark.parametrize("kind,key", [
+        (kind, key) for kind in POLICY_PARAMS
+        for key in ("theta0", "lambda_reg", "delta", "v_scale", "sigma_assumed")
+        if key not in POLICY_PARAMS[kind]])
+    def test_unread_policy_key_rejected(self, tmp_path, kind, key):
+        ini = tmp_path / "bad.ini"
+        ini.write_text("[experiment]\nd = 2\nk = 2\n[spec]\nkind = laplace\n"
+                       f"[policy.x]\nkind = {kind}\n{key} = 0.5\n")
+        with pytest.raises(ConfigError, match=f"^policy.x.{key}: unknown key$"):
+            config_from_ini(ini)
+
+    def test_written_policy_keys(self, tmp_path):
+        # Each section holds its kind and the parameters the kind reads, in
+        # POLICY_PARAMS order; an unset delta or sigma_assumed is left out.
+        cfg = tiny_config(tmp_path, d=1, policies=[
+            PolicyConfig("greedy", theta0=[0.5]),
+            PolicyConfig("linucb", name="u"),
+            PolicyConfig("linucb", delta=0.1, sigma_assumed=0.2, name="v"),
+            PolicyConfig("lints", lambda_reg=2.0)])
+        ini = tmp_path / "exp.ini"
+        config_to_ini(cfg, ini)
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read(ini, encoding="utf-8")
+        assert [dict(parser[s]) for s in parser.sections()[2:]] == [
+            {"kind": "greedy", "theta0": "0.5,"},
+            {"kind": "linucb", "lambda_reg": "1.0"},
+            {"kind": "linucb", "lambda_reg": "1.0", "delta": "0.1", "sigma_assumed": "0.2"},
+            {"kind": "lints", "lambda_reg": "2.0", "v_scale": "1.0"}]
+
     def test_numpy_floats_round_trip(self, tmp_path):
         cfg = preset_config("d20-k20", "gaussian", sigma=np.float64(0.25))
         cfg.policies = [PolicyConfig("linucb", lambda_reg=np.float64(2.5),
                                      delta=np.float64(0.05),
-                                     v_scale=np.float64(0.7),
-                                     sigma_assumed=np.float64(0.1))]
+                                     sigma_assumed=np.float64(0.1)),
+                        PolicyConfig("lints", v_scale=np.float64(0.7))]
         ini = tmp_path / "exp.ini"
         config_to_ini(cfg, ini)
         back = config_from_ini(ini)
         assert back.sigma == 0.25
-        p = back.policies[0]
-        assert (p.lambda_reg, p.delta, p.v_scale, p.sigma_assumed) \
+        p, q = back.policies
+        assert (p.lambda_reg, p.delta, q.v_scale, p.sigma_assumed) \
             == (2.5, 0.05, 0.7, 0.1)
 
     def test_percent_in_value_round_trips(self, tmp_path):
@@ -746,8 +824,47 @@ class TestCli:
             cli.build_parser().parse_args([str(ini), "--sigma", "0.3"]))
         assert config.sigma == 0.3
         # Sections without sigma_assumed follow the new sigma.
-        assert [(p.name, p.lambda_reg, p.sigma_assumed) for p in config.policies] \
-            == [("ucb_narrow", 1.0, 0.3), ("ucb_wide", 5.0, 0.3)]
+        assert [(p.name, p.lambda_reg, p.resolved(config.T, config.sigma).sigma_assumed)
+                for p in config.policies] == [("ucb_narrow", 1.0, 0.3), ("ucb_wide", 5.0, 0.3)]
+
+    @pytest.mark.parametrize("section,message", [
+        ("[policy.g]\nkind = greedy\ntheta0 = 1.0,x,0.0\n",
+         "policy.g.theta0: not a vector: '1.0,x,0.0'"),
+        ("[policy.t]\nkind = lints\nsigma_assumed = 0.3\n",
+         "policy.t.sigma_assumed: unknown key"),
+    ])
+    def test_bad_policy_key_exit_1(self, tmp_path, capsys, section, message):
+        out = tmp_path / "o"
+        ini = self._policy_file(tmp_path, section)
+        assert cli.main([str(ini), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: invalid config: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec,message", [
+        ("kind = laplace\nloc = 0.0,x,1\n",
+         "loc: could not convert string to float: 'x'"),
+        ("kind = laplace\ntruncation = box:a:1\n",
+         "truncation: could not convert string to float: 'a'"),
+        ("kind = gaussian\ncov_matrix = 1,0;0\n", "cov_matrix: "),
+        ("kind = gaussian\ncov_diag = 1,y,1\n", "cov_diag: could not convert"),
+        ("kind = gaussian\nvar = z\n", "var: could not convert"),
+    ])
+    def test_bad_spec_value_names_key_exit_1(self, tmp_path, capsys, spec, message):
+        ini, out = tmp_path / "exp.ini", tmp_path / "o"
+        ini.write_text(f"[experiment]\nd = 3\nk = 4\nt = 5\nreps = 1\n[spec]\n{spec}")
+        assert cli.main([str(ini), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: invalid config: spec: {message}")
+        assert not out.exists()
+
+    def test_empty_output_dir_exit_1(self, tmp_path, capsys):
+        message = "error: invalid config: experiment.output_dir: must be a non-empty path\n"
+        assert cli.main(["--T", "2", "--reps", "1", "--out", ""]) == 1
+        assert capsys.readouterr().err == message
+        ini = self._policy_file(tmp_path, "")
+        ini.write_text(ini.read_text().replace("reps = 1\n", "reps = 1\noutput_dir =\n"))
+        assert config_from_ini(ini).output_dir == ""
+        assert cli.main([str(ini)]) == 1
+        assert capsys.readouterr().err == message
 
     def test_sigma_keeps_policy_keys(self, tmp_path):
         ini = self._policy_file(

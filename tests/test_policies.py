@@ -7,9 +7,9 @@ from scipy.linalg import lapack
 
 from greedybandit import estimator as est, policies
 from greedybandit.estimator import GramState
-from greedybandit.policies import (PolicyConfig, _radius, _ridge, _widths,
-                                   greedy_select, linucb_select, lints_select,
-                                   policy_step)
+from greedybandit.policies import (POLICY_PARAMS, PolicyConfig, _radius, _ridge,
+                                   _widths, greedy_select, linucb_select,
+                                   lints_select, policy_step)
 
 
 def confidence_radius(state: GramState, config: PolicyConfig) -> np.ndarray:
@@ -44,14 +44,37 @@ class TestConfig:
         # A non-finite width or posterior scale made LinUCB and LinTS pick
         # arm 0 in every round.
         value = np.array([0.0, bad]) if field == "theta0" else bad
-        with pytest.raises(ValueError, match=field):
-            PolicyConfig("linucb", **{field: value})
+        kind = next(k for k, names in POLICY_PARAMS.items() if field in names)
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            PolicyConfig(kind, **{field: value})
+
+    @pytest.mark.parametrize("kind,field", [
+        (kind, field) for kind in POLICY_PARAMS
+        for field in ("theta0", "lambda_reg", "delta", "v_scale", "sigma_assumed")
+        if field not in POLICY_PARAMS[kind]])
+    def test_unread_parameter_rejected(self, kind, field):
+        # A parameter the rule never reads would change nothing; setting it
+        # away from its default raises, and leaving it there does not.
+        value = np.zeros(2) if field == "theta0" else 0.5
+        with pytest.raises(ValueError, match=f"^{kind} policy does not read '{field}'$"):
+            PolicyConfig(kind, **{field: value})
+        default = PolicyConfig.__dataclass_fields__[field].default
+        assert getattr(PolicyConfig(kind, **{field: default}), field) is default
 
     def test_delta_resolution(self):
-        cfg = PolicyConfig("linucb").with_delta_for_horizon(1000)
+        cfg = PolicyConfig("linucb").resolved(1000, 0.5)
         assert cfg.delta == pytest.approx(1e-3)
-        fixed = PolicyConfig("linucb", delta=0.05).with_delta_for_horizon(1000)
+        fixed = PolicyConfig("linucb", delta=0.05).resolved(1000, 0.5)
         assert fixed.delta == 0.05
+
+    def test_sigma_assumed_resolution(self):
+        # LinUCB's unset noise scale is the environment's; a set one stays,
+        # and the rules that read neither delta nor sigma_assumed are as given.
+        assert PolicyConfig("linucb").sigma_assumed is None
+        assert PolicyConfig("linucb").resolved(10, 0.3).sigma_assumed == 0.3
+        assert PolicyConfig("linucb", sigma_assumed=0.0).resolved(10, 0.3).sigma_assumed == 0.0
+        for cfg in (PolicyConfig("greedy", theta0=np.zeros(2)), PolicyConfig("lints")):
+            assert cfg.resolved(10, 0.3) is cfg
 
     def test_name_defaults_to_kind(self):
         assert PolicyConfig("greedy", theta0=np.zeros(2)).name == "greedy"
@@ -130,7 +153,7 @@ class TestPolicyStep:
             est.update(s, [rng.standard_normal(3)], [rng.standard_normal()])
         cs = rng.standard_normal((4, 3))[None]
         g = PolicyConfig("greedy", theta0=np.zeros(3))
-        u = PolicyConfig("linucb", delta=0.01)
+        u = PolicyConfig("linucb", delta=0.01, sigma_assumed=0.5)
         assert policy_step(s, g, cs) == policy_step(s, g, cs)
         assert policy_step(s, u, cs) == policy_step(s, u, cs)
 
@@ -139,7 +162,7 @@ class TestPolicyStep:
         for _ in range(8):
             est.update(s, [rng.standard_normal(3)], [rng.standard_normal()])
         cs = rng.standard_normal((4, 3))[None]
-        cfg = PolicyConfig("lints", delta=0.01)
+        cfg = PolicyConfig("lints")
         a = policy_step(s, cfg, cs, rngs=[np.random.default_rng(3)])
         b = policy_step(s, cfg, cs, rngs=[np.random.default_rng(3)])
         assert a == b
@@ -181,7 +204,7 @@ def test_widths_from_one_triangular_solve(d, K, R, n, seed):
     s = est.init(d, R)
     for _ in range(n):
         est.update(s, rng.standard_normal((R, d)), rng.standard_normal(R))
-    cfg = PolicyConfig("linucb", delta=0.1)
+    cfg = PolicyConfig("linucb", delta=0.1, sigma_assumed=0.5)
     X = rng.standard_normal((R, K, d))
     before = X.tobytes()
     L, theta = _ridge(s, cfg.lambda_reg)
@@ -209,7 +232,7 @@ class TestLints:
         s = est.init(3)
         for _ in range(15):
             est.update(s, [rng.standard_normal(3)], [rng.standard_normal()])
-        cfg = PolicyConfig("lints", v_scale=1e-6, delta=0.1)
+        cfg = PolicyConfig("lints", v_scale=1e-6)
         ridge = np.linalg.solve(s.sigma[0] + np.eye(3), s.b[0])
         agree = 0
         n = 1000
@@ -308,7 +331,7 @@ class TestConfidenceRadius:
         # policy_step shares one factor between the radius and the widths;
         # it must choose what the two public calls choose.
         s = est.init(4)
-        cfg = PolicyConfig("linucb", delta=0.05)
+        cfg = PolicyConfig("linucb", delta=0.05, sigma_assumed=0.5)
         for _ in range(39):
             cs = rng.standard_normal((6, 4))[None]
             beta = confidence_radius(s, cfg)
@@ -318,7 +341,7 @@ class TestConfidenceRadius:
 
     def test_default_beta_is_confidence_radius(self, rng):
         s = est.init(3, reps=2)
-        cfg = PolicyConfig("linucb", delta=0.05)
+        cfg = PolicyConfig("linucb", delta=0.05, sigma_assumed=0.5)
         for _ in range(8):
             X = rng.standard_normal((2, 3))
             est.update(s, X, rng.standard_normal(2))
