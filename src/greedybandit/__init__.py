@@ -4,8 +4,8 @@ from .contexts import (DistributionSpec, LacCheckReport, LacFunction, Region,
                        ball, box, cauchy_spec, decay_rate_check,
                        exponential_spec, gaussian_spec, grad_log_density,
                        lac_function, laplace_spec, log_density,
-                       sample_context_set, spec_from_config, spec_to_config,
-                       student_t_spec, truncate, uniform_ball_spec, verify_lac)
+                       sample_context_set, student_t_spec, truncate,
+                       uniform_ball_spec, verify_lac)
 from .diagnostics import (ConcentrationEstimate, ConsistencyReport,
                           DiagnosticsReport, DiversityEstimate, GrowthReport,
                           MarginEstimate, estimate_concentration_params,
@@ -34,7 +34,6 @@ __all__ = [
     "greedy_select", "instantaneous_regret", "lac_function", "laplace_spec",
     "log_density", "policy_step", "preset_config",
     "render_svg", "reward", "run_diagnostics", "run_episode", "run_experiment",
-    "sample_context_set", "spec_from_config", "spec_to_config",
-    "student_t_spec", "truncate", "uniform_ball_spec", "verify_lac",
-    "write_csv", "write_outputs",
+    "sample_context_set", "student_t_spec", "truncate", "uniform_ball_spec",
+    "verify_lac", "write_csv", "write_outputs",
 ]

@@ -146,8 +146,6 @@ def main(argv=None) -> int:
             cells = _matrix_configs(args)
         else:
             cells = [(None, None, _config_from_args(args))]
-        for _, _, config in cells:
-            config.validate()
     except ValueError as exc:  # ConfigError, or a spec rejecting its parameters
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return 1

@@ -5,7 +5,9 @@ exponential, student_t, cauchy.  Any of them can be truncated to an l2 ball
 or a per-coordinate box.  A box truncation of a family with independent
 coordinates is drawn exactly by inverse CDF, one uniform per coordinate;
 ball truncations and boxes around correlated gaussians are drawn by
-whole-vector rejection.
+whole-vector rejection.  A DistributionSpec is a frozen value that holds
+only the parameters its family reads (PARAMS), each array as a read-only
+copy; harness reads and writes it as the [spec] section of a config file.
 
 Sampling is a primitive draw, the only step that uses a generator, followed
 by a deterministic map from those variates to vectors.  R generators fill
@@ -171,9 +173,10 @@ class DistributionSpec:
     shortcut for gaussian specs with scalar `cov`: the covariance resolves
     to cov * ((1 - rho) I + rho * ones) at sampling time.
 
-    Specs are frozen after construction, so the per-spec caches of resolved
-    parameters stay valid, and safe to share; every sampling call takes its
-    own random generator.
+    Specs are frozen after construction, and hold each array parameter as
+    a read-only copy, so the per-spec caches of resolved parameters stay
+    valid, and safe to share; every sampling call takes its own random
+    generator.
     """
 
     kind: str
@@ -201,7 +204,10 @@ class DistributionSpec:
             elif name in _SCALAR_PARAMS:
                 raise ValueError(f"{self.kind} {name} must be a scalar")
             else:
-                v = np.asarray(v, dtype=float)
+                # A read-only copy: a later write to the caller's array, or
+                # to this one, would leave the cached resolutions stale.
+                v = np.array(v, dtype=float)
+                v.flags.writeable = False
             if not np.all(np.isfinite(v)):
                 raise ValueError(f"{self.kind} {name} must be finite")
             if name in _POSITIVE_PARAMS and np.any(v <= 0):
@@ -890,100 +896,3 @@ def decay_rate_check(spec: DistributionSpec, region: Region | None,
         rate_bound=M,
         n_pairs=n_pairs,
     )
-
-
-# ---------------------------------------------------------------------------
-# Config-block serialization
-
-
-def _fmt_param(v) -> str:
-    """A scalar as its repr, a vector comma-separated; a one-element vector
-    keeps a trailing comma so that it parses back as a vector."""
-    if np.ndim(v) == 0:
-        return repr(float(v))
-    text = ",".join(repr(float(x)) for x in np.asarray(v).ravel())
-    return text + "," if np.size(v) == 1 else text
-
-
-def _parse_param(s: str):
-    parts = [p for p in s.split(",") if p.strip()]
-    if len(parts) == 1 and "," not in s:
-        return float(parts[0])
-    return np.array([float(p) for p in parts])
-
-
-def _fmt_region(region: Region) -> str:
-    if region.kind == "ball":
-        return f"ball:{region.radius!r}"
-    return f"box:{_fmt_param(region.lo)}:{_fmt_param(region.hi)}"
-
-
-def _parse_region(s: str) -> Region:
-    parts = s.split(":")
-    if parts[0] == "ball" and len(parts) == 2:
-        return ball(float(parts[1]))
-    if parts[0] == "box" and len(parts) == 3:
-        return box(_parse_param(parts[1]), _parse_param(parts[2]))
-    raise ValueError(f"unparseable region {s!r} (expected ball:R or box:lo:hi)")
-
-
-def spec_to_config(spec: DistributionSpec) -> dict[str, str]:
-    """Flat key-value block describing the spec (round-trips exactly)."""
-    block = {"kind": spec.kind}
-    for name in PARAMS[spec.kind]:
-        v = getattr(spec, name)
-        if name == "cov":
-            if np.ndim(v) == 2:
-                block["cov_matrix"] = ";".join(_fmt_param(row) for row in v)
-            elif np.ndim(v) == 1:
-                block["cov_diag"] = _fmt_param(v)
-            else:
-                block["var"] = _fmt_param(v)
-        elif name != "rho" or v != 0.0:
-            block[name] = _fmt_param(v)
-    if spec.truncation is not None:
-        block["truncation"] = _fmt_region(spec.truncation)
-    return block
-
-
-# The parser of each key that gives a gaussian's covariance.
-_COV_KEYS = {
-    "cov_matrix": lambda s: np.vstack([np.atleast_1d(_parse_param(r)) for r in s.split(";")]),
-    "cov_diag": lambda s: np.atleast_1d(_parse_param(s)),
-    "var": float,
-}
-
-
-def _pop_parsed(block: dict, key: str, parse):
-    """block.pop(key) parsed; a ValueError names the key."""
-    try:
-        return parse(block.pop(key))
-    except ValueError as exc:
-        raise ValueError(f"{key}: {exc}") from None
-
-
-def spec_from_config(block) -> DistributionSpec:
-    """Inverse of spec_to_config; unknown keys raise, and a value that does
-    not parse names its key."""
-    block = dict(block)
-    try:
-        kind = block.pop("kind")
-    except KeyError:
-        raise ValueError("spec block needs a 'kind' key") from None
-    if kind not in PARAMS:
-        raise ValueError(f"unknown distribution kind {kind!r}")
-    region = (_pop_parsed(block, "truncation", _parse_region)
-              if "truncation" in block else None)
-    kwargs = {}
-    for name in PARAMS[kind]:
-        if name == "cov":
-            key = next((k for k in _COV_KEYS if k in block), None)
-            if key is not None:
-                kwargs["cov"] = _pop_parsed(block, key, _COV_KEYS[key])
-        elif name in block:
-            kwargs[name] = _pop_parsed(block, name, _parse_param)
-        elif name == "df":
-            raise ValueError("student_t spec needs a 'df' key")
-    if block:
-        raise ValueError(f"unknown spec keys: {sorted(block)}")
-    return DistributionSpec(kind, truncation=region, **kwargs)

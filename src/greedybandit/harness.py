@@ -17,10 +17,14 @@ pool, the blocks send their gram_min_eig record to one forked helper
 process (env.GramHelper.start), reaped when the experiment returns or
 raises.
 SETTINGS, the scalar ExperimentConfig fields, names the [experiment] keys
-of a config file and the command-line settings; policies.POLICY_PARAMS
-names the keys of each [policy.NAME] section, the parameters its kind
-reads.  A LinUCB policy that leaves delta or sigma_assumed unset runs at
-1/T and the experiment's sigma (PolicyConfig.resolved).
+of a config file and the command-line settings; contexts.PARAMS names the
+[spec] keys of each family, and policies.POLICY_PARAMS the keys of each
+[policy.NAME] section, the parameters its kind reads.  This module alone
+reads and writes the file, every section through one typed reader, so an
+error names its key as SECTION.KEY.  ExperimentConfig and PolicyConfig,
+like DistributionSpec, are frozen values checked when built.  A LinUCB
+policy that leaves delta or sigma_assumed unset runs at 1/T and the
+experiment's sigma (PolicyConfig.resolved).
 Outputs are a raw per-round CSV, an aggregate CSV (mean and sample std of
 cumulative regret per policy), an optional SVG regret plot, and an optional
 diagnostics text sidecar, each written to a temporary file; the
@@ -45,10 +49,10 @@ import numpy as np
 
 from . import blas
 from . import diagnostics as diag
-from .contexts import (DistributionSpec, _fmt_param, _parse_param, box,
+from .contexts import (PARAMS, DistributionSpec, Region, ball, box,
                        cauchy_spec, gaussian_spec, laplace_spec,
-                       exponential_spec, resolve_dim, spec_from_config,
-                       spec_to_config, student_t_spec, uniform_ball_spec)
+                       exponential_spec, resolve_dim, student_t_spec,
+                       uniform_ball_spec)
 from .env import (BanditInstance, GramHelper, Trajectory, run_episode,
                   sphere_vector)
 from .policies import POLICY_KINDS, POLICY_PARAMS, PolicyConfig
@@ -62,9 +66,10 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the key path."""
 
 
-@dataclass(kw_only=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
-    """Everything needed to reproduce one experiment.
+    """Everything needed to reproduce one experiment: a frozen value,
+    checked by validate when built, with its policies held as a tuple.
 
     The field defaults are the only statement of each experiment default;
     presets, config files and the command line all fall back to them.
@@ -80,11 +85,15 @@ class ExperimentConfig:
     seed: int = 1
     sigma: float = 0.5
     spec: DistributionSpec
-    policies: list[PolicyConfig]
+    policies: tuple[PolicyConfig, ...]
     output_dir: str = "out"
     emit_svg: bool = True
     diagnostics: bool = False
     jobs: int = 1
+
+    def __post_init__(self):
+        object.__setattr__(self, "policies", tuple(self.policies))
+        self.validate()
 
     def validate(self) -> None:
         def check(cond, path, msg):
@@ -115,7 +124,6 @@ class ExperimentConfig:
         for i, p in enumerate(self.policies):
             path = f"policies[{i}]"
             check(isinstance(p, PolicyConfig), path, "must be a PolicyConfig")
-            check(p.kind in POLICY_KINDS, f"{path}.kind", f"unknown kind {p.kind!r}")
             if p.theta0 is not None:
                 check(p.theta0.shape == (self.d,), f"{path}.theta0",
                       f"must have shape ({self.d},)")
@@ -188,7 +196,6 @@ def _episode_seeds(config: ExperimentConfig):
 
 def run_experiment(config: ExperimentConfig) -> ResultsTable:
     """Run reps episodes per policy; deterministic in the config alone."""
-    config.validate()
     star_seed, warm_seed, episode_seeds = _episode_seeds(config)
     theta_star = sphere_vector(config.d, np.random.default_rng(star_seed))
     theta0 = sphere_vector(config.d, np.random.default_rng(warm_seed))
@@ -201,7 +208,7 @@ def run_experiment(config: ExperimentConfig) -> ResultsTable:
     blocks = []
     for p_idx, policy in enumerate(config.policies):
         if policy.kind == "greedy" and policy.theta0 is None:
-            policy = replace(policy, theta0=theta0.copy())
+            policy = replace(policy, theta0=theta0)
         seeds = episode_seeds[p_idx * config.reps:(p_idx + 1) * config.reps]
         blocks.extend((policy, seeds[j * config.reps // n_blocks:
                                      (j + 1) * config.reps // n_blocks])
@@ -520,11 +527,38 @@ def preset_config(shape: str, dist: str, algos=POLICY_KINDS,
 # INI config files
 
 
-# The ConfigParser getter of each setting type, and what a value it rejects
-# is not.
+def _parse_param(s: str):
+    """A number, or a comma list as a vector: "1.5" is a float, "1.5," and
+    "1.5,2" are vectors."""
+    parts = [p for p in s.split(",") if p.strip()]
+    if len(parts) == 1 and "," not in s:
+        return float(parts[0])
+    return np.array([float(p) for p in parts])
+
+
+def _parse_region(s: str) -> Region:
+    """A region written ball:R or box:LO:HI, each box side a number or vector."""
+    kind, *bounds = s.split(":")
+    if kind == "ball" and len(bounds) == 1:
+        return ball(float(bounds[0]))
+    if kind == "box" and len(bounds) == 2:
+        return box(*map(_parse_param, bounds))
+    raise ValueError(f"unparseable region {s!r}")
+
+
+# The ConfigParser getter of each value type, and what a value it rejects
+# is not; config_from_ini's parser adds the getters of the last four.
 _GETTERS = {"int": ("getint", "an integer"), "float": ("getfloat", "a number"),
             "bool": ("getboolean", "a boolean"), "str": ("get", None),
-            "vector": ("getvector", "a vector")}
+            "param": ("getparam", "a number or vector"),
+            "vector": ("getvector", "a vector"), "matrix": ("getmatrix", "a matrix"),
+            "region": ("getregion", "a region (ball:R, R > 0, or box:LO:HI, LO < HI)")}
+_CONVERTERS = {
+    "param": _parse_param,
+    "vector": lambda s: np.atleast_1d(_parse_param(s)),
+    "matrix": lambda s: np.vstack([np.atleast_1d(_parse_param(r)) for r in s.split(";")]),
+    "region": _parse_region,
+}
 
 
 def _get(section, key, kind):
@@ -549,34 +583,61 @@ def _read(section, types: dict[str, str]) -> dict:
 # The type of each [experiment] key: each setting, in field order, under its
 # lower-case name; a missing key leaves the default.
 _EXPERIMENT_TYPES = {name.lower(): kind for name, kind in SETTINGS.items()}
+# A gaussian's covariance is one of these keys, by its number of dimensions:
+# a variance, a diagonal, or a matrix written as rows joined by ";".
+_COV_TYPES = {"var": "float", "cov_diag": "vector", "cov_matrix": "matrix"}
+
+
+def _spec_types(kind: str) -> dict[str, str]:
+    """The type of each [spec] key of a `kind` spec: its parameters
+    (contexts.PARAMS) in order, then its truncation."""
+    types = {"kind": "str"}
+    for name in PARAMS[kind]:
+        types |= _COV_TYPES if name == "cov" else {name: "param"}
+    return types | {"truncation": "region"}
 
 
 def config_from_ini(path, **settings) -> ExperimentConfig:
     """Parse an experiment config file.
 
     Layout: an [experiment] section with the scalar settings, one [spec]
-    section in the flat key-value form of spec_to_config, and one
-    [policy.NAME] section per policy, with its kind and the parameters that
-    kind reads (POLICY_PARAMS).  `settings` are ExperimentConfig fields that
-    replace the file's [experiment] values.
+    section with the spec's kind, the parameters that kind reads
+    (contexts.PARAMS, a gaussian's cov as var, cov_diag or cov_matrix) and
+    an optional truncation, and one [policy.NAME] section per policy, with
+    its kind and the parameters that kind reads (POLICY_PARAMS).
+    `settings` are ExperimentConfig fields that replace the file's
+    [experiment] values.  A file the parser cannot read, a bad value, an
+    unknown key and an invalid config all raise ConfigError.
     """
-    # getvector reads a comma list, theta0's form, as a vector.
-    parser = configparser.ConfigParser(
-        interpolation=None, converters={"vector": lambda s: np.atleast_1d(_parse_param(s))})
-    read = parser.read(os.fspath(path), encoding="utf-8")
+    parser = configparser.ConfigParser(interpolation=None, converters=_CONVERTERS)
+    try:
+        read = parser.read(os.fspath(path), encoding="utf-8")
+    except configparser.Error as exc:  # its text names the file and line
+        raise ConfigError(" ".join(str(exc).split())) from None
     if not read:
         raise ConfigError(f"config file not found: {path}")
-    if "experiment" not in parser:
-        raise ConfigError("experiment: missing section")
+    for name in ("experiment", "spec"):
+        if name not in parser:
+            raise ConfigError(f"{name}: missing section")
     exp = _read(parser["experiment"], _EXPERIMENT_TYPES)
     settings = {name: exp[name.lower()] for name in SETTINGS if name.lower() in exp} | settings
     for name in ("d", "K"):
         if name not in settings:
             raise ConfigError(f"experiment.{name.lower()}: missing required key")
-    if "spec" not in parser:
-        raise ConfigError("spec: missing section")
+
+    sec = parser["spec"]
+    kind = sec.get("kind")
+    if kind not in PARAMS:
+        raise ConfigError(f"spec.kind: unknown kind {kind!r}")
+    values = _read(sec, _spec_types(kind))
+    covs = [key for key in _COV_TYPES if key in values]
+    if len(covs) > 1:
+        raise ConfigError(f"spec.{covs[1]}: a second covariance key, beside {covs[0]}")
+    if kind == "student_t" and "df" not in values:
+        raise ConfigError("spec.df: missing required key")
     try:
-        spec = spec_from_config(dict(parser["spec"]))
+        spec = DistributionSpec(**{"cov" if key in _COV_TYPES else key: v
+                                   for key, v in values.items()})
     except ValueError as exc:
         raise ConfigError(f"spec: {exc}") from exc
 
@@ -599,9 +660,21 @@ def config_from_ini(path, **settings) -> ExperimentConfig:
 
 
 def _ini_value(v) -> str:
+    """A value as config_from_ini reads it back: a float as its repr, a
+    vector comma-separated (one element with a trailing comma, so that it
+    reads back as a vector), a matrix as its rows joined by ";"."""
     if isinstance(v, bool):
         return str(v).lower()
-    return _fmt_param(v) if isinstance(v, (float, np.ndarray)) else str(v)
+    if isinstance(v, Region):
+        if v.kind == "ball":
+            return f"ball:{_ini_value(v.radius)}"
+        return f"box:{_ini_value(v.lo)}:{_ini_value(v.hi)}"
+    if np.ndim(v) == 2:
+        return ";".join(map(_ini_value, v))
+    if np.ndim(v) == 1:
+        text = ",".join(repr(float(x)) for x in v)
+        return text + "," if len(v) == 1 else text
+    return repr(float(v)) if isinstance(v, float) else str(v)
 
 
 def config_to_ini(config: ExperimentConfig, path) -> None:
@@ -609,7 +682,18 @@ def config_to_ini(config: ExperimentConfig, path) -> None:
     parser = configparser.ConfigParser(interpolation=None)
     parser["experiment"] = {name.lower(): _ini_value(getattr(config, name))
                             for name in SETTINGS}
-    parser["spec"] = spec_to_config(config.spec)
+    # The [spec] keys in _spec_types order; a zero rho and no truncation
+    # are left out.
+    parser["spec"] = {"kind": config.spec.kind}
+    section = parser["spec"]
+    for name in PARAMS[config.spec.kind]:
+        v = getattr(config.spec, name)
+        if name == "cov":
+            section[list(_COV_TYPES)[np.ndim(v)]] = _ini_value(v)
+        elif name != "rho" or v != 0.0:
+            section[name] = _ini_value(v)
+    if config.spec.truncation is not None:
+        section["truncation"] = _ini_value(config.spec.truncation)
     for p in config.policies:
         parser[f"policy.{p.name}"] = {"kind": p.kind} | {
             key: _ini_value(getattr(p, key)) for key in POLICY_PARAMS[p.kind]

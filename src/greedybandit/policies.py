@@ -41,9 +41,10 @@ POLICY_PARAMS = {"greedy": ("theta0",),
 POLICY_KINDS = tuple(POLICY_PARAMS)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PolicyConfig:
-    """One selection rule and the parameters it reads (POLICY_PARAMS).
+    """One selection rule and the parameters it reads (POLICY_PARAMS), a
+    frozen value checked when built; theta0 is held as a read-only copy.
 
     theta0 is greedy's score vector while unidentified.  lambda_reg is the
     baselines' ridge.  LinUCB's delta left as None resolves to 1/T (1/2 at
@@ -69,9 +70,11 @@ class PolicyConfig:
                     np.ndim(v) > 0 or v != field.default):
                 raise ValueError(f"{self.kind} policy does not read {field.name!r}")
         if self.theta0 is not None:
-            self.theta0 = np.asarray(self.theta0, dtype=float)
-            if not np.all(np.isfinite(self.theta0)):
+            theta0 = np.array(self.theta0, dtype=float)
+            theta0.flags.writeable = False
+            if not np.all(np.isfinite(theta0)):
                 raise ValueError("theta0 must be finite")
+            object.__setattr__(self, "theta0", theta0)
         if not 0.0 < self.lambda_reg < math.inf:
             raise ValueError("lambda_reg must be positive and finite")
         if self.delta is not None and not 0.0 < self.delta < 1.0:
@@ -81,7 +84,7 @@ class PolicyConfig:
         if self.sigma_assumed is not None and not 0.0 <= self.sigma_assumed < math.inf:
             raise ValueError("sigma_assumed must be finite and non-negative")
         if self.name is None:
-            self.name = self.kind
+            object.__setattr__(self, "name", self.kind)
 
     def resolved(self, T: int, sigma: float) -> PolicyConfig:
         """The config that runs T rounds against noise scale sigma: LinUCB's

@@ -13,7 +13,6 @@ from greedybandit.contexts import (DegenerateInputError, DistributionSpec,
                                    exponential_spec, gaussian_spec,
                                    grad_log_density, lac_function, laplace_spec,
                                    log_density, pinned_dim, sample_context_set,
-                                   spec_from_config, spec_to_config,
                                    student_t_spec, truncate, uniform_ball_spec,
                                    verify_lac)
 
@@ -125,6 +124,23 @@ class TestSpecValidation:
         for value in values:
             with pytest.raises(ValueError, match=f"{kind} {name} must be finite"):
                 DistributionSpec(kind, **{name: value})
+
+    @pytest.mark.parametrize("kind,name", [
+        (kind, name) for kind, reads in ctx.PARAMS.items() for name in reads
+        if name not in ctx._SCALAR_PARAMS])
+    def test_array_parameters_are_read_only_copies(self, kind, name):
+        # The resolved parameters are cached per spec, so a write to the
+        # caller's array must not reach the spec, and the spec's own array
+        # cannot be written.
+        value = np.array([[2.0, 0.3], [0.3, 1.0]]) if name == "cov" else np.array([0.5, 2.0])
+        spec = DistributionSpec(kind, **{name: value})
+        fresh = DistributionSpec(kind, **{name: value.copy()})
+        value *= 3.0
+        draws = [sample_context_set(s, 2, 3, [np.random.default_rng(4)])
+                 for s in (spec, fresh)]
+        np.testing.assert_array_equal(draws[0], draws[1])
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(spec, name)[...] = 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -722,38 +738,3 @@ def test_truncation_closure(kind, bound, seed):
     assert decay.passed
 
 
-# ---------------------------------------------------------------------------
-# Config serialization
-
-
-@pytest.mark.parametrize("spec", [
-    gaussian_spec(),
-    gaussian_spec(cov=1.0, rho=0.7),
-    gaussian_spec(mean=np.array([1.0, -1.0]), cov=np.array([[2.0, 0.3], [0.3, 1.0]])),
-    gaussian_spec(cov=np.array([1.0, 4.0])),
-    laplace_spec(loc=0.5, scale=2.0),
-    uniform_ball_spec(radius=math.sqrt(20)),
-    exponential_spec(rate=np.array([1.0, 2.0])),
-    student_t_spec(df=2.0, truncation=box(-5.0, 5.0)),
-    cauchy_spec(truncation=ball(4.0)),
-    # A one-element vector pins d = 1 and must come back a vector.
-    laplace_spec(loc=np.array([0.5])),
-    exponential_spec(rate=np.array([2.0])),
-    laplace_spec(truncation=box([0.0], [1.0])),
-])
-def test_spec_config_round_trip(spec):
-    back = spec_from_config(spec_to_config(spec))
-    assert back.kind == spec.kind
-    assert back.truncation == spec.truncation
-    assert pinned_dim(back) == pinned_dim(spec)
-    for name in ("mean", "cov", "loc", "scale", "rate"):
-        np.testing.assert_array_equal(np.asarray(getattr(back, name)),
-                                      np.asarray(getattr(spec, name)), strict=True)
-    assert (back.radius, back.df, back.rho) == (spec.radius, spec.df, spec.rho)
-
-
-def test_spec_from_config_rejects_unknown_keys():
-    with pytest.raises(ValueError):
-        spec_from_config({"kind": "laplace", "bandwidth": "1.0"})
-    with pytest.raises(ValueError):
-        spec_from_config({"loc": "0.0"})

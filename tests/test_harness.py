@@ -2,6 +2,7 @@ import builtins
 import configparser
 import csv
 import dataclasses
+import json
 import math
 import os
 import re
@@ -16,11 +17,13 @@ from hypothesis import given, settings, strategies as st
 import greedybandit
 from greedybandit import blas, cli, harness
 from greedybandit import diagnostics as diag
-from greedybandit.contexts import (gaussian_spec, laplace_spec,
-                                   sample_context_set, spec_to_config,
+from greedybandit.contexts import (Region, ball, box, cauchy_spec,
+                                   exponential_spec, gaussian_spec,
+                                   laplace_spec, pinned_dim,
+                                   sample_context_set, student_t_spec,
                                    uniform_ball_spec)
 from greedybandit.harness import (AGGREGATE_COLUMNS, ConfigError,
-                                  ExperimentConfig, RAW_COLUMNS, ResultsTable,
+                                  ExperimentConfig, RAW_COLUMNS,
                                   config_from_ini, config_to_ini,
                                   default_policies, preset_config,
                                   render_svg, run_experiment, write_csv,
@@ -28,6 +31,40 @@ from greedybandit.harness import (AGGREGATE_COLUMNS, ConfigError,
 from greedybandit.policies import POLICY_KINDS, POLICY_PARAMS, PolicyConfig
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
+# The text config_to_ini writes for each of PINNED_CONFIGS: a change to it
+# is a change to the config file format.
+PINNED_INI = Path(__file__).parent / "golden" / "config_ini.json"
+
+# Every family, each covariance form, both regions, and one-element vectors,
+# which pin d = 1 and must come back vectors.
+ROUND_TRIP_SPECS = [
+    gaussian_spec(),
+    gaussian_spec(cov=1.0, rho=0.7),
+    gaussian_spec(mean=np.array([1.0, -1.0]), cov=np.array([[2.0, 0.3], [0.3, 1.0]])),
+    gaussian_spec(cov=np.array([1.0, 4.0])),
+    laplace_spec(loc=0.5, scale=2.0),
+    uniform_ball_spec(radius=math.sqrt(20)),
+    exponential_spec(rate=np.array([1.0, 2.0])),
+    student_t_spec(df=2.0, truncation=box(-5.0, 5.0)),
+    cauchy_spec(truncation=ball(4.0)),
+    laplace_spec(loc=np.array([0.5])),
+    exponential_spec(rate=np.array([2.0])),
+    laplace_spec(truncation=box([0.0], [1.0])),
+]
+
+
+def spec_config(spec) -> ExperimentConfig:
+    """A default experiment around spec, at the d it pins or else 2."""
+    return ExperimentConfig(d=pinned_dim(spec) or 2, K=3, spec=spec,
+                            policies=default_policies())
+
+
+PINNED_CONFIGS = {
+    **{f"spec-{i}": lambda spec=spec: spec_config(spec)
+       for i, spec in enumerate(ROUND_TRIP_SPECS)},
+    **{f"d20-k20-{dist}": lambda dist=dist: preset_config("d20-k20", dist)
+       for dist in harness.PRESET_DISTS},
+}
 
 
 def tiny_config(tmp_path, **kw):
@@ -36,6 +73,18 @@ def tiny_config(tmp_path, **kw):
                 emit_svg=True, diagnostics=False, jobs=1)
     base.update(kw)
     return ExperimentConfig(**base)
+
+
+def assert_same_spec(a, b):
+    """a and b are the same spec: kind, truncation, pinned dimension, and
+    every parameter, an array with its shape and dtype."""
+    assert a.kind == b.kind
+    assert a.truncation == b.truncation
+    assert pinned_dim(a) == pinned_dim(b)
+    for name in ("mean", "cov", "loc", "scale", "rate"):
+        np.testing.assert_array_equal(np.asarray(getattr(a, name)),
+                                      np.asarray(getattr(b, name)), strict=True)
+    assert (a.radius, a.df, a.rho) == (b.radius, b.df, b.rho)
 
 
 def load_raw_csv(path):
@@ -66,9 +115,8 @@ class TestValidation:
             tiny_config(tmp_path, policies=[]).validate()
 
     def test_spec_dim_conflict(self, tmp_path):
-        cfg = tiny_config(tmp_path, spec=gaussian_spec(mean=np.zeros(3)))
         with pytest.raises(ConfigError, match="spec"):
-            cfg.validate()
+            tiny_config(tmp_path, spec=gaussian_spec(mean=np.zeros(3)))
 
     def test_theta0_shape(self, tmp_path):
         pols = [PolicyConfig("greedy", theta0=np.zeros(5))]
@@ -79,6 +127,15 @@ class TestValidation:
         with pytest.raises(ConfigError, match="experiment.diagnostics: needs K >= 2"):
             tiny_config(tmp_path, K=1, diagnostics=True).validate()
         tiny_config(tmp_path, K=1).validate()
+
+    def test_configs_are_frozen(self, tmp_path):
+        # A config is checked when built, so no field may change afterwards.
+        cfg = tiny_config(tmp_path)
+        for obj in (cfg, *cfg.policies):
+            for f in dataclasses.fields(obj):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(obj, f.name, getattr(obj, f.name))
+        assert isinstance(cfg.policies, tuple)
 
     def test_duplicate_names(self, tmp_path):
         pols = [PolicyConfig("greedy", theta0=np.zeros(2), name="a"),
@@ -198,16 +255,6 @@ class TestCsv:
         assert b"\r" not in blob
         assert b";" not in blob.splitlines()[1]
         assert blob.decode("utf-8")
-
-    def test_empty_table_header_only(self, tmp_path):
-        cfg = tiny_config(tmp_path)
-        cfg.policies = []
-        table = ResultsTable(config=cfg, theta_star=np.zeros(2),
-                             theta0=np.zeros(2), trajectories={})
-        raw = tmp_path / "empty.csv"
-        agg = write_csv(table, raw)
-        assert raw.read_text(encoding="utf-8") == ",".join(RAW_COLUMNS) + "\n"
-        assert Path(agg).read_text(encoding="utf-8") == ",".join(AGGREGATE_COLUMNS) + "\n"
 
     def test_missing_estimate_is_empty_cell(self, tmp_path):
         # Early greedy rounds have no OLS estimate: empty est_error_l2 cells.
@@ -513,11 +560,11 @@ class TestIniConfig:
         cfg = preset_config("d20-k100", "trunc-cauchy", T=50, reps=2, seed=9,
                             sigma=0.25, output_dir=str(tmp_path / "o"),
                             emit_svg=False, diagnostics=True, jobs=3)
-        cfg.policies = [
+        cfg = dataclasses.replace(cfg, policies=[
             PolicyConfig("greedy", theta0=np.linspace(-1.0, 1.0, 20), name="g0"),
             PolicyConfig("linucb", lambda_reg=2.5, delta=0.05,
                          sigma_assumed=0.1, name="ucb"),
-            PolicyConfig("lints", v_scale=0.7)]
+            PolicyConfig("lints", v_scale=0.7)])
         ini = tmp_path / "exp.ini"
         config_to_ini(cfg, ini)
         back = config_from_ini(ini)
@@ -528,7 +575,7 @@ class TestIniConfig:
         for f in dataclasses.fields(ExperimentConfig):
             if f.name not in ("spec", "policies"):
                 assert getattr(back, f.name) == getattr(cfg, f.name), f.name
-        assert spec_to_config(back.spec) == spec_to_config(cfg.spec)
+        assert_same_spec(back.spec, cfg.spec)
         for p, q in zip(back.policies, cfg.policies, strict=True):
             assert (p.name, p.lambda_reg, p.delta, p.v_scale, p.sigma_assumed) \
                 == (q.name, q.lambda_reg, q.delta, q.v_scale, q.sigma_assumed)
@@ -536,6 +583,29 @@ class TestIniConfig:
                 assert p.theta0 is None
             else:
                 np.testing.assert_array_equal(p.theta0, q.theta0)
+
+    @pytest.mark.parametrize("spec", ROUND_TRIP_SPECS)
+    def test_spec_round_trip(self, tmp_path, spec):
+        ini = tmp_path / "exp.ini"
+        config_to_ini(spec_config(spec), ini)
+        assert_same_spec(config_from_ini(ini).spec, spec)
+
+    def test_numpy_ball_radius_round_trips(self, tmp_path):
+        # A Region keeps the radius it is given, and a numpy float's repr,
+        # np.float64(4.0), is not a number.
+        spec = cauchy_spec(truncation=Region("ball", radius=np.float64(4.0)))
+        ini = tmp_path / "exp.ini"
+        config_to_ini(spec_config(spec), ini)
+        assert "truncation = ball:4.0\n" in ini.read_text(encoding="utf-8")
+        assert config_from_ini(ini).spec.truncation == ball(4.0)
+
+    def test_written_text_is_pinned(self, tmp_path):
+        pinned = json.loads(PINNED_INI.read_text(encoding="utf-8"))
+        assert list(pinned) == list(PINNED_CONFIGS)
+        for name, build in PINNED_CONFIGS.items():
+            ini = tmp_path / f"{name}.ini"
+            config_to_ini(build(), ini)
+            assert ini.read_text(encoding="utf-8") == pinned[name], name
 
     @settings(deadline=None, max_examples=60)
     @given(data=st.data(), d=st.sampled_from([1, 2, 5]),
@@ -602,10 +672,10 @@ class TestIniConfig:
 
     def test_numpy_floats_round_trip(self, tmp_path):
         cfg = preset_config("d20-k20", "gaussian", sigma=np.float64(0.25))
-        cfg.policies = [PolicyConfig("linucb", lambda_reg=np.float64(2.5),
-                                     delta=np.float64(0.05),
-                                     sigma_assumed=np.float64(0.1)),
-                        PolicyConfig("lints", v_scale=np.float64(0.7))]
+        cfg = dataclasses.replace(cfg, policies=[
+            PolicyConfig("linucb", lambda_reg=np.float64(2.5),
+                         delta=np.float64(0.05), sigma_assumed=np.float64(0.1)),
+            PolicyConfig("lints", v_scale=np.float64(0.7))])
         ini = tmp_path / "exp.ini"
         config_to_ini(cfg, ini)
         back = config_from_ini(ini)
@@ -660,6 +730,17 @@ class TestIniConfig:
         with pytest.raises(ConfigError, match="experiment.what"):
             config_from_ini(ini)
 
+    @pytest.mark.parametrize("spec,message", [
+        ("kind = laplace\nbandwidth = 1.0\n", "spec.bandwidth: unknown key"),
+        ("loc = 0.0\n", "spec.kind: unknown kind None"),
+        ("kind = weibull\n", "spec.kind: unknown kind 'weibull'"),
+    ], ids=["unknown-key", "missing-kind", "unknown-kind"])
+    def test_bad_spec_keys_rejected(self, tmp_path, spec, message):
+        ini = tmp_path / "bad.ini"
+        ini.write_text(f"[experiment]\nd = 2\nk = 2\n[spec]\n{spec}")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            config_from_ini(ini)
+
     def test_missing_sections(self, tmp_path):
         ini = tmp_path / "bad.ini"
         ini.write_text("[spec]\nkind = laplace\n")
@@ -678,7 +759,7 @@ class TestIniConfig:
     def test_student_t_without_df_names_key(self, tmp_path):
         ini = tmp_path / "bad.ini"
         ini.write_text("[experiment]\nd = 2\nk = 2\n[spec]\nkind = student_t\n")
-        with pytest.raises(ConfigError, match="spec: .*'df'"):
+        with pytest.raises(ConfigError, match="^spec.df: missing required key$"):
             config_from_ini(ini)
 
     def test_missing_file(self, tmp_path):
@@ -697,7 +778,7 @@ class TestIniConfig:
         draws = [sample_context_set(spec, 3, 4, [np.random.default_rng(3)])[0]
                  for spec in (a, b)]
         np.testing.assert_array_equal(draws[0], draws[1])
-        with pytest.raises(ConfigError, match=r"spec: unknown spec keys: \['arm_coupling'\]"):
+        with pytest.raises(ConfigError, match="^spec.arm_coupling: unknown key$"):
             config_from_ini(coupled)
 
 
@@ -841,19 +922,22 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("spec,message", [
-        ("kind = laplace\nloc = 0.0,x,1\n",
-         "loc: could not convert string to float: 'x'"),
+        ("kind = laplace\nloc = 0.0,x,1\n", "spec.loc: not a number or vector: '0.0,x,1'"),
         ("kind = laplace\ntruncation = box:a:1\n",
-         "truncation: could not convert string to float: 'a'"),
-        ("kind = gaussian\ncov_matrix = 1,0;0\n", "cov_matrix: "),
-        ("kind = gaussian\ncov_diag = 1,y,1\n", "cov_diag: could not convert"),
-        ("kind = gaussian\nvar = z\n", "var: could not convert"),
+         "spec.truncation: not a region (ball:R, R > 0, or box:LO:HI, LO < HI): 'box:a:1'"),
+        ("kind = laplace\ntruncation = box:1:0\n",
+         "spec.truncation: not a region (ball:R, R > 0, or box:LO:HI, LO < HI): 'box:1:0'"),
+        ("kind = gaussian\ncov_matrix = 1,0;0\n", "spec.cov_matrix: not a matrix: '1,0;0'"),
+        ("kind = gaussian\ncov_diag = 1,y,1\n", "spec.cov_diag: not a vector: '1,y,1'"),
+        ("kind = gaussian\nvar = z\n", "spec.var: not a number: 'z'"),
+        ("kind = gaussian\ncov_matrix = 1,0;0,1\nvar = 1.0\n",
+         "spec.cov_matrix: a second covariance key, beside var"),
     ])
     def test_bad_spec_value_names_key_exit_1(self, tmp_path, capsys, spec, message):
         ini, out = tmp_path / "exp.ini", tmp_path / "o"
         ini.write_text(f"[experiment]\nd = 3\nk = 4\nt = 5\nreps = 1\n[spec]\n{spec}")
         assert cli.main([str(ini), "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith(f"error: invalid config: spec: {message}")
+        assert capsys.readouterr().err == f"error: invalid config: {message}\n"
         assert not out.exists()
 
     def test_empty_output_dir_exit_1(self, tmp_path, capsys):
@@ -862,9 +946,39 @@ class TestCli:
         assert capsys.readouterr().err == message
         ini = self._policy_file(tmp_path, "")
         ini.write_text(ini.read_text().replace("reps = 1\n", "reps = 1\noutput_dir =\n"))
-        assert config_from_ini(ini).output_dir == ""
+        with pytest.raises(ConfigError, match="^experiment.output_dir: must be"):
+            config_from_ini(ini)
         assert cli.main([str(ini)]) == 1
         assert capsys.readouterr().err == message
+
+    def test_matrix_empty_output_dir_exit_1(self, tmp_path, capsys, monkeypatch):
+        # Each cell's directory is joined onto --out, but the empty --out is
+        # rejected, and nothing is written into the working directory.
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["--matrix", "--preset", "d20-k20", "--dist", "laplace",
+                         "--T", "2", "--reps", "1", "--out", ""]) == 1
+        assert capsys.readouterr().err == (
+            "error: invalid config: experiment.output_dir: must be a non-empty path\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("text,message", [
+        ("[experiment]\nd = 2\nd = 3\n",
+         r"While reading from '.*bad\.ini' \[line 3\]: option 'd' in section "
+         r"'experiment' already exists"),
+        ("[experiment]\nd = 2\n[experiment]\nk = 2\n",
+         r"While reading from '.*bad\.ini' \[line 3\]: section 'experiment' "
+         r"already exists"),
+        ("d = 2\n[experiment]\n",
+         r"File contains no section headers\. file: '.*bad\.ini', line: 1 'd = 2\\n'"),
+    ], ids=["duplicate-key", "duplicate-section", "no-section-header"])
+    def test_malformed_file_exit_1(self, tmp_path, capsys, text, message):
+        # The parser's own error, with its file and line, on one line.
+        ini, out = tmp_path / "bad.ini", tmp_path / "o"
+        ini.write_text(text)
+        assert cli.main([str(ini), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(f"error: invalid config: {message}\n", err), err
+        assert not out.exists()
 
     def test_sigma_keeps_policy_keys(self, tmp_path):
         ini = self._policy_file(

@@ -76,6 +76,14 @@ class TestConfig:
         for cfg in (PolicyConfig("greedy", theta0=np.zeros(2)), PolicyConfig("lints")):
             assert cfg.resolved(10, 0.3) is cfg
 
+    def test_theta0_is_a_read_only_copy(self):
+        theta0 = np.array([1.0, 0.0])
+        cfg = PolicyConfig("greedy", theta0=theta0)
+        theta0[0] = 5.0
+        np.testing.assert_array_equal(cfg.theta0, [1.0, 0.0])
+        with pytest.raises(ValueError, match="read-only"):
+            cfg.theta0[0] = 2.0
+
     def test_name_defaults_to_kind(self):
         assert PolicyConfig("greedy", theta0=np.zeros(2)).name == "greedy"
         assert PolicyConfig("greedy", theta0=np.zeros(2), name="warm").name == "warm"
